@@ -85,7 +85,6 @@ from .rte2d import (
     fl_greens_avg,
     fl_intensity,
     intensity,
-    resolvent_original,
     verify_rte_mixed,
 )
 

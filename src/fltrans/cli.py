@@ -20,17 +20,15 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .numerics import DomainError, QuadratureSpec
 from .pairs import (
-    PAIR_IDS,
     UnknownPairError,
     catalog_list,
     catalog_lookup,
     lookup,
-    registry_rows,
+    registry_text,
 )
 from .radial_fourier import Dimension, RadialProfile, forward_result, \
     inverse_result
@@ -46,70 +44,12 @@ class ConfigError(ValueError):
     """Invalid or incomplete command configuration."""
 
 
-@dataclass
-class RunConfig:
-    """Validated per-command configuration; computation starts only after
-    validation passes."""
-
-    command: str
-    pair_id: Optional[str] = None
-    dimensions: tuple = ()
-    original_ids: tuple = ()
-    params: Optional[TransportParams] = None
-    k_grid: tuple = ()
-    t_grid: tuple = ()
-    r_grid: tuple = ()
-    tolerance: float = 1e-6
-    nodes: int = 48
-    output_path: Optional[str] = None
-    output_format: str = "text-table"
-    energy: bool = False
-    direction: str = "forward"
-    profile: Optional[str] = None
-    min_points: int = 20
-
-    def validate(self) -> None:
-        if self.command == "verify":
-            if not self.dimensions:
-                raise ConfigError("verify requires --dim")
-            if any(d < 1 for d in self.dimensions):
-                raise ConfigError("dimensions must be >= 1")
-            if self.nodes < 4:
-                raise ConfigError("--nodes must be >= 4")
-            if not self.tolerance > 0:
-                raise ConfigError("--tol must be positive")
-        elif self.command == "rte":
-            if self.params is None:
-                raise ConfigError("rte requires --c, --ell and --A0")
-            if not self.t_grid:
-                raise ConfigError("rte requires --t")
-            if not self.r_grid and not self.energy:
-                raise ConfigError("rte requires --r (or --energy)")
-        elif self.command == "transform":
-            if self.direction not in ("forward", "inverse"):
-                raise ConfigError("--direction must be forward or inverse")
-            if not self.dimensions or self.dimensions[0] < 1:
-                raise ConfigError("transform requires --dim >= 1")
-            if self.profile is None:
-                raise ConfigError("transform requires --profile")
-            if not self.k_grid:
-                raise ConfigError("transform requires --grid")
-        if self.output_format not in ("csv", "json-report", "text-table"):
-            raise ConfigError(f"unknown format {self.output_format!r}")
-
-
-def _floats(text: str) -> tuple:
+def _numbers(text: str, kind=float) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(",") if x != "")
+        return tuple(kind(x) for x in text.split(",") if x != "")
     except ValueError:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}")
-
-
-def _ints(text: str) -> tuple:
-    try:
-        return tuple(int(x) for x in text.split(",") if x != "")
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}")
+        raise ConfigError(f"expected a comma-separated {kind.__name__} list, "
+                          f"got {text!r}")
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -133,64 +73,62 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_pairs_list(config: RunConfig) -> int:
-    rows = registry_rows()
-    if config.pair_id is not None:
-        rows = (lookup(config.pair_id),)
-    lines = ["id   dims      Fourier-Laplace side  <->  space-time side"]
-    for row in rows:
-        lines.append(f"{row.id}  {row.dim_note:8s}  {row.fl_text}  <->  "
-                     f"{row.st_text}   [{row.note}]")
-    _emit("\n".join(lines) + "\n", config.output_path)
+def cmd_pairs_list(args: argparse.Namespace) -> int:
+    rows = None if args.pair_id is None else (lookup(args.pair_id),)
+    _emit(registry_text(rows) + "\n", args.output_path)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    spec = QuadratureSpec()
-    if config.original_ids:
-        originals = [catalog_lookup(oid) for oid in config.original_ids]
-    else:
+def cmd_verify(args: argparse.Namespace) -> int:
+    dimensions = _numbers(args.dim, int)
+    if any(d < 1 for d in dimensions):
+        raise ConfigError("dimensions must be >= 1")
+    if args.nodes < 4:
+        raise ConfigError("--nodes must be >= 4")
+    if not args.tol > 0:
+        raise ConfigError("--tol must be positive")
+    if args.originals == "all":
         originals = catalog_list()
-    pair_ids = list(PAIR_IDS) if config.pair_id in (None, "all") \
-        else [lookup(config.pair_id).id]
-    reports = verify_all(config.dimensions, config.tolerance,
-                         spec=spec, nodes=config.nodes, originals=originals,
-                         pair_ids=pair_ids, min_points=config.min_points)
+    else:
+        originals = [catalog_lookup(oid) for oid in args.originals.split(",")]
+    pair_ids = None if args.pair_id == "all" else [lookup(args.pair_id).id]
+    reports = verify_all(dimensions, args.tol, nodes=args.nodes,
+                         originals=originals, pair_ids=pair_ids,
+                         min_points=args.min_points)
     if not reports:
         raise ConfigError(
             f"no admissible (pair, dimension) combinations for pair="
-            f"{config.pair_id} dims={config.dimensions}")
-    if config.output_format == "json-report":
+            f"{args.pair_id} dims={dimensions}")
+    if args.output_format == "json-report":
         text = json.dumps([r.to_dict() for r in reports], indent=1) + "\n"
     else:
         text = reports_to_text(reports)
-    _emit(text, config.output_path)
+    _emit(text, args.output_path)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAILED
 
 
-def cmd_rte(config: RunConfig) -> int:
-    p = config.params
+def cmd_rte(args: argparse.Namespace) -> int:
+    p = TransportParams(args.c, args.ell, args.A0)
+    t_grid, r_grid = _numbers(args.t), _numbers(args.r)
+    if not t_grid:
+        raise ConfigError("rte requires --t")
+    if not r_grid and not args.energy:
+        raise ConfigError("rte requires --r (or --energy)")
     spec = QuadratureSpec()
     rows = []
-    for t in config.t_grid:
-        for r in config.r_grid:
-            if abs(r - p.c * t) <= 1e-9 * max(1.0, p.c * t):
-                raise ConfigError(
-                    f"grid point r = {r:g}, t = {t:g} sits on the ballistic "
-                    f"shell r = c t; the smooth value is undefined there")
+    for t in t_grid:
+        for r in r_grid:
             value = intensity(p, r, t)
             rows.append((r, t, value.smooth, value.ballistic_weight))
     out = _csv_text(("r", "t", "smooth", "ballistic_weight"), rows)
-    if config.energy:
-        energy_rows = [(t, check_energy(p, t, spec)) for t in config.t_grid]
+    if args.energy:
+        energy_rows = [(t, check_energy(p, t, spec)) for t in t_grid]
         energy_csv = _csv_text(("t", "energy"), energy_rows)
-        if config.output_path is not None:
-            _emit(out, config.output_path)
-            _emit(energy_csv, config.output_path + ".energy.csv")
+        if args.output_path is None:
+            out += energy_csv
         else:
-            _emit(out + energy_csv, None)
-    else:
-        _emit(out, config.output_path)
+            _emit(energy_csv, args.output_path + ".energy.csv")
+    _emit(out, args.output_path)
     return EXIT_OK
 
 
@@ -227,34 +165,31 @@ _PROFILES = {
 }
 
 
-def cmd_transform(config: RunConfig) -> int:
-    d = config.dimensions[0]
-    entry = _PROFILES.get(config.profile)
+def cmd_transform(args: argparse.Namespace) -> int:
+    d = args.dim
+    entry = _PROFILES.get(args.profile)
     if entry is None:
         raise ConfigError(
-            f"unknown profile {config.profile!r}; choices: "
+            f"unknown profile {args.profile!r}; choices: "
             f"{', '.join(sorted(_PROFILES))}")
     if d not in entry["dims"]:
         raise ConfigError(
-            f"profile {config.profile!r} is not defined for d = {d}")
-    spec = QuadratureSpec(abs_tol=max(1e-14, 0.01 * config.tolerance),
-                          rel_tol=config.tolerance)
+            f"profile {args.profile!r} is not defined for d = {d}")
+    grid = _numbers(args.grid)
+    if not grid:
+        raise ConfigError("transform requires --grid")
+    spec = QuadratureSpec(abs_tol=max(1e-14, 0.01 * args.tol),
+                          rel_tol=args.tol)
     dim = Dimension(d)
     profile = entry["make"](d)
-    hop = forward_result if config.direction == "forward" else inverse_result
+    hop = forward_result if args.direction == "forward" else inverse_result
     rows = []
-    all_ok = True
-    for x in config.k_grid:
-        try:
-            res = hop(dim, profile, x, spec)
-            value, err, ok = float(res.value), res.error_estimate, res.converged
-        except DomainError as exc:
-            raise ConfigError(str(exc))
-        all_ok = all_ok and ok
-        rows.append((x, value, err, ok))
+    for x in grid:
+        res = hop(dim, profile, x, spec)
+        rows.append((x, float(res.value), res.error_estimate, res.converged))
     _emit(_csv_text(("x", "value", "error_estimate", "converged"), rows),
-          config.output_path)
-    return EXIT_OK if all_ok else EXIT_FAILED
+          args.output_path)
+    return EXIT_OK if all(row[3] for row in rows) else EXIT_FAILED
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pairs = sub.add_parser("pairs", help="list the transform-pair registry")
     p_pairs.add_argument("--id", dest="pair_id")
     p_pairs.add_argument("--out", dest="output_path")
+    p_pairs.set_defaults(handler=cmd_pairs_list)
 
     p_verify = sub.add_parser("verify", help="verify registry rows")
     p_verify.add_argument("--pair", dest="pair_id", default="all",
@@ -287,6 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", dest="output_format",
                           default="text-table",
                           choices=("text-table", "json-report"))
+    p_verify.set_defaults(handler=cmd_verify)
 
     p_rte = sub.add_parser("rte", help="2-D radiative transfer solution")
     p_rte.add_argument("--c", type=float, default=1.0)
@@ -297,6 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rte.add_argument("--energy", action="store_true",
                        help="emit the t,energy companion table")
     p_rte.add_argument("--out", dest="output_path")
+    p_rte.set_defaults(handler=cmd_rte)
 
     p_tr = sub.add_parser("transform", help="radial Fourier transforms")
     p_tr.add_argument("--direction", choices=("forward", "inverse"),
@@ -307,54 +245,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--tol", type=float, default=1e-10,
                       help="relative quadrature tolerance")
     p_tr.add_argument("--out", dest="output_path")
+    p_tr.set_defaults(handler=cmd_transform)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "pairs":
-        return RunConfig(command="pairs", pair_id=args.pair_id,
-                         output_path=args.output_path)
-    if args.command == "verify":
-        original_ids = () if args.originals == "all" \
-            else tuple(args.originals.split(","))
-        return RunConfig(command="verify", pair_id=args.pair_id,
-                         dimensions=_ints(args.dim),
-                         original_ids=original_ids, tolerance=args.tol,
-                         nodes=args.nodes, min_points=args.min_points,
-                         output_path=args.output_path,
-                         output_format=args.output_format)
-    if args.command == "rte":
-        try:
-            params = TransportParams(args.c, args.ell, args.A0)
-        except DomainError as exc:
-            raise ConfigError(str(exc))
-        return RunConfig(command="rte", params=params,
-                         t_grid=_floats(args.t), r_grid=_floats(args.r),
-                         energy=args.energy, output_path=args.output_path,
-                         output_format="csv")
-    if args.command == "transform":
-        if not args.tol > 0:
-            raise ConfigError("--tol must be positive")
-        return RunConfig(command="transform", direction=args.direction,
-                         dimensions=(args.dim,), profile=args.profile,
-                         k_grid=_floats(args.grid), tolerance=args.tol,
-                         output_path=args.output_path, output_format="csv")
-    raise ConfigError(f"unknown command {args.command!r}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        config.validate()
-        handler = {
-            "pairs": cmd_pairs_list,
-            "verify": cmd_verify,
-            "rte": cmd_rte,
-            "transform": cmd_transform,
-        }[config.command]
-        return handler(config)
+        return args.handler(args)
     except (ConfigError, UnknownPairError, DomainError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"fltrans: error: {message}", file=sys.stderr)

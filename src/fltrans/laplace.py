@@ -12,8 +12,8 @@ Inversion uses the fixed Talbot contour of Abate & Valko (2004),
 
     s(theta) = r * theta * (cot(theta) + i),   theta in (-pi, pi),
 
-with the radius scaled as r = radius_factor * 2 * nodes / (5 t).  The
-radius factor 0.30 keeps the e^{r t} roundoff amplification small enough
+with the radius scaled as r = 0.30 * 2 * nodes / (5 t).  The radius
+factor 0.30 keeps the e^{r t} roundoff amplification small enough
 that doubling the node count still buys two orders of magnitude.
 
 Branch convention: sqrt_s2k2(s, k) continues sqrt(s^2 + k^2) from the
@@ -193,16 +193,16 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
 # Skip Talbot nodes whose weight e^{s t} cannot matter: e^{-60} ~ 9e-27
 # relative to the contour scale (valid for images bounded on the contour).
 _NODE_EXPONENT_FLOOR = -60.0
+_RADIUS_FACTOR = 0.30
 
 
 def inverse_laplace(image, t: float, nodes: int = 48, *,
                     sigma_shift: float = 0.0,
-                    branch_height: float = 0.0,
-                    radius_factor: float = 0.30) -> float:
+                    branch_height: float = 0.0) -> float:
     """Fixed-Talbot inversion of a Laplace image at time t > 0.
 
     image is a LaplaceImage or a plain callable s -> F(s).  The contour
-    radius is radius_factor * 2 * nodes / (5 t) and grows with nodes, so
+    radius is 0.30 * 2 * nodes / (5 t) and grows with nodes, so
     accuracy improves geometrically in `nodes` for images analytic off the
     negative real axis.  branch_height raises the contour so that
     singularities with |Im s| up to that height stay enclosed (the sqrt
@@ -220,10 +220,9 @@ def inverse_laplace(image, t: float, nodes: int = 48, *,
     if sigma_shift != 0.0:
         shifted = lambda z: feval(z + sigma_shift)
         return math.exp(sigma_shift * t) * inverse_laplace(
-            shifted, t, nodes, branch_height=branch_height,
-            radius_factor=radius_factor)
+            shifted, t, nodes, branch_height=branch_height)
 
-    r = max(radius_factor * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
+    r = max(_RADIUS_FACTOR * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
     f0 = complex(feval(complex(r, 0.0)))
     if not (math.isfinite(f0.real) and math.isfinite(f0.imag)):
         raise LaplaceError(f"image not finite at contour base s={r}")

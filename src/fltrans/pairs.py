@@ -16,6 +16,16 @@ correctly on an inversion contour that encloses the branch segment.
 Entry 2.4 carries two space-time branches: its argument map
 u(t, r) = t -+ sqrt(t^2 - r^2) has two roots inside the light cone, and
 both contribute.
+
+A row also carries what the radial quadrature of its space-time side
+needs.  radial_range(t) = (lo, hi) is the r-support at time t (hi may be
+inf).  substitution names the change of variable that regularizes the
+row's integrable singularity: "none"; "origin", r = w^2, for fractional
+powers of r at r = 0; "light_cone", r = t sin(theta), for a
+1/sqrt(t^2 - r^2) edge of the support (0, t).  d1_integrable says
+whether the space-time side is radially integrable in one dimension.
+The verifier reads only these fields, so adding a row touches only this
+module.
 """
 
 from __future__ import annotations
@@ -47,18 +57,19 @@ class ValidityError(ValueError):
 
 _EDGE_MARGIN = 1e-3
 
-PAIR_IDS = ("1.1", "1.2", "1.3", "1.4", "1.5", "2.1", "2.2", "2.3", "2.4")
+_SUBSTITUTIONS = ("none", "origin", "light_cone")
 
 
 @dataclass(frozen=True)
 class PairDescriptor:
     """One registry row in reduced form.
 
-    st_prefactor/st_argument/st_support describe the space-time side
-    prefactor(r, t, d) * f(argument(r, t)) on support(r, t); rows with a
-    second argument branch (entry 2.4) populate st_prefactor_2 and
-    st_argument_2.  fl_psi/fl_phi describe the Fourier-Laplace side
-    psi(k, s, d) * fhat(phi(k, s)).  efros_tau/efros_dtau_du carry the
+    st_prefactor/st_argument describe the space-time side
+    prefactor(r, t, d) * f(argument(r, t)) for r in radial_range(t); rows
+    with a second argument branch (entry 2.4) populate st_prefactor_2 and
+    st_argument_2.  substitution and d1_integrable steer the radial
+    quadrature (see the module docstring).  fl_psi/fl_phi describe the
+    Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)).  efros_tau/efros_dtau_du carry the
     generalized-convolution data tau(t, u) and d tau/d u where the base
     identity is exhibited (the sqrt(t^2 - u^2) family).
     """
@@ -68,22 +79,36 @@ class PairDescriptor:
     dim_note: str
     st_prefactor: Callable[[float, float, int], float]
     st_argument: Callable[[float, float], float]
-    st_support: Callable[[float, float], bool]
+    radial_range: Callable[[float], tuple[float, float]]
     fl_psi: Callable[[float, complex, int], complex]
     fl_phi: Callable[[float, complex], complex]
     st_text: str
     fl_text: str
     note: str
-    parameter_a: Optional[float] = None
-    edge_singular: bool = False
+    substitution: str = "none"
+    d1_integrable: bool = True
     st_prefactor_2: Optional[Callable[[float, float, int], float]] = None
     st_argument_2: Optional[Callable[[float, float], float]] = None
     efros_tau: Optional[Callable[[float, float], float]] = None
     efros_dtau_du: Optional[Callable[[float, float], float]] = None
 
+    def __post_init__(self) -> None:
+        if self.substitution not in _SUBSTITUTIONS:
+            raise ValueError(f"pair {self.id}: unknown substitution "
+                             f"{self.substitution!r}")
+
     @property
     def type_one(self) -> bool:
         return self.id.startswith("1.")
+
+    def spacetime_value(self, d: int, f: TestOriginal, r: float,
+                        t: float) -> float:
+        """Both argument branches at (r, t), without support or edge checks."""
+        value = self.st_prefactor(r, t, d) * f.f.eval(self.st_argument(r, t))
+        if self.st_argument_2 is not None:
+            value += self.st_prefactor_2(r, t, d) * f.f.eval(
+                self.st_argument_2(r, t))
+        return value
 
 
 @dataclass(frozen=True)
@@ -115,7 +140,8 @@ def _pair_11() -> PairDescriptor:
         dim_note="d >= 2",
         st_prefactor=pref,
         st_argument=lambda r, t: t - r,
-        st_support=lambda r, t: t > r,
+        radial_range=lambda t: (0.0, t),
+        substitution="origin",
         fl_psi=lambda k, s, d: sqrt_s2k2(s, k) ** (1 - d),
         fl_phi=lambda k, s: complex(s),
         st_text="pi*S_(d-1)/(2*pi)^d * f(t-r)/r * Theta(t-r)",
@@ -131,7 +157,8 @@ def _pair_12() -> PairDescriptor:
         dim_note="any d",
         st_prefactor=lambda r, t, d: (2.0 * math.pi * r) ** (-0.5 * d),
         st_argument=lambda r, t: t - r,
-        st_support=lambda r, t: t > r,
+        radial_range=lambda t: (0.0, t),
+        substitution="origin",
         fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d)
         / sqrt_s2k2(s, k),
         fl_phi=lambda k, s: complex(s),
@@ -149,7 +176,9 @@ def _pair_13() -> PairDescriptor:
         st_prefactor=lambda r, t, d: (0.5 * d - 1.0)
         / (2.0 * math.pi) ** (0.5 * d) / r ** (0.5 * d + 1.0),
         st_argument=lambda r, t: t - r,
-        st_support=lambda r, t: t > r,
+        radial_range=lambda t: (0.0, t),
+        substitution="origin",
+        d1_integrable=False,
         fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d),
         fl_phi=lambda k, s: complex(s),
         st_text="(d/2-1)/(2*pi)^(d/2) * f(t-r)/r^(d/2+1) * Theta(t-r)",
@@ -165,7 +194,7 @@ def _pair_14() -> PairDescriptor:
         dim_note="any d",
         st_prefactor=lambda r, t, d: math.pi ** (-0.5 * d),
         st_argument=lambda r, t: t - r * r,
-        st_support=lambda r, t: t > r * r,
+        radial_range=lambda t: (0.0, math.sqrt(t)),
         fl_psi=lambda k, s, d: s ** (-0.5 * d) * cmath.exp(-k * k / (4.0 * s)),
         fl_phi=lambda k, s: complex(s),
         st_text="pi^(-d/2) * f(t-r^2) * Theta(t-r^2)",
@@ -191,10 +220,9 @@ def make_pair_15(a: float) -> PairDescriptor:
         id="1.5",
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
-        parameter_a=a,
         st_prefactor=pref,
         st_argument=lambda r, t: t + a - math.sqrt(r * r + a * a),
-        st_support=lambda r, t: t + a > math.sqrt(r * r + a * a),
+        radial_range=lambda t: (0.0, math.sqrt(t * t + 2.0 * a * t)),
         fl_psi=psi,
         fl_phi=lambda k, s: complex(s),
         st_text="(2*pi)^(-d/2)*(a+sqrt(r^2+a^2))^(1-d/2)/sqrt(r^2+a^2)"
@@ -216,7 +244,8 @@ def _pair_21() -> PairDescriptor:
         dim_note="any d",
         st_prefactor=pref,
         st_argument=lambda r, t: math.sqrt(t * t - r * r),
-        st_support=lambda r, t: t > r,
+        radial_range=lambda t: (0.0, t),
+        substitution="light_cone",
         fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d)
         / sqrt_s2k2(s, k),
         fl_phi=lambda k, s: sqrt_s2k2(s, k),
@@ -224,7 +253,6 @@ def _pair_21() -> PairDescriptor:
                 " * f(sqrt(t^2-r^2)) * Theta(t-r)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2)/sqrt(s^2+k^2) * F(sqrt(s^2+k^2))",
         note="proper-time argument; d=2 member is the symmetric special form",
-        edge_singular=True,
         efros_tau=lambda t, u: math.sqrt(t * t - u * u),
         efros_dtau_du=lambda t, u: -u / math.sqrt(t * t - u * u),
     )
@@ -238,7 +266,7 @@ def _pair_22() -> PairDescriptor:
         st_prefactor=lambda r, t, d: (2.0 * math.pi) ** (-0.5 * d)
         * r ** (2 - d) * (2.0 * t) ** (0.5 * d - 2.0),
         st_argument=lambda r, t: r * r / (4.0 * t),
-        st_support=lambda r, t: t > 0.0,
+        radial_range=lambda t: (0.0, math.inf),
         fl_psi=lambda k, s, d: s ** (-0.5 * d),
         fl_phi=lambda k, s: complex(k * k) / s,
         st_text="(2*pi)^(-d/2) * r^(2-d)/(2t)^(2-d/2) * f(r^2/(4t))",
@@ -255,7 +283,7 @@ def _pair_23() -> PairDescriptor:
         st_prefactor=lambda r, t, d: (2.0 * math.pi) ** (-0.5 * d)
         * r ** (2 - d) * t ** (0.5 * d - 2.0),
         st_argument=lambda r, t: (r * r - t * t) / (2.0 * t),
-        st_support=lambda r, t: r > t,
+        radial_range=lambda t: (t, math.inf),
         fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d)
         / sqrt_s2k2(s, k),
         fl_phi=lambda k, s: sqrt_s2k2(s, k) - s,
@@ -287,30 +315,23 @@ def _pair_24() -> PairDescriptor:
         dim_note="any d",
         st_prefactor=pref_minus,
         st_argument=lambda r, t: t - math.sqrt(t * t - r * r),
-        st_support=lambda r, t: t > r,
+        radial_range=lambda t: (0.0, t),
+        substitution="light_cone",
         fl_psi=lambda k, s, d: s ** (-0.5 * d),
         fl_phi=lambda k, s: (s * s + k * k) / (2.0 * s),
         st_text="(2*pi)^(-d/2)/sqrt(t^2-r^2) * [u^(1-d/2) f(u)]_(u=t-+sqrt(t^2-r^2))"
                 " summed over both roots, Theta(t-r)",
         fl_text="s^(-d/2) * F((s^2+k^2)/(2s))",
         note="two argument roots inside the cone (corrected two-branch row)",
-        edge_singular=True,
         st_prefactor_2=pref_plus,
         st_argument_2=lambda r, t: t + math.sqrt(t * t - r * r),
     )
 
 
-_REGISTRY = {
-    "1.1": _pair_11(),
-    "1.2": _pair_12(),
-    "1.3": _pair_13(),
-    "1.4": _pair_14(),
-    "1.5": make_pair_15(1.0),
-    "2.1": _pair_21(),
-    "2.2": _pair_22(),
-    "2.3": _pair_23(),
-    "2.4": _pair_24(),
-}
+_REGISTRY = {row.id: row for row in (
+    _pair_11(), _pair_12(), _pair_13(), _pair_14(), make_pair_15(1.0),
+    _pair_21(), _pair_22(), _pair_23(), _pair_24())}
+PAIR_IDS = tuple(_REGISTRY)
 
 
 def lookup(pair_id: str) -> PairDescriptor:
@@ -410,20 +431,22 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
                    r: float, t: float) -> float:
     """Space-time side value prefactor(r,t,d) * f(argument(r,t)) on support.
 
-    Refuses points on a declared singular edge (|t - r| below a small
-    margin); quadrature callers integrate across such edges under a
-    substitution instead.
+    Zero before t = 0 and outside radial_range(t).  Refuses points on the
+    light-cone edge (|t - r| below a small margin) of rows singular there;
+    quadrature callers integrate across such edges under a substitution
+    instead.
     """
     _check_dim(pair, d)
-    if pair.edge_singular and abs(t - r) <= _EDGE_MARGIN * max(1.0, abs(t)):
+    if (pair.substitution == "light_cone"
+            and abs(t - r) <= _EDGE_MARGIN * max(1.0, abs(t))):
         raise EdgeError(
             f"pair {pair.id} is singular on t = r; got (r, t) = ({r}, {t})")
-    if not pair.st_support(r, t):
+    if not t > 0.0:
         return 0.0
-    value = pair.st_prefactor(r, t, d) * f.f.eval(pair.st_argument(r, t))
-    if pair.st_argument_2 is not None:
-        value += pair.st_prefactor_2(r, t, d) * f.f.eval(pair.st_argument_2(r, t))
-    return value
+    lo, hi = pair.radial_range(t)
+    if not lo <= r < hi:
+        return 0.0
+    return pair.spacetime_value(d, f, r, t)
 
 
 def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,
@@ -497,13 +520,13 @@ def efros_compose(f: TestOriginal, d: int = 2) -> ComposedPair:
 
 def registry_rows() -> Sequence[PairDescriptor]:
     """All nine rows in table order."""
-    return tuple(_REGISTRY[i] for i in PAIR_IDS)
+    return tuple(_REGISTRY.values())
 
 
-def registry_text() -> str:
-    """Plain-text listing of the registry, one row per pair."""
+def registry_text(rows: Optional[Sequence[PairDescriptor]] = None) -> str:
+    """Plain-text listing of the given rows (default: the whole registry)."""
     lines = ["id   dims      Fourier-Laplace side  <->  space-time side"]
-    for row in registry_rows():
+    for row in registry_rows() if rows is None else rows:
         lines.append(f"{row.id}  {row.dim_note:8s}  {row.fl_text}  <->  "
                      f"{row.st_text}   [{row.note}]")
     return "\n".join(lines)

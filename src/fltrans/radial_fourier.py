@@ -55,9 +55,7 @@ class Dimension:
 class RadialProfile:
     """Scalar function of a nonnegative radius with support/decay metadata.
 
-    eval(r) must vanish for r > support_upper.  singular_at_support_edge
-    marks an integrable singularity at the support edge (the transform then
-    integrates under a sine substitution that regularizes it).  decay_class
+    eval(r) must vanish for r > support_upper.  decay_class
     in {"compact", "exponential", "gaussian", "algebraic"} selects the
     semi-infinite strategy: algebraic tails go through the oscillatory
     engine, everything else through plain panel truncation.
@@ -65,7 +63,6 @@ class RadialProfile:
 
     eval: Callable[[float], float]
     support_upper: float = math.inf
-    singular_at_support_edge: bool = False
     decay_class: str = "exponential"
 
     def __post_init__(self) -> None:
@@ -130,13 +127,6 @@ def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
 
     upper = profile.support_upper
     if math.isfinite(upper):
-        if profile.singular_at_support_edge:
-            # r = R sin(theta) regularizes integrable 1/sqrt(R^2 - r^2) edges
-            def sub(theta: float) -> float:
-                r = upper * math.sin(theta)
-                return integrand(r) * upper * math.cos(theta)
-
-            return integrate_adaptive(sub, 0.0, 0.5 * math.pi, spec)
         return integrate_adaptive(integrand, 0.0, upper, spec)
     if k > 0.0 and (profile.decay_class == "algebraic"
                     or k >= _OSC_WAVENUMBER):
@@ -182,25 +172,24 @@ def inverse_result(dim: Dimension, image: RadialProfile, r: float,
                           res.converged, res.evaluations)
 
 
+def _value(res: IntegralResult, direction: str, point: str) -> float:
+    if not res.converged:
+        raise QuadratureError(
+            f"{direction} radial transform did not converge at {point} "
+            f"(error estimate {res.error_estimate:.3e})")
+    return float(res.value.real if isinstance(res.value, complex) else res.value)
+
+
 def forward(dim: Dimension, profile: RadialProfile, k: float,
             spec: QuadratureSpec) -> float:
     """Radial Fourier transform S_d int_0^inf f(r) r^{d-1} ghat_d(k, r) dr.
 
     Raises QuadratureError if the underlying engine does not converge.
     """
-    if k < 0.0:
-        raise DomainError("wavenumber must be nonnegative")
-    res = _radial_integral(dim, profile, k, spec)
-    if not res.converged:
-        raise QuadratureError(
-            f"forward radial transform did not converge at k={k} "
-            f"(error estimate {res.error_estimate:.3e})")
-    return float(res.value.real if isinstance(res.value, complex) else res.value)
+    return _value(forward_result(dim, profile, k, spec), "forward", f"k={k}")
 
 
 def inverse(dim: Dimension, image: RadialProfile, r: float,
             spec: QuadratureSpec) -> float:
     """Inverse transform: the same integral over k with a (2 pi)^{-d} factor."""
-    if r < 0.0:
-        raise DomainError("radius must be nonnegative")
-    return forward(dim, image, r, spec) / (2.0 * math.pi) ** dim.d
+    return _value(inverse_result(dim, image, r, spec), "inverse", f"r={r}")

@@ -26,14 +26,14 @@ restored explicitly so TransportParams carries honest physical units.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .laplace import TimeOriginal, inverse_laplace, sqrt_s2k2
-from .numerics import DomainError, QuadratureSpec, integrate_adaptive
+from .numerics import DomainError, IntegralResult, QuadratureSpec, \
+    integrate_adaptive
 from .radial_fourier import QuadratureError, kernel_ghat
-from .verify import VerificationReport, _rel_error, _settings
+from .verify import VerificationReport, _compare, _settings
 
 
 class PoleError(ValueError):
@@ -64,6 +64,28 @@ class IntensityValue:
     ballistic_weight: float
 
 
+def _smooth(p: TransportParams, q: float, damping: float) -> float:
+    """Smooth part of i at q = sqrt(c^2 t^2 - r^2) > 0, damping e^(-c t/ell)."""
+    return p.A0 / (2.0 * math.pi) * math.exp(q / p.ell) / (p.ell * q) * damping
+
+
+def _smooth_integral(p: TransportParams, t: float,
+                     weight: Callable[[float], float],
+                     spec: QuadratureSpec) -> IntegralResult:
+    """Plane integral of the smooth part times weight(r) at time t."""
+    ct = p.c * t
+    damping = math.exp(-ct / p.ell)
+
+    # r = c t sin(theta) regularizes the light-cone edge
+    def integrand(theta: float) -> float:
+        r = ct * math.sin(theta)
+        q = ct * math.cos(theta)
+        return (2.0 * math.pi * r * _smooth(p, q, damping) * weight(r)
+                * ct * math.cos(theta))
+
+    return integrate_adaptive(integrand, 0.0, 0.5 * math.pi, spec)
+
+
 def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
     """Closed-form i(r, t) away from the shell r = c t."""
     if not t > 0.0:
@@ -73,16 +95,14 @@ def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
     ct = p.c * t
     if abs(r - ct) <= 1e-9 * max(1.0, ct):
         raise DomainError(
-            f"r = c t = {ct:.6g} is the atom location; the pointwise smooth "
-            "value is undefined there")
+            f"r = c t = {ct:.6g} sits on the ballistic shell; the pointwise "
+            "smooth value is undefined there")
     damping = math.exp(-ct / p.ell)
     weight = p.A0 / (2.0 * math.pi) * damping
     if r > ct:
         return IntensityValue(0.0, weight)
     q = math.sqrt(ct * ct - r * r)
-    smooth = (p.A0 / (2.0 * math.pi) * math.exp(q / p.ell)
-              / (p.ell * q) * damping)
-    return IntensityValue(smooth, weight)
+    return IntensityValue(_smooth(p, q, damping), weight)
 
 
 def fl_greens_avg(p: TransportParams, k: float, s: complex) -> complex:
@@ -106,21 +126,6 @@ def fl_intensity(p: TransportParams, k: float, s: complex) -> complex:
     return p.A0 * g / denom
 
 
-def resolvent_original() -> TimeOriginal:
-    """Original of s/(s - c/ell) in units c = ell = 1: delta(t) + e^t.
-
-    The unit atom at t = 0 plus the growing exponential c/ell * e^{c t/ell}
-    (returned in scaled units; multiply rates back in for other
-    parameters).
-    """
-    return TimeOriginal(
-        eval=lambda t: math.exp(t),
-        sigma0=1.0,
-        atom_location=0.0,
-        atom_weight=1.0,
-    )
-
-
 def resolvent_original_scaled(p: TransportParams) -> TimeOriginal:
     """Original of s/(s - c/ell) for explicit transport parameters."""
     rate = p.c / p.ell
@@ -139,39 +144,11 @@ def check_energy(p: TransportParams, t: float, spec: QuadratureSpec) -> float:
     """
     if not t > 0.0:
         raise DomainError("time must be positive")
-    ct = p.c * t
-    damping = math.exp(-ct / p.ell)
-
-    # r = c t sin(theta) regularizes the light-cone edge
-    def integrand(theta: float) -> float:
-        r = ct * math.sin(theta)
-        q = ct * math.cos(theta)
-        smooth = (p.A0 / (2.0 * math.pi) * math.exp(q / p.ell)
-                  / (p.ell * q) * damping)
-        return 2.0 * math.pi * r * smooth * ct * math.cos(theta)
-
-    res = integrate_adaptive(integrand, 0.0, 0.5 * math.pi, spec)
+    res = _smooth_integral(p, t, lambda r: 1.0, spec)
     if not res.converged:
         raise QuadratureError(f"energy quadrature did not converge at t={t}")
-    atom_energy = p.A0 * damping
+    atom_energy = p.A0 * math.exp(-p.c * t / p.ell)
     return float(res.value) + atom_energy
-
-
-def fl_radiance(p: TransportParams, k: float, s: complex, mu: float) -> complex:
-    """Directional radiance in the FL domain for cos(angle(k, u)) = mu.
-
-    Algebraic consequence of the transport resolvent: the directional free
-    propagator 1/(s + c/ell + i c k mu) applied to the initial condition
-    A0/(2 pi) plus the in-scattering source (c/ell) ihat(k, s).  Space-time
-    reconstruction of this quantity is out of scope.
-    """
-    if not -1.0 <= mu <= 1.0:
-        raise DomainError("mu must lie in [-1, 1]")
-    shifted = s + p.c / p.ell + 1j * p.c * k * mu
-    if shifted == 0.0:
-        raise PoleError("directional propagator singular")
-    source = (p.A0 + (p.c / p.ell) * fl_intensity(p, k, s)) / (2.0 * math.pi)
-    return source / shifted
 
 
 def verify_rte_mixed(p: TransportParams, samples: Sequence[tuple],
@@ -185,43 +162,20 @@ def verify_rte_mixed(p: TransportParams, samples: Sequence[tuple],
     """
     if spec is None:
         spec = QuadratureSpec()
-    start = time.perf_counter()
-    points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
-    for k, t in samples:
-        try:
-            ct = p.c * t
-            damping = math.exp(-ct / p.ell)
-            atom_part = p.A0 * kernel_ghat(2, k, ct) * damping
 
-            def integrand(theta: float) -> float:
-                r = ct * math.sin(theta)
-                q = ct * math.cos(theta)
-                smooth = (p.A0 / (2.0 * math.pi) * math.exp(q / p.ell)
-                          / (p.ell * q) * damping)
-                return (2.0 * math.pi * r * smooth * kernel_ghat(2, k, r)
-                        * ct * math.cos(theta))
+    def sides(point: tuple) -> tuple:
+        k, t = point
+        ct = p.c * t
+        atom_part = p.A0 * kernel_ghat(2, k, ct) * math.exp(-ct / p.ell)
+        res = _smooth_integral(p, t, lambda r: kernel_ghat(2, k, r), spec)
+        if not res.converged:
+            raise QuadratureError(
+                f"smooth-part transform did not converge at (k,t)=({k},{t})")
+        lv = atom_part + float(res.value)
+        rv = inverse_laplace(lambda s: fl_intensity(p, k, s), t, nodes,
+                             branch_height=p.c * k)
+        return lv, rv
 
-            res = integrate_adaptive(integrand, 0.0, 0.5 * math.pi, spec)
-            if not res.converged:
-                raise QuadratureError(
-                    f"smooth-part transform did not converge at (k,t)=({k},{t})")
-            lv = atom_part + float(res.value)
-            rv = inverse_laplace(lambda s: fl_intensity(p, k, s), t, nodes,
-                                 branch_height=p.c * k)
-        except (DomainError, QuadratureError, PoleError) as exc:
-            failures.append(((k, t), str(exc)))
-            continue
-        points.append((k, t))
-        lhs.append(lv)
-        rhs.append(rv)
-        aerr.append(abs(lv - rv))
-        rerr.append(_rel_error(lv, rv))
-    passed = not failures and bool(rerr) and max(rerr) <= tolerance
-    return VerificationReport(
-        pair_id="rte2d", dimension=2, test_original="transport-resolvent",
-        sample_points=tuple(points), lhs_values=tuple(lhs),
-        rhs_values=tuple(rhs), abs_errors=tuple(aerr), rel_errors=tuple(rerr),
-        tolerance=tolerance, passed=passed,
-        wall_time=time.perf_counter() - start,
-        engine_settings=_settings(spec, nodes),
-        failures=tuple(failures))
+    return _compare("rte2d", 2, "transport-resolvent", samples, sides,
+                    (DomainError, QuadratureError, PoleError), tolerance,
+                    _settings(spec, nodes))

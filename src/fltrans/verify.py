@@ -27,7 +27,7 @@ from .laplace import LaplaceError, inverse_laplace
 from .numerics import DomainError, QuadratureSpec, integrate_adaptive, \
     integrate_semi_infinite
 from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, catalog_list, \
-    eval_fl, lookup
+    eval_fl, lookup, registry_rows
 from .radial_fourier import QuadratureError, kernel_ghat, sphere_measure
 
 REL_FLOOR = 1e-12
@@ -39,11 +39,6 @@ DEFAULT_K_GRID = (0.0, 0.5, 1.0, 2.0)
 DEFAULT_T_GRID = (0.5, 1.0, 2.0, 3.0, 5.0)
 EXTRA_K_GRID = (0.25, 0.75, 1.5)
 EXTRA_T_GRID = (1.5, 2.5, 4.0)
-
-# Rows whose space-time side is radially integrable in one dimension; row
-# 1.1 is excluded by its own constraint, row 1.3 diverges like r^(-3/2)
-# at the origin for d = 1.
-D1_VERIFIABLE = ("1.2", "1.4", "1.5", "2.1", "2.2", "2.3", "2.4")
 
 
 @dataclass(frozen=True)
@@ -104,58 +99,76 @@ def _rel_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), REL_FLOOR)
 
 
+def _compare(pair_id: str, dimension: int, test_original: str,
+             samples: Sequence[tuple], sides, errors: tuple,
+             tolerance: float, settings: dict,
+             skipped: tuple = ()) -> VerificationReport:
+    """Evaluate sides(point) -> (lhs, rhs) at every sample and report.
+
+    An exception of a type in errors is recorded as a failure of its point
+    and fails the report; points are never silently skipped.  A report
+    that compared nothing passes only when it records why (skipped).
+    """
+    start = time.perf_counter()
+    points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
+    for point in map(tuple, samples):
+        try:
+            lv, rv = sides(point)
+        except errors as exc:
+            failures.append((point, str(exc)))
+            continue
+        points.append(point)
+        lhs.append(lv)
+        rhs.append(rv)
+        aerr.append(abs(lv - rv))
+        rerr.append(_rel_error(lv, rv))
+    passed = not failures and (max(rerr) <= tolerance if rerr
+                               else bool(skipped))
+    return VerificationReport(
+        pair_id=pair_id, dimension=dimension, test_original=test_original,
+        sample_points=tuple(points), lhs_values=tuple(lhs),
+        rhs_values=tuple(rhs), abs_errors=tuple(aerr),
+        rel_errors=tuple(rerr), tolerance=tolerance, passed=passed,
+        wall_time=time.perf_counter() - start, engine_settings=settings,
+        failures=tuple(failures), skipped=skipped)
+
+
 # --------------------------------------------------------------------------
 # LHS': one numeric radial-Fourier hop of the space-time side
 # --------------------------------------------------------------------------
-
-def _st_value(pair: PairDescriptor, d: int, f: TestOriginal,
-              r: float, t: float) -> float:
-    # raw two-branch evaluation; substitution callers keep r off the edges
-    value = pair.st_prefactor(r, t, d) * f.f.eval(pair.st_argument(r, t))
-    if pair.st_argument_2 is not None:
-        value += pair.st_prefactor_2(r, t, d) * f.f.eval(pair.st_argument_2(r, t))
-    return value
-
 
 def spacetime_transform(pair: PairDescriptor, d: int, f: TestOriginal,
                         k: float, t: float, spec: QuadratureSpec) -> float:
     """Radial Fourier transform of the space-time side at wavenumber k.
 
-    Each row integrates over its own support with a substitution adapted
-    to its singularity structure.
+    Integrates over the row's radial_range(t) under the row's
+    substitution; an infinite upper end goes to the semi-infinite engine.
     """
     sd = sphere_measure(d)
+    lo, hi = pair.radial_range(t)
 
     def plain(r: float) -> float:
-        return sd * _st_value(pair, d, f, r, t) * r ** (d - 1) \
+        return sd * pair.spacetime_value(d, f, r, t) * r ** (d - 1) \
             * kernel_ghat(d, k, r)
 
-    if pair.id in ("1.1", "1.2", "1.3"):
-        # r = w^2 turns the r^(d/2 - 2)-type origin behavior polynomial
+    if pair.substitution == "origin":
+        # r = w^2 turns fractional powers of r at the origin polynomial
         def sub(w: float) -> float:
             r = w * w
             return plain(r) * 2.0 * w
 
-        res = integrate_adaptive(sub, 0.0, math.sqrt(t), spec)
-    elif pair.id == "1.4":
-        res = integrate_adaptive(plain, 0.0, math.sqrt(t), spec)
-    elif pair.id == "1.5":
-        a = pair.parameter_a
-        upper = math.sqrt(t * t + 2.0 * a * t)
-        res = integrate_adaptive(plain, 0.0, upper, spec)
-    elif pair.id in ("2.1", "2.4"):
+        res = integrate_adaptive(sub, math.sqrt(lo), math.sqrt(hi), spec)
+    elif pair.substitution == "light_cone":
         # r = t sin(theta) regularizes the 1/sqrt(t^2 - r^2) light-cone edge
         def sub(theta: float) -> float:
             r = t * math.sin(theta)
             return plain(r) * t * math.cos(theta)
 
         res = integrate_adaptive(sub, 0.0, 0.5 * math.pi, spec)
-    elif pair.id == "2.2":
-        res = integrate_semi_infinite(plain, 0.0, spec)
-    elif pair.id == "2.3":
-        res = integrate_semi_infinite(plain, t, spec)
-    else:  # pragma: no cover - registry is closed
-        raise DomainError(f"no radial integrator for pair {pair.id}")
+    elif math.isinf(hi):
+        res = integrate_semi_infinite(plain, lo, spec)
+    else:
+        res = integrate_adaptive(plain, lo, hi, spec)
     if not res.converged:
         raise QuadratureError(
             f"space-time transform of pair {pair.id} (d={d}, f={f.id}) "
@@ -206,29 +219,12 @@ def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
     if not pair.dim_constraint(d):
         raise DomainError(f"pair {pair.id} requires {pair.dim_note}, got d={d}")
     _assert_catalog_image(f, spec)
-    start = time.perf_counter()
-    points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
-    for k, t in samples:
-        try:
-            lv = spacetime_transform(pair, d, f, k, t, spec)
-            rv = fl_inversion(pair, d, f, k, t, nodes)
-        except (DomainError, QuadratureError, LaplaceError) as exc:
-            failures.append(((k, t), str(exc)))
-            continue
-        points.append((k, t))
-        lhs.append(lv)
-        rhs.append(rv)
-        aerr.append(abs(lv - rv))
-        rerr.append(_rel_error(lv, rv))
-    passed = not failures and bool(rerr) and max(rerr) <= tolerance
-    return VerificationReport(
-        pair_id=pair.id, dimension=d, test_original=f.id,
-        sample_points=tuple(points), lhs_values=tuple(lhs),
-        rhs_values=tuple(rhs), abs_errors=tuple(aerr),
-        rel_errors=tuple(rerr), tolerance=tolerance, passed=passed,
-        wall_time=time.perf_counter() - start,
-        engine_settings=_settings(spec, nodes),
-        failures=tuple(failures))
+    return _compare(
+        pair.id, d, f.id, samples,
+        lambda p: (spacetime_transform(pair, d, f, p[0], p[1], spec),
+                   fl_inversion(pair, d, f, p[0], p[1], nodes)),
+        (DomainError, QuadratureError, LaplaceError), tolerance,
+        _settings(spec, nodes))
 
 
 def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
@@ -244,48 +240,34 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
         spec = QuadratureSpec()
     if k < 0.0 or u < 0.0:
         raise DomainError("k and u must be nonnegative")
-    start = time.perf_counter()
-    points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
-    for s in s_grid:
-        if not s > 0.0:
-            raise DomainError("base-pair s grid must be positive")
-        try:
-            if u > 0.0:
-                def integrand(v: float) -> float:
-                    # the damping underflows long before sinh overflows
-                    if v > 50.0 or s * u * math.cosh(v) > 745.0:
-                        return 0.0
-                    return (u * math.sinh(v)
-                            * math.exp(-s * u * math.cosh(v))
-                            * kernel_ghat(2, k, u * math.sinh(v)))
+    if not all(s > 0.0 for s in s_grid):
+        raise DomainError("base-pair s grid must be positive")
 
-                res = integrate_semi_infinite(integrand, 0.0, spec)
-            else:
-                res = integrate_semi_infinite(
-                    lambda t: math.exp(-s * t) * kernel_ghat(2, k, t), 0.0, spec)
-            if not res.converged:
-                raise QuadratureError(
-                    f"base-pair quadrature did not converge at s={s}")
-            lv = float(res.value)
-        except (DomainError, QuadratureError) as exc:
-            failures.append(((k, u, s), str(exc)))
-            continue
+    def sides(point: tuple) -> tuple:
+        s = point[2]
+        if u > 0.0:
+            def integrand(v: float) -> float:
+                # the damping underflows long before sinh overflows
+                if v > 50.0 or s * u * math.cosh(v) > 745.0:
+                    return 0.0
+                return (u * math.sinh(v)
+                        * math.exp(-s * u * math.cosh(v))
+                        * kernel_ghat(2, k, u * math.sinh(v)))
+
+            res = integrate_semi_infinite(integrand, 0.0, spec)
+        else:
+            res = integrate_semi_infinite(
+                lambda t: math.exp(-s * t) * kernel_ghat(2, k, t), 0.0, spec)
+        if not res.converged:
+            raise QuadratureError(
+                f"base-pair quadrature did not converge at s={s}")
         root = math.sqrt(s * s + k * k)
-        rv = math.exp(-u * root) / root
-        points.append((k, u, s))
-        lhs.append(lv)
-        rhs.append(rv)
-        aerr.append(abs(lv - rv))
-        rerr.append(_rel_error(lv, rv))
-    passed = not failures and bool(rerr) and max(rerr) <= tolerance
-    return VerificationReport(
-        pair_id="base(J0)", dimension=2, test_original="delta-shell",
-        sample_points=tuple(points), lhs_values=tuple(lhs),
-        rhs_values=tuple(rhs), abs_errors=tuple(aerr), rel_errors=tuple(rerr),
-        tolerance=tolerance, passed=passed,
-        wall_time=time.perf_counter() - start,
-        engine_settings=_settings(spec, 0),
-        failures=tuple(failures))
+        return float(res.value), math.exp(-u * root) / root
+
+    return _compare("base(J0)", 2, "delta-shell",
+                    [(k, u, s) for s in s_grid], sides,
+                    (DomainError, QuadratureError), tolerance,
+                    _settings(spec, 0))
 
 
 # --------------------------------------------------------------------------
@@ -293,14 +275,13 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
 # --------------------------------------------------------------------------
 
 def _admissible_dims(pair: PairDescriptor, d_list: Sequence[int]) -> list[int]:
-    dims = []
-    for d in d_list:
-        if not pair.dim_constraint(d):
-            continue
-        if d == 1 and pair.id not in D1_VERIFIABLE:
-            continue
-        dims.append(d)
-    return dims
+    return [d for d in d_list
+            if pair.dim_constraint(d) and (d != 1 or pair.d1_integrable)]
+
+
+# rows whose space-time side is verified in one dimension
+D1_VERIFIABLE = tuple(row.id for row in registry_rows()
+                      if _admissible_dims(row, (1,)))
 
 
 def _original_admissible(pair: PairDescriptor, f: TestOriginal) -> bool:
@@ -366,12 +347,9 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
         for d in _admissible_dims(pair, d_list):
             for f in originals:
                 if not _original_admissible(pair, f):
-                    reports.append(VerificationReport(
-                        pair_id=pair.id, dimension=d, test_original=f.id,
-                        sample_points=(), lhs_values=(), rhs_values=(),
-                        abs_errors=(), rel_errors=(), tolerance=tolerance,
-                        passed=True, wall_time=0.0,
-                        engine_settings=_settings(spec, nodes),
+                    reports.append(_compare(
+                        pair.id, d, f.id, (), None, (), tolerance,
+                        _settings(spec, nodes),
                         skipped=(((), f"original {f.id} (sigma0 >= 0) "
                                       f"incompatible with type-2 row"),)))
                     continue

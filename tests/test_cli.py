@@ -2,10 +2,14 @@
 
 import json
 import math
+import pathlib
+import shlex
 
 import pytest
 
 from fltrans.cli import main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -154,3 +158,21 @@ def test_csv_is_deterministic(capsys):
     _, out1, _ = run(capsys, "rte", "--t", "1,2", "--r", "0.25,0.5")
     _, out2, _ = run(capsys, "rte", "--t", "1,2", "--r", "0.25,0.5")
     assert out1 == out2
+
+
+# --- README ---------------------------------------------------------------------
+
+def _readme_commands():
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("fltrans ")]
+
+
+def test_readme_command_line_examples(capsys, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

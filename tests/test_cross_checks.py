@@ -14,7 +14,7 @@ from fltrans.laplace import inverse_laplace
 from fltrans.numerics import QuadratureSpec, integrate_adaptive, \
     integrate_semi_infinite
 from fltrans.pairs import catalog_lookup, eval_fl, lookup, make_pair_15
-from fltrans.rte2d import TransportParams, fl_intensity, fl_radiance
+from fltrans.rte2d import TransportParams, fl_intensity
 from fltrans.verify import fl_inversion, spacetime_transform, \
     verify_pair_mixed
 
@@ -109,13 +109,21 @@ def test_semi_infinite_complex_integrand():
 
 
 def test_dyson_angular_consistency():
-    # integrating the directional FL radiance over the unit circle must
-    # reproduce fl_intensity (the resolvent identity behind the solution)
+    # the directional FL radiance is the directional free propagator
+    # 1/(s + c/ell + i c k mu) applied to the initial condition A0/(2 pi)
+    # plus the in-scattering source (c/ell) ihat(k, s); integrating it over
+    # the unit circle must reproduce fl_intensity (the resolvent identity
+    # behind the solution)
     p = TransportParams(1.0, 1.0, 1.0)
+
+    def radiance(k, s, mu):
+        source = (p.A0 + (p.c / p.ell) * fl_intensity(p, k, s)) / (2.0 * math.pi)
+        return source / (s + p.c / p.ell + 1j * p.c * k * mu)
+
     for k in (0.5, 1.0, 2.0):
         for s in (0.5, 1.5):
             res = integrate_adaptive(
-                lambda th: fl_radiance(p, k, complex(s), math.cos(th)).real,
+                lambda th: radiance(k, complex(s), math.cos(th)).real,
                 0.0, 2.0 * math.pi, SPEC)
             assert res.converged
             want = fl_intensity(p, k, complex(s)).real

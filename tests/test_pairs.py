@@ -1,5 +1,6 @@
 """Tests for the pair registry, catalog, and Efros composition."""
 
+import dataclasses
 import math
 
 import pytest
@@ -242,3 +243,8 @@ def test_registry_text_lists_all_rows():
     text = registry_text()
     for pid in PAIR_IDS:
         assert pid in text
+
+
+def test_unknown_substitution_rejected():
+    with pytest.raises(ValueError):
+        dataclasses.replace(lookup("2.1"), substitution="w^3")

@@ -13,9 +13,7 @@ from fltrans.rte2d import (
     check_energy,
     fl_greens_avg,
     fl_intensity,
-    fl_radiance,
     intensity,
-    resolvent_original,
     resolvent_original_scaled,
     verify_rte_mixed,
 )
@@ -86,7 +84,7 @@ def test_fl_intensity_pole_error():
 
 
 def test_resolvent_original():
-    res = resolvent_original()
+    res = resolvent_original_scaled(TransportParams())
     assert res.atom_weight == 1.0 and res.atom_location == 0.0
     assert res.eval(1.0) == pytest.approx(math.e, rel=1e-14)
     got = forward_laplace(res, 2.0, SPEC)
@@ -124,15 +122,6 @@ def test_energy_linearity_in_a0():
 def test_energy_small_time_is_ballistic():
     got = check_energy(UNIT, 1e-6, SPEC)
     assert got == pytest.approx(1.0, rel=1e-8)
-
-
-def test_fl_radiance_isotropic_limit():
-    # at k = 0 the direction drops out and the angular average is
-    # consistent with fl_intensity
-    vals = [fl_radiance(UNIT, 0.0, 1.0, mu) for mu in (-1.0, 0.0, 1.0)]
-    assert vals[0] == vals[1] == vals[2]
-    avg = 2 * math.pi * vals[1]
-    assert avg.real == pytest.approx(fl_intensity(UNIT, 0.0, 1.0).real, rel=1e-12)
 
 
 def test_verify_rte_mixed_grid():

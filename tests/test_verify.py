@@ -1,11 +1,12 @@
 """Tests for the mixed-domain verification harness."""
 
+import dataclasses
 import math
 
 import pytest
 
 from fltrans.numerics import QuadratureSpec, integrate_adaptive
-from fltrans.pairs import catalog_lookup, lookup
+from fltrans.pairs import catalog_lookup, lookup, registry_rows
 from fltrans.radial_fourier import kernel_ghat
 from fltrans.verify import (
     build_sample_grid,
@@ -165,3 +166,14 @@ def test_reports_to_text_contains_failures():
                             tolerance=1e-15)
     text = reports_to_text([rep])
     assert "max_rel_error" in text
+
+
+def test_rows_are_integrated_from_their_data_alone():
+    # renaming a row must not change how its space-time side is integrated
+    for row in registry_rows():
+        d = 2 if row.dim_constraint(2) else 3
+        for k, t in ((0.0, 1.0), (1.5, 2.0)):
+            want = spacetime_transform(row, d, EXP1, k, t, SPEC)
+            got = spacetime_transform(dataclasses.replace(row, id="x"), d,
+                                      EXP1, k, t, SPEC)
+            assert got == want, (row.id, k, t)
