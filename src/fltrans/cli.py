@@ -83,8 +83,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     dimensions = _numbers(args.dim, int)
     if any(d < 1 for d in dimensions):
         raise ConfigError("dimensions must be >= 1")
-    if args.nodes < 4:
-        raise ConfigError("--nodes must be >= 4")
     if not args.tol > 0:
         raise ConfigError("--tol must be positive")
     if args.originals == "all":
@@ -93,8 +91,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         originals = [catalog_lookup(oid) for oid in args.originals.split(",")]
     pair_ids = None if args.pair_id == "all" else [lookup(args.pair_id).id]
     reports = verify_all(dimensions, args.tol, nodes=args.nodes,
-                         originals=originals, pair_ids=pair_ids,
-                         min_points=args.min_points)
+                         originals=originals, pair_ids=pair_ids)
     if not reports:
         raise ConfigError(
             f"no admissible (pair, dimension) combinations for pair="
@@ -218,7 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                "or 'all'")
     p_verify.add_argument("--tol", type=float, default=1e-6)
     p_verify.add_argument("--nodes", type=int, default=48)
-    p_verify.add_argument("--min-points", type=int, default=20)
     p_verify.add_argument("--out", dest="output_path")
     p_verify.add_argument("--format", dest="output_format",
                           default="text-table",

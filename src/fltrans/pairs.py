@@ -69,7 +69,8 @@ class PairDescriptor:
     with a second argument branch (entry 2.4) populate st_prefactor_2 and
     st_argument_2.  substitution and d1_integrable steer the radial
     quadrature (see the module docstring).  fl_psi/fl_phi describe the
-    Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)).  efros_tau/efros_dtau_du carry the
+    Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)); type_one is False
+    for type-2 rows, whose argument phi(k, s) depends on k.  efros_tau/efros_dtau_du carry the
     generalized-convolution data tau(t, u) and d tau/d u where the base
     identity is exhibited (the sqrt(t^2 - u^2) family).
     """
@@ -87,6 +88,7 @@ class PairDescriptor:
     note: str
     substitution: str = "none"
     d1_integrable: bool = True
+    type_one: bool = True
     st_prefactor_2: Optional[Callable[[float, float, int], float]] = None
     st_argument_2: Optional[Callable[[float, float], float]] = None
     efros_tau: Optional[Callable[[float, float], float]] = None
@@ -96,10 +98,6 @@ class PairDescriptor:
         if self.substitution not in _SUBSTITUTIONS:
             raise ValueError(f"pair {self.id}: unknown substitution "
                              f"{self.substitution!r}")
-
-    @property
-    def type_one(self) -> bool:
-        return self.id.startswith("1.")
 
     def spacetime_value(self, d: int, f: TestOriginal, r: float,
                         t: float) -> float:
@@ -255,6 +253,7 @@ def _pair_21() -> PairDescriptor:
         note="proper-time argument; d=2 member is the symmetric special form",
         efros_tau=lambda t, u: math.sqrt(t * t - u * u),
         efros_dtau_du=lambda t, u: -u / math.sqrt(t * t - u * u),
+        type_one=False,
     )
 
 
@@ -272,6 +271,7 @@ def _pair_22() -> PairDescriptor:
         st_text="(2*pi)^(-d/2) * r^(2-d)/(2t)^(2-d/2) * f(r^2/(4t))",
         fl_text="s^(-d/2) * F(k^2/s)",
         note="self-similar diffusion argument; support is all t > 0",
+        type_one=False,
     )
 
 
@@ -291,6 +291,7 @@ def _pair_23() -> PairDescriptor:
                 " * Theta(r-t)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2)/sqrt(s^2+k^2) * F(sqrt(s^2+k^2)-s)",
         note="support outside the light cone; needs a decaying f",
+        type_one=False,
     )
 
 
@@ -325,6 +326,7 @@ def _pair_24() -> PairDescriptor:
         note="two argument roots inside the cone (corrected two-branch row)",
         st_prefactor_2=pref_plus,
         st_argument_2=lambda r, t: t + math.sqrt(t * t - r * r),
+        type_one=False,
     )
 
 

@@ -14,6 +14,11 @@ and the implementation.  Edge singularities of the space-time sides are
 integrated under regularizing substitutions (r = t sin(theta) at the
 light cone, r = w^2 at the origin); the matching inversion contour is
 raised above the branch segment |Im s| <= k.
+
+verify_all compares at the first 20 grid points (default grid, then the
+extension grid) whose inverted image side clears MAGNITUDE_FLOOR, reusing
+that inversion as the right-hand side.  Only points below the floor are
+skipped; a point where either hop raises is kept and fails its report.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace as dc_replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .laplace import LaplaceError, inverse_laplace
 from .numerics import DomainError, QuadratureSpec, integrate_adaptive, \
@@ -31,6 +36,8 @@ from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, catalog_list, \
 from .radial_fourier import QuadratureError, kernel_ghat, sphere_measure
 
 REL_FLOOR = 1e-12
+# what one hop of either side may raise at a hard point
+_HOP_ERRORS = (DomainError, QuadratureError, LaplaceError)
 # grid points whose identity value is below this cannot carry six relative
 # digits in double precision (both hops have ~1e-13 absolute floors)
 MAGNITUDE_FLOOR = 1e-7
@@ -65,23 +72,7 @@ class VerificationReport:
         return max(self.rel_errors) if self.rel_errors else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "pair_id": self.pair_id,
-            "dimension": self.dimension,
-            "test_original": self.test_original,
-            "sample_points": [list(p) for p in self.sample_points],
-            "lhs_values": list(self.lhs_values),
-            "rhs_values": list(self.rhs_values),
-            "abs_errors": list(self.abs_errors),
-            "rel_errors": list(self.rel_errors),
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "wall_time": self.wall_time,
-            "engine_settings": dict(self.engine_settings),
-            "failures": [list(f) for f in self.failures],
-            "skipped": [list(s) for s in self.skipped],
-        }
+        return {"schema": 1, **vars(self)}
 
 
 def _settings(spec: QuadratureSpec, nodes: int) -> dict:
@@ -100,14 +91,13 @@ def _rel_error(lhs: float, rhs: float) -> float:
 
 
 def _compare(pair_id: str, dimension: int, test_original: str,
-             samples: Sequence[tuple], sides, errors: tuple,
-             tolerance: float, settings: dict,
-             skipped: tuple = ()) -> VerificationReport:
+             samples: Iterable[tuple], sides, errors: tuple,
+             tolerance: float, settings: dict) -> VerificationReport:
     """Evaluate sides(point) -> (lhs, rhs) at every sample and report.
 
     An exception of a type in errors is recorded as a failure of its point
     and fails the report; points are never silently skipped.  A report
-    that compared nothing passes only when it records why (skipped).
+    that compared nothing fails.
     """
     start = time.perf_counter()
     points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
@@ -122,15 +112,14 @@ def _compare(pair_id: str, dimension: int, test_original: str,
         rhs.append(rv)
         aerr.append(abs(lv - rv))
         rerr.append(_rel_error(lv, rv))
-    passed = not failures and (max(rerr) <= tolerance if rerr
-                               else bool(skipped))
+    passed = not failures and bool(rerr) and max(rerr) <= tolerance
     return VerificationReport(
         pair_id=pair_id, dimension=dimension, test_original=test_original,
         sample_points=tuple(points), lhs_values=tuple(lhs),
         rhs_values=tuple(rhs), abs_errors=tuple(aerr),
         rel_errors=tuple(rerr), tolerance=tolerance, passed=passed,
         wall_time=time.perf_counter() - start, engine_settings=settings,
-        failures=tuple(failures), skipped=skipped)
+        failures=tuple(failures))
 
 
 # --------------------------------------------------------------------------
@@ -193,8 +182,8 @@ def fl_inversion(pair: PairDescriptor, d: int, f: TestOriginal,
 # --------------------------------------------------------------------------
 
 def _assert_catalog_image(f: TestOriginal, spec: QuadratureSpec) -> None:
-    # TestOriginal invariant, re-asserted before every pair run: the closed
-    # form image must match the numeric transform to 1e-9 above sigma0
+    # TestOriginal invariant, asserted once per run: the closed-form image
+    # must match the numeric transform to 1e-9 above sigma0
     from .laplace import forward_laplace
 
     for s in (f.f.sigma0 + 1.1, f.f.sigma0 + 2.6):
@@ -223,8 +212,7 @@ def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
         pair.id, d, f.id, samples,
         lambda p: (spacetime_transform(pair, d, f, p[0], p[1], spec),
                    fl_inversion(pair, d, f, p[0], p[1], nodes)),
-        (DomainError, QuadratureError, LaplaceError), tolerance,
-        _settings(spec, nodes))
+        _HOP_ERRORS, tolerance, _settings(spec, nodes))
 
 
 def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
@@ -294,46 +282,48 @@ def _original_admissible(pair: PairDescriptor, f: TestOriginal) -> bool:
 
 
 def build_sample_grid(pair: PairDescriptor, d: int, f: TestOriginal,
-                      nodes: int = 48, min_points: int = 20):
-    """Default (k, t) grid, filtered by identity magnitude.
+                      nodes: int = 48) -> tuple[dict, list]:
+    """Image-side values at the first 20 grid points above the floor.
 
-    Points whose image-side value is below MAGNITUDE_FLOOR cannot be
-    compared at six relative digits in double precision; they are replaced
-    from an extension grid so at least min_points remain.  Returns
-    (points, skipped) where skipped pairs each dropped point with the
-    reason.
+    Walks the default grid, then the extension grid, until as many points
+    as the default grid holds (20) are kept.  Points whose image-side value
+    is below MAGNITUDE_FLOOR cannot be compared at six relative digits in
+    double precision and are skipped; a point whose inversion raises
+    LaplaceError is kept with that error so that it fails (DomainError
+    propagates).  Returns (images, skipped): images maps each kept (k, t)
+    to its value or error, skipped pairs each dropped point with why.
     """
     candidates = [(k, t) for k in DEFAULT_K_GRID for t in DEFAULT_T_GRID]
     extras = [(k, t) for k in EXTRA_K_GRID for t in EXTRA_T_GRID]
-    points, skipped = [], []
+    images, skipped = {}, []
     for k, t in candidates + extras:
-        if len(points) >= max(min_points, len(candidates)) and (k, t) not in candidates:
+        if len(images) == len(candidates):
             break
         try:
-            magnitude = abs(fl_inversion(pair, d, f, k, t, nodes))
-        except (DomainError, LaplaceError):
-            skipped.append(((k, t), "image-side inversion not evaluable"))
+            value = fl_inversion(pair, d, f, k, t, nodes)
+        except LaplaceError as exc:
+            images[k, t] = exc
             continue
-        if magnitude < MAGNITUDE_FLOOR:
-            skipped.append(((k, t), f"identity value {magnitude:.2e} below "
+        if abs(value) < MAGNITUDE_FLOOR:
+            skipped.append(((k, t), f"identity value {abs(value):.2e} below "
                                     f"magnitude floor {MAGNITUDE_FLOOR:.0e}"))
-            continue
-        points.append((k, t))
-    return points, skipped
+        else:
+            images[k, t] = value
+    return images, skipped
 
 
 def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
                output_path: Optional[str] = None,
                spec: Optional[QuadratureSpec] = None, nodes: int = 48,
                originals: Optional[Sequence[TestOriginal]] = None,
-               pair_ids: Optional[Sequence[str]] = None,
-               min_points: int = 20) -> list[VerificationReport]:
+               pair_ids: Optional[Sequence[str]] = None
+               ) -> list[VerificationReport]:
     """Run the mixed-domain protocol over the registry.
 
     Every requested row is verified for every admissible dimension and
-    every admissible catalog original on the default magnitude-filtered
-    grid.  Incompatible originals (growing f against a type-2 row) are
-    skipped with a recorded reason, never silently.
+    every admissible catalog original on the grid of build_sample_grid.
+    Incompatible originals (growing f against a type-2 row) are skipped
+    with a recorded reason, never silently.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -341,25 +331,32 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
         originals = catalog_list()
     if pair_ids is None:
         pair_ids = list(PAIR_IDS)
+    for f in originals:
+        _assert_catalog_image(f, spec)
     reports: list[VerificationReport] = []
     for pid in pair_ids:
         pair = lookup(pid)
         for d in _admissible_dims(pair, d_list):
             for f in originals:
                 if not _original_admissible(pair, f):
-                    reports.append(_compare(
-                        pair.id, d, f.id, (), None, (), tolerance,
-                        _settings(spec, nodes),
+                    reports.append(dc_replace(
+                        _compare(pair.id, d, f.id, (), None, (), tolerance,
+                                 _settings(spec, nodes)),
+                        passed=True,
                         skipped=(((), f"original {f.id} (sigma0 >= 0) "
                                       f"incompatible with type-2 row"),)))
                     continue
-                points, skipped = build_sample_grid(pair, d, f, nodes,
-                                                    min_points)
-                report = verify_pair_mixed(pid, d, f, points, spec, nodes,
-                                           tolerance)
-                if skipped:
-                    report = dc_replace(report, skipped=tuple(skipped))
-                reports.append(report)
+                images, skipped = build_sample_grid(pair, d, f, nodes)
+
+                def sides(p):
+                    rhs = images[p]
+                    if isinstance(rhs, LaplaceError):
+                        raise rhs
+                    return spacetime_transform(pair, d, f, *p, spec), rhs
+
+                reports.append(dc_replace(_compare(
+                    pair.id, d, f.id, images, sides, _HOP_ERRORS, tolerance,
+                    _settings(spec, nodes)), skipped=tuple(skipped)))
     if output_path is not None:
         with open(output_path, "w", encoding="utf-8") as handle:
             handle.write(reports_to_text(reports))

@@ -44,8 +44,7 @@ def test_pairs_unknown_id(capsys):
 
 def test_verify_single_pair_passes(capsys):
     code, out, _ = run(capsys, "verify", "--pair", "2.1", "--dim", "2",
-                       "--f", "exp_decay:1", "--tol", "1e-6",
-                       "--min-points", "6")
+                       "--f", "exp_decay:1", "--tol", "1e-6")
     assert code == 0
     assert "# summary" in out
     assert "passed=1" in out
@@ -61,7 +60,7 @@ def test_verify_constraint_violation(capsys):
 def test_verify_json_report(capsys, tmp_path):
     out_path = tmp_path / "rep.json"
     code, _, _ = run(capsys, "verify", "--pair", "1.4", "--dim", "2",
-                     "--f", "exp_decay:1", "--min-points", "4",
+                     "--f", "exp_decay:1",
                      "--format", "json-report", "--out", str(out_path))
     assert code == 0
     payload = json.loads(out_path.read_text())
@@ -73,9 +72,15 @@ def test_verify_json_report(capsys, tmp_path):
 
 def test_verify_unachievable_tolerance_fails(capsys):
     code, out, _ = run(capsys, "verify", "--pair", "1.4", "--dim", "2",
-                       "--f", "exp_decay:1", "--tol", "1e-15",
-                       "--min-points", "4")
+                       "--f", "exp_decay:1", "--tol", "1e-15")
     assert code == 1
+
+
+def test_verify_too_few_nodes_is_a_config_error(capsys):
+    code, _, err = run(capsys, "verify", "--pair", "2.1", "--dim", "2",
+                       "--f", "exp_decay:1", "--nodes", "2")
+    assert code == 2
+    assert "at least 4 Talbot nodes are required" in err
 
 
 # --- rte -------------------------------------------------------------------------

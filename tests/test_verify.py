@@ -5,7 +5,9 @@ import math
 
 import pytest
 
-from fltrans.numerics import QuadratureSpec, integrate_adaptive
+from fltrans import pairs, verify
+from fltrans.laplace import LaplaceImage, TimeOriginal
+from fltrans.numerics import DomainError, QuadratureSpec, integrate_adaptive
 from fltrans.pairs import catalog_lookup, lookup, registry_rows
 from fltrans.radial_fourier import kernel_ghat
 from fltrans.verify import (
@@ -143,7 +145,7 @@ def test_verify_all_empty_dimension_list():
 def test_verify_all_small_slice(tmp_path):
     out = tmp_path / "report.txt"
     reports = verify_all([2], 1e-6, str(out), originals=[EXP1],
-                         pair_ids=["1.4"], min_points=4)
+                         pair_ids=["1.4"])
     assert len(reports) == 1
     assert reports[0].passed
     text = out.read_text()
@@ -153,8 +155,7 @@ def test_verify_all_small_slice(tmp_path):
 
 def test_verify_all_skips_growing_originals_for_type2():
     unit = catalog_lookup("unit")
-    reports = verify_all([2], 1e-6, originals=[unit], pair_ids=["2.3"],
-                         min_points=4)
+    reports = verify_all([2], 1e-6, originals=[unit], pair_ids=["2.3"])
     assert len(reports) == 1
     assert reports[0].sample_points == ()
     assert reports[0].skipped
@@ -177,3 +178,52 @@ def test_rows_are_integrated_from_their_data_alone():
             got = spacetime_transform(dataclasses.replace(row, id="x"), d,
                                       EXP1, k, t, SPEC)
             assert got == want, (row.id, k, t)
+        for f in (EXP1, catalog_lookup("unit")):
+            assert verify._original_admissible(
+                dataclasses.replace(row, id="x"), f) == \
+                verify._original_admissible(row, f), (row.id, f.id)
+
+
+def _decaying(image, scale=1.0):
+    # scale * e^{-u} with the given image; the closed-form check samples real s
+    return pairs.TestOriginal(
+        "variant", TimeOriginal(lambda u: scale * math.exp(-u), sigma0=-1.0),
+        LaplaceImage(image, sigma0=-1.0), "scaled e^{-u}")
+
+
+def test_verify_all_inverts_each_point_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3:5])
+        return fl_inversion(*args)
+
+    monkeypatch.setattr(verify, "fl_inversion", counted)
+    (rep,) = verify_all([2], originals=[EXP1], pair_ids=["2.2"])
+    assert rep.passed and rep.skipped  # 2.2 at k=2, t=5 is below the floor
+    assert len(calls) == len(rep.sample_points) + len(rep.skipped)
+    assert len(set(calls)) == len(calls)
+
+
+def test_too_few_nodes_raises():
+    with pytest.raises(DomainError, match="at least 4 Talbot nodes"):
+        verify_all([2], pair_ids=["2.1"], nodes=2)
+
+
+def test_hard_points_fail_instead_of_being_skipped():
+    # finite on the real axis, so the closed-form check passes; NaN on
+    # every off-axis contour node, so every inversion raises
+    f = _decaying(lambda s: 1.0 / (s + 1.0) if s.imag == 0.0 else math.nan)
+    (rep,) = verify_all([2], originals=[f], pair_ids=["1.2"])
+    assert not rep.passed
+    assert rep.sample_points == () and rep.skipped == ()
+    assert len(rep.failures) == 20
+    assert all("not finite" in reason for _, reason in rep.failures)
+
+
+def test_report_with_every_point_below_the_floor_fails():
+    tiny = _decaying(lambda s: 1e-12 / (s + 1.0), scale=1e-12)
+    (rep,) = verify_all([2], originals=[tiny], pair_ids=["1.2"])
+    assert rep.sample_points == () and not rep.failures
+    assert len(rep.skipped) == 29
+    assert not rep.passed
