@@ -2,11 +2,13 @@
 
 The forward transform integrates e^{-s t} f(t) by damped semi-infinite
 quadrature, switching to the oscillatory engine when |Im s| dominates the
-decay rate.  Points left of the growth abscissa (needed on the deep part
-of an inversion contour) are reached by rotating the integration ray into
-the complex t-plane, which computes the analytic continuation of the
-integral for originals that are analytic in a sector; such originals
-advertise the capability through TimeOriginal.eval_complex.
+decay rate.  Originals that are analytic in a sector advertise it through
+TimeOriginal.eval_complex; for them the integration ray is rotated into
+the complex t-plane whenever a rotated ray decays faster than both the
+real axis and rate 1.  That computes the analytic continuation of the
+integral, which reaches points left of the growth abscissa (the deep part
+of an inversion contour) and replaces the slowly decaying real-axis
+integrand just right of it.
 
 Inversion uses the fixed Talbot contour of Abate & Valko (2004),
 
@@ -118,12 +120,25 @@ def _ray_decay(f: TimeOriginal, s: complex, alpha: float) -> float:
             - f.imag_growth * abs(math.sin(alpha)))
 
 
+def _best_ray(f: TimeOriginal, s: complex) -> tuple[float, float]:
+    # the angle in _RAY_ANGLES (either sign) of fastest decay, and that decay
+    best_alpha, best_decay = 0.0, -math.inf
+    for alpha in _RAY_ANGLES:
+        for signed in (alpha, -alpha) if alpha else (0.0,):
+            dec = _ray_decay(f, s, signed)
+            if dec > best_decay:
+                best_alpha, best_decay = signed, dec
+    return best_alpha, best_decay
+
+
 def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> complex:
     """Laplace transform of f at complex s: atom part (analytic) + quadrature.
 
-    Requires Re s > sigma0 + margin unless f supplies eval_complex, in
-    which case the integration ray is rotated into the sector of
-    analyticity and the analytic continuation is returned.
+    Requires Re s > sigma0 + margin unless f supplies eval_complex.  With
+    eval_complex the integration ray is rotated into the sector of
+    analyticity, returning the analytic continuation, whenever some ray
+    decays faster than both the real axis and rate 1, and left of
+    sigma0 + margin whenever some ray decays faster than 0.25.
     """
     s = complex(s)
     total = 0.0 + 0.0j
@@ -142,7 +157,9 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
         return total + res.value
 
     decay = (s - f.sigma0).real
-    if decay > _MARGIN:
+    alpha, ray_decay = (_best_ray(f, s) if f.eval_complex is not None
+                        else (0.0, -math.inf))
+    if decay > _MARGIN and ray_decay <= max(decay, 1.0):
         if abs(s.imag) > 10.0 * max(1.0, decay):
             # heavily oscillatory: integrate against cos/sin kernels with
             # series acceleration
@@ -167,17 +184,9 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
         raise DomainError(
             f"Re s = {s.real:.6g} is not above sigma0 = {f.sigma0:.6g} "
             "and the original carries no analytic continuation evaluator")
-    best_alpha = None
-    best_decay = 0.25
-    for alpha in _RAY_ANGLES:
-        for signed in (alpha, -alpha) if alpha else (0.0,):
-            dec = _ray_decay(f, s, signed)
-            if dec > best_decay:
-                best_decay = dec
-                best_alpha = signed
-    if best_alpha is None:
+    if ray_decay <= 0.25:
         raise DomainError(f"no convergent integration ray for s={s}")
-    ray = cmath.exp(1j * best_alpha)
+    ray = cmath.exp(1j * alpha)
 
     def integrand(tau: float) -> complex:
         z = ray * tau

@@ -3,8 +3,9 @@
 Scalar, pure-Python kernels used by every other module:
 
 * Bessel functions J_nu for integer and half-integer order
-  (power series, downward Miller recurrence, trigonometric closed forms;
-  see Abramowitz & Stegun ch. 9).
+  (power series, downward Miller recurrence, Hankel's asymptotic
+  expansion, trigonometric closed forms; see Abramowitz & Stegun ch. 9).
+  The cost of an integer-order call is bounded independently of x.
 * Gamma function wrapper with a strict positive-real domain.
 * Adaptive Gauss-Kronrod (G7/K15) quadrature on finite intervals.
 * Semi-infinite quadrature by geometrically growing panels.
@@ -142,16 +143,29 @@ def _bessel_miller(n: int, x: float) -> float:
 
 
 def _bessel_hankel_asymptotic(nu: float, x: float) -> float:
-    # Hankel's expansion (A&S 9.2.5) with four correction terms; for
-    # x >= 1e4 and the low orders supported here the truncation error is
-    # far below the amplitude sqrt(2/(pi x)) ~ 1e-2/sqrt(x).
+    # Hankel's expansion (A&S 9.2.5) summed until its terms fall below
+    # 1e-17.  Term k is term_{k-1} * (4 nu^2 - (2k-1)^2) / (k 8x); P takes
+    # the even terms and Q the odd ones, with alternating signs.  The
+    # smallest term is about e^{-2x}, so for x >= 20 + nu^2 the sum stops
+    # before the series starts to diverge.  The phase x - (nu/2 + 1/4) pi
+    # is expanded by the angle-sum formulas, so cos and sin reduce x exactly.
     mu = 4.0 * nu * nu
     w = 8.0 * x
-    p = 1.0 - (mu - 1.0) * (mu - 9.0) / (2.0 * w * w) \
-        + (mu - 1.0) * (mu - 9.0) * (mu - 25.0) * (mu - 49.0) / (24.0 * w**4)
-    q = (mu - 1.0) / w - (mu - 1.0) * (mu - 9.0) * (mu - 25.0) / (6.0 * w**3)
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
+    p, q = 1.0, 0.0
+    term = 1.0
+    k = 1
+    while abs(term) >= 1e-17:
+        term *= (mu - (2 * k - 1) ** 2) / (k * w)
+        q += term
+        term *= -(mu - (2 * k + 1) ** 2) / ((k + 1) * w)
+        p += term
+        k += 2
+    c = math.pi * ((0.5 * nu + 0.25) % 2.0)
+    cos_c, sin_c = math.cos(c), math.sin(c)
+    cos_x, sin_x = math.cos(x), math.sin(x)
+    cos_chi = cos_x * cos_c + sin_x * sin_c
+    sin_chi = sin_x * cos_c - cos_x * sin_c
+    return math.sqrt(2.0 / (math.pi * x)) * (p * cos_chi - q * sin_chi)
 
 
 def _bessel_half_trig(nu: float, x: float) -> float:
@@ -173,10 +187,14 @@ def _bessel_half_trig(nu: float, x: float) -> float:
 def bessel_j(order: float, x: float) -> float:
     """Bessel function J_order(x) for order in {n, n + 1/2 : n >= -1}, x >= 0.
 
-    Integer orders use the ascending power series for x <= 8 and the
-    normalized downward (Miller) recurrence beyond; half-integer orders use
-    the closed trigonometric forms (series below x = 1 to avoid
-    cancellation).  Absolute accuracy is ~1e-14 for x <= 100.
+    Integer orders n use the ascending power series for x <= 8, the
+    normalized downward (Miller) recurrence on (8, 20 + n^2), and Hankel's
+    asymptotic expansion summed to convergence for x >= 20 + n^2, so the
+    cost of a call is bounded independently of x (at most about 100
+    recurrence steps for n <= 3).  Half-integer orders use the closed
+    trigonometric forms (series below x = 1 to avoid cancellation).
+    Absolute accuracy is ~1e-15 for x > 8 (checked against
+    scipy.special.jv up to x = 1e5 for n <= 12) and ~1e-14 below.
     """
     if x < 0.0 or not math.isfinite(x):
         raise DomainError(f"bessel_j requires finite x >= 0, got {x}")
@@ -191,7 +209,7 @@ def bessel_j(order: float, x: float) -> float:
             return 1.0 if n == 0 else 0.0
         if x <= 8.0:
             return _bessel_series(float(n), x)
-        if x >= 1e4:  # Miller cost is linear in x; switch to asymptotics
+        if x >= 20.0 + n * n:
             return _bessel_hankel_asymptotic(float(n), x)
         return _bessel_miller(n, x)
     # half-integer
@@ -220,8 +238,8 @@ def bessel_j_zero(order: float, n: int) -> float:
         - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3)
     for _ in range(4):
         jz = bessel_j(order, z)
-        # J'_nu = (J_{nu-1} - J_{nu+1}) / 2
-        jp = 0.5 * (bessel_j(order - 1.0, z) - bessel_j(order + 1.0, z))
+        # J'_nu = J_{nu-1} - (nu / z) J_nu (A&S 9.1.27)
+        jp = bessel_j(order - 1.0, z) - (order / z) * jz
         if jp == 0.0:
             break
         dz = jz / jp

@@ -88,8 +88,10 @@ def test_forward_complex_s():
 
 
 def test_forward_large_imag_uses_oscillatory_path():
+    # without a complex evaluator no ray can be rotated
+    plain = TimeOriginal(lambda t: math.exp(-t), sigma0=-1.0)
     s = complex(0.5, 40.0)
-    got = forward_laplace(EXP1, s, SPEC)
+    got = forward_laplace(plain, s, SPEC)
     assert got == pytest.approx(1.0 / (s + 1.0), rel=1e-8)
 
 
@@ -99,6 +101,17 @@ def test_forward_rotated_ray_continuation():
     s = complex(-4.0, 6.0)
     got = forward_laplace(EXP1, s, SPEC)
     assert got == pytest.approx(1.0 / (s + 1.0), rel=1e-9)
+
+
+def test_forward_just_right_of_the_margin_rotates_the_ray():
+    # Re s - sigma0 = 0.1003: on the real axis t^2 e^{-0.1 t} grows over
+    # many panels, so the transform must run along a rotated ray
+    poly21 = TimeOriginal(lambda t: t * t * math.exp(-t), sigma0=-1.0,
+                          eval_complex=lambda z: z * z * cmath.exp(-z))
+    s = complex(-0.8997, 6.834)
+    got = forward_laplace(poly21, s, SPEC)
+    assert got == pytest.approx(2.0 / (s + 1.0) ** 3, rel=1e-12)
+    assert roundtrip_check(poly21, (1.434,), 48, SPEC) <= 1e-8
 
 
 def test_forward_domain_error_without_continuation():

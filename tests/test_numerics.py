@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from fltrans import numerics
 from fltrans.numerics import (
     DomainError,
     IntegralResult,
@@ -104,6 +105,42 @@ def test_bessel_zeros():
     for n in (1, 2, 5, 20):
         z = bessel_j_zero(1.0, n)
         assert abs(bessel_j(1, z)) < 1e-12
+
+
+# orders for the large-argument checks: every order the transforms use
+# plus a few higher ones
+LARGE_X_ORDERS = (-1, 0, 1, 2, 3, 5, 8, 12)
+
+
+def test_integer_orders_match_scipy_above_eight():
+    # scipy is a test-only oracle; 1e-15 absolute on log-spaced (8, 1e5]
+    special = pytest.importorskip("scipy.special")
+    for n in LARGE_X_ORDERS:
+        for i in range(1, 201):
+            x = 8.0 * (1e5 / 8.0) ** (i / 200.0)
+            assert abs(bessel_j(n, x) - float(special.jv(n, x))) <= 1e-15, (n, x)
+
+
+def test_large_arguments_never_take_the_recurrence(monkeypatch):
+    # cost contract: from x = 20 + n^2 on, the O(x) Miller recurrence is
+    # never run, whatever the size of x
+    def refuse(n, x):
+        raise AssertionError(f"Miller recurrence at n={n}, x={x}")
+
+    monkeypatch.setattr(numerics, "_bessel_miller", refuse)
+    for n in LARGE_X_ORDERS:
+        start = 20.0 + n * n
+        for i in range(41):
+            x = start * (1e6 / start) ** (i / 40.0)
+            assert abs(bessel_j(n, x)) <= 1.0
+
+
+def test_branches_agree_at_the_switch_point():
+    # at x = 20 + n^2 bessel_j takes the asymptotic expansion; the
+    # recurrence that serves just below must give the same value there
+    for n in LARGE_X_ORDERS[1:]:  # the recurrence takes n >= 0
+        x = 20.0 + n * n
+        assert abs(numerics._bessel_miller(n, x) - bessel_j(n, x)) <= 1e-15, n
 
 
 # --- gamma_fn ---------------------------------------------------------------
