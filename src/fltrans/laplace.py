@@ -1,11 +1,12 @@
 """Numerical forward Laplace transform and fixed-Talbot inversion.
 
 The forward transform integrates e^{-s t} f(t) by damped semi-infinite
-quadrature, switching to the oscillatory engine when |Im s| dominates the
-decay rate.  Originals that are analytic in a sector advertise it through
-TimeOriginal.eval_complex; for them the integration ray is rotated into
-the complex t-plane whenever a rotated ray decays faster than both the
-real axis and rate 1.  That computes the analytic continuation of the
+quadrature along one ray t = tau e^{i alpha}, the real axis being the
+alpha = 0 ray; on the real axis it switches to the oscillatory engine
+when |Im s| dominates the decay rate.  Originals that are analytic in a
+sector advertise it through TimeOriginal.eval_complex; for them the ray
+is rotated into the complex t-plane whenever a rotated ray decays faster
+than both the real axis and rate 1.  That computes the analytic continuation of the
 integral, which reaches points left of the growth abscissa (the deep part
 of an inversion contour) and replaces the slowly decaying real-axis
 integrand just right of it.
@@ -174,28 +175,24 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
                 raise LaplaceError(
                     f"oscillatory forward transform did not converge at s={s}")
             return total + complex(re_part.value, -sign * im_part.value)
-        res = integrate_semi_infinite(
-            lambda t: _damped_product(f.eval(t), -s * t), 0.0, spec)
-        if not res.converged:
-            raise LaplaceError(f"forward transform did not converge at s={s}")
-        return total + res.value
-
-    if f.eval_complex is None:
+        # the real axis is the alpha = 0 ray
+        evaluate, ray = f.eval, 1.0
+    elif f.eval_complex is None:
         raise DomainError(
             f"Re s = {s.real:.6g} is not above sigma0 = {f.sigma0:.6g} "
             "and the original carries no analytic continuation evaluator")
-    if ray_decay <= 0.25:
+    elif ray_decay <= 0.25:
         raise DomainError(f"no convergent integration ray for s={s}")
-    ray = cmath.exp(1j * alpha)
+    else:
+        evaluate, ray = f.eval_complex, cmath.exp(1j * alpha)
 
     def integrand(tau: float) -> complex:
         z = ray * tau
-        return _damped_product(f.eval_complex(z) * ray, -s * z)
+        return _damped_product(evaluate(z) * ray, -s * z)
 
     res = integrate_semi_infinite(integrand, 0.0, spec)
     if not res.converged:
-        raise LaplaceError(
-            f"rotated-ray forward transform did not converge at s={s}")
+        raise LaplaceError(f"forward transform did not converge at s={s}")
     return total + res.value
 
 
@@ -206,7 +203,6 @@ _RADIUS_FACTOR = 0.30
 
 
 def inverse_laplace(image, t: float, nodes: int = 48, *,
-                    sigma_shift: float = 0.0,
                     branch_height: float = 0.0) -> float:
     """Fixed-Talbot inversion of a Laplace image at time t > 0.
 
@@ -215,9 +211,7 @@ def inverse_laplace(image, t: float, nodes: int = 48, *,
     accuracy improves geometrically in `nodes` for images analytic off the
     negative real axis.  branch_height raises the contour so that
     singularities with |Im s| up to that height stay enclosed (the sqrt
-    branch segment of transform-pair images); sigma_shift moves the whole
-    contour right of singularities with positive real part, at the price
-    of an e^{sigma_shift t} error amplification.
+    branch segment of transform-pair images).
 
     Non-finite image values on the contour abort with LaplaceError.
     """
@@ -226,11 +220,6 @@ def inverse_laplace(image, t: float, nodes: int = 48, *,
     if nodes < 4:
         raise DomainError("at least 4 Talbot nodes are required")
     feval = image.eval if isinstance(image, LaplaceImage) else image
-    if sigma_shift != 0.0:
-        shifted = lambda z: feval(z + sigma_shift)
-        return math.exp(sigma_shift * t) * inverse_laplace(
-            shifted, t, nodes, branch_height=branch_height)
-
     r = max(_RADIUS_FACTOR * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
     f0 = complex(feval(complex(r, 0.0)))
     if not (math.isfinite(f0.real) and math.isfinite(f0.imag)):

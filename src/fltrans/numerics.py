@@ -33,15 +33,13 @@ class QuadratureSpec:
 
     abs_tol / rel_tol control the convergence target, max_subdivisions
     bounds adaptive bisection, max_oscillation_cells bounds the number of
-    kernel-zero cells before acceleration gives up, truncation_threshold
-    is the tail-magnitude cutoff for semi-infinite panels.
+    kernel-zero cells before acceleration gives up.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
     max_oscillation_cells: int = 200
-    truncation_threshold: float = 1e-14
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -362,13 +360,17 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralR
         heapq.heappush(cells, (-rerr, count, mid, cb, rval, rerr))
 
 
+# tail-magnitude cutoff of the semi-infinite panels
+_TRUNCATION_THRESHOLD = 1e-14
+
+
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult:
     """Integral of a decaying f over (a, inf) by geometric panels.
 
     Successive panels double in width (capped at 64) and are handed to
     integrate_adaptive; the scan stops once two consecutive panel
     contributions fall below tolerance.  |f| must eventually decay below
-    truncation_threshold and keep decaying (caller contract).
+    _TRUNCATION_THRESHOLD and keep decaying (caller contract).
     """
     total = 0.0  # promotes to complex automatically for complex integrands
     total_err = 0.0
@@ -385,7 +387,7 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult
         total += part.value
         total_err += part.error_estimate
         mag = abs(part.value)
-        tol = max(spec.truncation_threshold, spec.abs_tol,
+        tol = max(_TRUNCATION_THRESHOLD, spec.abs_tol,
                   spec.rel_tol * abs(total))
         if mag <= tol:
             small_streak += 1

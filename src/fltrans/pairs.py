@@ -20,12 +20,12 @@ both contribute.
 A row also carries what the radial quadrature of its space-time side
 needs.  radial_range(t) = (lo, hi) is the r-support at time t (hi may be
 inf).  substitution names the change of variable that regularizes the
-row's integrable singularity: "none"; "origin", r = w^2, for fractional
-powers of r at r = 0; "light_cone", r = t sin(theta), for a
-1/sqrt(t^2 - r^2) edge of the support (0, t).  d1_integrable says
-whether the space-time side is radially integrable in one dimension.
-The verifier reads only these fields, so adding a row touches only this
-module.
+row's integrable singularity, one of radial_fourier.SUBSTITUTIONS:
+"none"; "origin", r = w^2, for fractional powers of r at r = 0;
+"light_cone", r = t sin(theta), for a 1/sqrt(t^2 - r^2) edge of the
+support (0, t).  d1_integrable says whether the space-time side is
+radially integrable in one dimension.  The verifier reads only these
+fields, so adding a row touches only this module.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .laplace import LaplaceImage, TimeOriginal, sqrt_s2k2
-from .radial_fourier import sphere_measure
+from .radial_fourier import SUBSTITUTIONS, sphere_measure
 
 
 class UnknownPairError(KeyError):
@@ -57,8 +57,6 @@ class ValidityError(ValueError):
 
 _EDGE_MARGIN = 1e-3
 
-_SUBSTITUTIONS = ("none", "origin", "light_cone")
-
 
 @dataclass(frozen=True)
 class PairDescriptor:
@@ -70,9 +68,9 @@ class PairDescriptor:
     st_argument_2.  substitution and d1_integrable steer the radial
     quadrature (see the module docstring).  fl_psi/fl_phi describe the
     Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)); type_one is False
-    for type-2 rows, whose argument phi(k, s) depends on k.  efros_tau/efros_dtau_du carry the
-    generalized-convolution data tau(t, u) and d tau/d u where the base
-    identity is exhibited (the sqrt(t^2 - u^2) family).
+    for type-2 rows, whose argument phi(k, s) depends on k.  efros_dtau_du
+    carries d tau/d u of the generalized convolution tau(t, u) =
+    sqrt(t^2 - u^2) where the base identity is exhibited.
     """
 
     id: str
@@ -91,11 +89,10 @@ class PairDescriptor:
     type_one: bool = True
     st_prefactor_2: Optional[Callable[[float, float, int], float]] = None
     st_argument_2: Optional[Callable[[float, float], float]] = None
-    efros_tau: Optional[Callable[[float, float], float]] = None
     efros_dtau_du: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self) -> None:
-        if self.substitution not in _SUBSTITUTIONS:
+        if self.substitution not in SUBSTITUTIONS:
             raise ValueError(f"pair {self.id}: unknown substitution "
                              f"{self.substitution!r}")
 
@@ -251,7 +248,6 @@ def _pair_21() -> PairDescriptor:
                 " * f(sqrt(t^2-r^2)) * Theta(t-r)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2)/sqrt(s^2+k^2) * F(sqrt(s^2+k^2))",
         note="proper-time argument; d=2 member is the symmetric special form",
-        efros_tau=lambda t, u: math.sqrt(t * t - u * u),
         efros_dtau_du=lambda t, u: -u / math.sqrt(t * t - u * u),
         type_one=False,
     )
@@ -475,7 +471,7 @@ def roots_tau(pair: PairDescriptor, r: float, t: float) -> list[tuple[float, flo
     For tau = sqrt(t^2 - u^2): one root u1 = sqrt(t^2 - r^2) when t > r,
     none otherwise (the edge t = r is measure zero and excluded).
     """
-    if pair.efros_tau is None:
+    if pair.efros_dtau_du is None:
         raise ValueError(f"pair {pair.id} carries no Efros tau data")
     if not (r > 0.0 and t > 0.0):
         raise ValueError("roots_tau requires r > 0 and t > 0")

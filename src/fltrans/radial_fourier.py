@@ -10,6 +10,9 @@ with S_d the measure of the unit sphere.  ghat_d equals cos(kx), J0(kx)
 and sin(kx)/(kx) in one, two and three dimensions.  The forward transform
 uses the kernel with no prefactor; the inverse carries the (2 pi)^{-d}
 normalization, so the two directions share one integration routine.
+Apart from the oscillatory tail engine, every radial integral (the
+transforms, the verifier's space-time hop, the radiative transfer chain)
+is radial_quadrature, which owns the edge-singularity substitutions.
 """
 
 from __future__ import annotations
@@ -36,8 +39,13 @@ class QuadratureError(RuntimeError):
 
 
 # above this wavenumber an exponentially decaying tail still spans many
-# kernel oscillations, and zero-partitioned acceleration beats truncation
+# kernel oscillations, and zero-partitioned acceleration beats truncation;
+# Gaussian tails stay on panels, because Wynn's epsilon stalls on their
+# super-geometric partial sums
 _OSC_WAVENUMBER = 8.0
+
+# changes of variable radial_quadrature applies at an edge singularity
+SUBSTITUTIONS = ("none", "origin", "light_cone")
 
 
 @dataclass(frozen=True)
@@ -57,8 +65,9 @@ class RadialProfile:
 
     eval(r) must vanish for r > support_upper.  decay_class
     in {"compact", "exponential", "gaussian", "algebraic"} selects the
-    semi-infinite strategy: algebraic tails go through the oscillatory
-    engine, everything else through plain panel truncation.
+    semi-infinite strategy: algebraic tails, and exponential tails at
+    k >= 8, go through the oscillatory engine, everything else through
+    plain panel truncation.
     """
 
     eval: Callable[[float], float]
@@ -116,22 +125,54 @@ def kernel_ghat(dim: Dimension | int, k: float, x: float) -> float:
     return gamma_fn(0.5 * d) * (0.5 * z) ** (1.0 - 0.5 * d) * bessel_j(nu, z)
 
 
+def radial_quadrature(d: int, g: Callable[[float], float], k: float,
+                      lo: float, hi: float, substitution: str,
+                      spec: QuadratureSpec) -> IntegralResult:
+    """S_d * integral of g(r) r^{d-1} ghat_d(k, r) over (lo, hi).
+
+    substitution names the change of variable that regularizes an
+    integrable edge singularity of g (one of SUBSTITUTIONS): "none";
+    "origin", r = w^2, for fractional powers of r at r = lo = 0;
+    "light_cone", r = lo + (hi - lo) sin(theta), for an inverse square
+    root at r = hi, such as 1/sqrt(hi^2 - r^2).  An infinite hi
+    (substitution "none") goes to the semi-infinite panel engine.
+    """
+    if substitution not in SUBSTITUTIONS:
+        raise DomainError(f"unknown substitution {substitution!r}")
+    sd = sphere_measure(d)
+
+    def plain(r: float) -> float:
+        return sd * g(r) * r ** (d - 1) * kernel_ghat(d, k, r)
+
+    if substitution == "origin":
+        # r = w^2 turns fractional powers of r at the origin polynomial
+        def sub(w: float) -> float:
+            r = w * w
+            return plain(r) * 2.0 * w
+
+        return integrate_adaptive(sub, math.sqrt(lo), math.sqrt(hi), spec)
+    if substitution == "light_cone":
+        # r = lo + (hi - lo) sin(theta) regularizes a 1/sqrt(hi - r) edge
+        def sub(theta: float) -> float:
+            r = lo + (hi - lo) * math.sin(theta)
+            return plain(r) * (hi - lo) * math.cos(theta)
+
+        return integrate_adaptive(sub, 0.0, 0.5 * math.pi, spec)
+    if math.isinf(hi):
+        return integrate_semi_infinite(plain, lo, spec)
+    return integrate_adaptive(plain, lo, hi, spec)
+
+
 def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
                      spec: QuadratureSpec) -> IntegralResult:
     """S_d * integral of profile(r) r^{d-1} ghat_d(k, r) over the support."""
     d = dim.d
-    sd = sphere_measure(dim)
-
-    def integrand(r: float) -> float:
-        return sd * profile.eval(r) * r ** (d - 1) * kernel_ghat(dim, k, r)
-
-    upper = profile.support_upper
-    if math.isfinite(upper):
-        return integrate_adaptive(integrand, 0.0, upper, spec)
-    if k > 0.0 and (profile.decay_class == "algebraic"
-                    or k >= _OSC_WAVENUMBER):
+    if math.isinf(profile.support_upper) and k > 0.0 and (
+            profile.decay_class == "algebraic"
+            or (profile.decay_class == "exponential" and k >= _OSC_WAVENUMBER)):
         # slowly decaying or rapidly oscillating tail: cell-by-cell between
         # kernel zeros with acceleration of the alternating partial sums
+        sd = sphere_measure(dim)
         if d == 1:
             kernel = OscillatoryKernel("cos", k)
             envelope = lambda r: sd * profile.eval(r)
@@ -150,7 +191,8 @@ def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
                         * (k * r) ** (1.0 - 0.5 * d))
 
         return integrate_oscillatory(envelope, kernel, 0.0, spec)
-    return integrate_semi_infinite(integrand, 0.0, spec)
+    return radial_quadrature(d, profile.eval, k, 0.0, profile.support_upper,
+                             "none", spec)
 
 
 def forward_result(dim: Dimension, profile: RadialProfile, k: float,

@@ -17,7 +17,11 @@ free propagator gbar(k, s) = 1/sqrt(s^2 + c^2 k^2):
 
 and the two forms are connected by the proper-time transform pair (row
 2.1 of the registry at d = 2) applied to f with image s/(s - c/ell).
-The mixed-domain harness verifies that chain numerically.
+The mixed-domain harness verifies that chain numerically.  Its space
+side is the d = 2 radial transform of i(., t): the analytic transform
+of the atom plus one radial_fourier.radial_quadrature of the smooth part
+under the light-cone substitution r = c t sin(theta).  The energy check
+is the k = 0 value of the same transform.
 
 The paper-facing convention sets c = 1 in gbar; here the celerity is
 restored explicitly so TransportParams carries honest physical units.
@@ -27,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .laplace import TimeOriginal, inverse_laplace, sqrt_s2k2
-from .numerics import DomainError, IntegralResult, QuadratureSpec, \
-    integrate_adaptive
-from .radial_fourier import QuadratureError, kernel_ghat
+from .numerics import DomainError, QuadratureSpec
+from .radial_fourier import QuadratureError, kernel_ghat, radial_quadrature
 from .verify import VerificationReport, _compare, _settings
 
 
@@ -64,26 +67,30 @@ class IntensityValue:
     ballistic_weight: float
 
 
-def _smooth(p: TransportParams, q: float, damping: float) -> float:
-    """Smooth part of i at q = sqrt(c^2 t^2 - r^2) > 0, damping e^(-c t/ell)."""
+def _smooth(p: TransportParams, ct: float, damping: float, r: float) -> float:
+    """Smooth part of i at radius r < c t, damping e^(-c t/ell)."""
+    q = math.sqrt(ct * ct - r * r)
     return p.A0 / (2.0 * math.pi) * math.exp(q / p.ell) / (p.ell * q) * damping
 
 
-def _smooth_integral(p: TransportParams, t: float,
-                     weight: Callable[[float], float],
-                     spec: QuadratureSpec) -> IntegralResult:
-    """Plane integral of the smooth part times weight(r) at time t."""
+def _transform(p: TransportParams, k: float, t: float,
+               spec: QuadratureSpec) -> float:
+    """d = 2 radial Fourier transform of i(., t) at wavenumber k.
+
+    The ballistic atom transforms analytically to A0 ghat_2(k, c t)
+    e^(-c t/ell); the smooth part is one radial quadrature over the light
+    cone (0, c t).
+    """
+    if not t > 0.0:
+        raise DomainError("time must be positive")
     ct = p.c * t
     damping = math.exp(-ct / p.ell)
-
-    # r = c t sin(theta) regularizes the light-cone edge
-    def integrand(theta: float) -> float:
-        r = ct * math.sin(theta)
-        q = ct * math.cos(theta)
-        return (2.0 * math.pi * r * _smooth(p, q, damping) * weight(r)
-                * ct * math.cos(theta))
-
-    return integrate_adaptive(integrand, 0.0, 0.5 * math.pi, spec)
+    res = radial_quadrature(2, lambda r: _smooth(p, ct, damping, r), k, 0.0,
+                            ct, "light_cone", spec)
+    if not res.converged:
+        raise QuadratureError(
+            f"smooth-part transform did not converge at (k,t)=({k},{t})")
+    return p.A0 * kernel_ghat(2, k, ct) * damping + float(res.value)
 
 
 def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
@@ -101,8 +108,7 @@ def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
     weight = p.A0 / (2.0 * math.pi) * damping
     if r > ct:
         return IntensityValue(0.0, weight)
-    q = math.sqrt(ct * ct - r * r)
-    return IntensityValue(_smooth(p, q, damping), weight)
+    return IntensityValue(_smooth(p, ct, damping, r), weight)
 
 
 def fl_greens_avg(p: TransportParams, k: float, s: complex) -> complex:
@@ -138,17 +144,11 @@ def resolvent_original_scaled(p: TransportParams) -> TimeOriginal:
 
 
 def check_energy(p: TransportParams, t: float, spec: QuadratureSpec) -> float:
-    """Plane integral of i(., t): smooth part by quadrature + atom mass.
+    """Plane integral of i(., t): the k = 0 value of its radial transform.
 
     Conservation demands the result equal A0 exactly for every t.
     """
-    if not t > 0.0:
-        raise DomainError("time must be positive")
-    res = _smooth_integral(p, t, lambda r: 1.0, spec)
-    if not res.converged:
-        raise QuadratureError(f"energy quadrature did not converge at t={t}")
-    atom_energy = p.A0 * math.exp(-p.c * t / p.ell)
-    return float(res.value) + atom_energy
+    return _transform(p, 0.0, t, spec)
 
 
 def verify_rte_mixed(p: TransportParams, samples: Sequence[tuple],
@@ -156,25 +156,17 @@ def verify_rte_mixed(p: TransportParams, samples: Sequence[tuple],
                      tolerance: float = 1e-5) -> VerificationReport:
     """Mixed-domain check of the closed form against the FL resolvent.
 
-    LHS'(k, t): analytic transform of the ballistic atom,
-    A0 J0(k c t) exp(-c t/ell), plus the numeric d = 2 radial transform of
-    the smooth part; RHS'(k, t): Talbot inversion of fl_intensity.
+    LHS'(k, t): the d = 2 radial transform of the closed form (_transform);
+    RHS'(k, t): Talbot inversion of fl_intensity.
     """
     if spec is None:
         spec = QuadratureSpec()
 
     def sides(point: tuple) -> tuple:
         k, t = point
-        ct = p.c * t
-        atom_part = p.A0 * kernel_ghat(2, k, ct) * math.exp(-ct / p.ell)
-        res = _smooth_integral(p, t, lambda r: kernel_ghat(2, k, r), spec)
-        if not res.converged:
-            raise QuadratureError(
-                f"smooth-part transform did not converge at (k,t)=({k},{t})")
-        lv = atom_part + float(res.value)
-        rv = inverse_laplace(lambda s: fl_intensity(p, k, s), t, nodes,
-                             branch_height=p.c * k)
-        return lv, rv
+        return (_transform(p, k, t, spec),
+                inverse_laplace(lambda s: fl_intensity(p, k, s), t, nodes,
+                                branch_height=p.c * k))
 
     return _compare("rte2d", 2, "transport-resolvent", samples, sides,
                     (DomainError, QuadratureError, PoleError), tolerance,

@@ -11,9 +11,9 @@ with exactly one numeric transform hop per side:
 Each side exercises an independent engine and an independent formula, so
 agreement at 1e-6 relative is strong evidence for both the table entry
 and the implementation.  Edge singularities of the space-time sides are
-integrated under regularizing substitutions (r = t sin(theta) at the
-light cone, r = w^2 at the origin); the matching inversion contour is
-raised above the branch segment |Im s| <= k.
+integrated under the row's substitution in radial_fourier.radial_quadrature
+(r = t sin(theta) at the light cone, r = w^2 at the origin); the matching
+inversion contour is raised above the branch segment |Im s| <= k.
 
 verify_all compares at the first 20 grid points (default grid, then the
 extension grid) whose inverted image side clears MAGNITUDE_FLOOR, reusing
@@ -29,11 +29,10 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Optional, Sequence
 
 from .laplace import LaplaceError, inverse_laplace
-from .numerics import DomainError, QuadratureSpec, integrate_adaptive, \
-    integrate_semi_infinite
+from .numerics import DomainError, QuadratureSpec, integrate_semi_infinite
 from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, catalog_list, \
     eval_fl, lookup, registry_rows
-from .radial_fourier import QuadratureError, kernel_ghat, sphere_measure
+from .radial_fourier import QuadratureError, kernel_ghat, radial_quadrature
 
 REL_FLOOR = 1e-12
 # what one hop of either side may raise at a hard point
@@ -81,7 +80,6 @@ def _settings(spec: QuadratureSpec, nodes: int) -> dict:
         "rel_tol": spec.rel_tol,
         "max_subdivisions": spec.max_subdivisions,
         "max_oscillation_cells": spec.max_oscillation_cells,
-        "truncation_threshold": spec.truncation_threshold,
         "inversion_nodes": nodes,
     }
 
@@ -131,33 +129,13 @@ def spacetime_transform(pair: PairDescriptor, d: int, f: TestOriginal,
     """Radial Fourier transform of the space-time side at wavenumber k.
 
     Integrates over the row's radial_range(t) under the row's
-    substitution; an infinite upper end goes to the semi-infinite engine.
+    substitution (radial_fourier.radial_quadrature).
     """
-    sd = sphere_measure(d)
     lo, hi = pair.radial_range(t)
-
-    def plain(r: float) -> float:
-        return sd * pair.spacetime_value(d, f, r, t) * r ** (d - 1) \
-            * kernel_ghat(d, k, r)
-
-    if pair.substitution == "origin":
-        # r = w^2 turns fractional powers of r at the origin polynomial
-        def sub(w: float) -> float:
-            r = w * w
-            return plain(r) * 2.0 * w
-
-        res = integrate_adaptive(sub, math.sqrt(lo), math.sqrt(hi), spec)
-    elif pair.substitution == "light_cone":
-        # r = t sin(theta) regularizes the 1/sqrt(t^2 - r^2) light-cone edge
-        def sub(theta: float) -> float:
-            r = t * math.sin(theta)
-            return plain(r) * t * math.cos(theta)
-
-        res = integrate_adaptive(sub, 0.0, 0.5 * math.pi, spec)
-    elif math.isinf(hi):
-        res = integrate_semi_infinite(plain, lo, spec)
-    else:
-        res = integrate_adaptive(plain, lo, hi, spec)
+    # a lambda: functools.partial with t bound by keyword builds a kwargs
+    # dict per call and costs about 0.5 us more per evaluation
+    res = radial_quadrature(d, lambda r: pair.spacetime_value(d, f, r, t), k,
+                            lo, hi, pair.substitution, spec)
     if not res.converged:
         raise QuadratureError(
             f"space-time transform of pair {pair.id} (d={d}, f={f.id}) "
@@ -313,7 +291,6 @@ def build_sample_grid(pair: PairDescriptor, d: int, f: TestOriginal,
 
 
 def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
-               output_path: Optional[str] = None,
                spec: Optional[QuadratureSpec] = None, nodes: int = 48,
                originals: Optional[Sequence[TestOriginal]] = None,
                pair_ids: Optional[Sequence[str]] = None
@@ -357,9 +334,6 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
                 reports.append(dc_replace(_compare(
                     pair.id, d, f.id, images, sides, _HOP_ERRORS, tolerance,
                     _settings(spec, nodes)), skipped=tuple(skipped)))
-    if output_path is not None:
-        with open(output_path, "w", encoding="utf-8") as handle:
-            handle.write(reports_to_text(reports))
     return reports
 
 

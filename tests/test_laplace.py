@@ -179,13 +179,6 @@ def test_inverse_branch_image_with_enclosure():
         assert got == pytest.approx(bessel_j(0, t), abs=1e-9)
 
 
-def test_inverse_sigma_shift_for_growing_original():
-    # image s/(s - 1) = delta(t) + e^t: smooth part via the shifted contour
-    img = lambda s: 1.0 / (s - 1.0)
-    got = inverse_laplace(img, 1.0, 48, sigma_shift=2.0)
-    assert got == pytest.approx(math.e, rel=1e-9)
-
-
 def test_inverse_rejects_bad_nodes_and_time():
     with pytest.raises(DomainError):
         inverse_laplace(lambda s: 1.0 / s, 0.0, 32)

@@ -1,16 +1,19 @@
 """Tests for the d-dimensional radial Fourier transforms."""
 
 import math
+import random
 
 import pytest
 
-from fltrans.numerics import QuadratureSpec
+from fltrans.numerics import DomainError, QuadratureSpec
 from fltrans.radial_fourier import (
     Dimension,
     RadialProfile,
     forward,
+    forward_result,
     inverse,
     kernel_ghat,
+    radial_quadrature,
     sphere_measure,
 )
 
@@ -154,3 +157,53 @@ def test_transform_pair_symmetry():
         0.5, OUTER)
     assert f_then_i == pytest.approx(GAUSSIAN.eval(0.5), rel=1e-6)
     assert i_then_f == pytest.approx(GAUSSIAN.eval(0.5), rel=1e-6)
+
+
+# --- radial_quadrature ----------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 4.0, 7.0, 20.0])
+@pytest.mark.parametrize("h", [0.5, 2.0])
+def test_light_cone_substitution_closed_form(h, k):
+    # 2 pi int_0^h r J0(k r) / sqrt(h^2 - r^2) dr = 2 pi sin(k h) / k, at
+    # k h away from the zeros of sin, where a relative error is meaningful
+    g = lambda r: 1.0 / math.sqrt(h * h - r * r)
+    res = radial_quadrature(2, g, k, 0.0, h, "light_cone", SPEC)
+    want = 2.0 * math.pi * (math.sin(k * h) / k if k > 0.0 else h)
+    assert res.converged
+    assert abs(res.value - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("h", [0.25, 1.0, 9.0])
+def test_origin_substitution_closed_form(h):
+    # S_1 int_0^h r^(-1/2) dr = 4 sqrt(h)
+    res = radial_quadrature(1, lambda r: r ** -0.5, 0.0, 0.0, h, "origin",
+                            SPEC)
+    assert res.converged
+    assert res.value == pytest.approx(4.0 * math.sqrt(h), rel=1e-12)
+
+
+def test_unknown_substitution_raises():
+    with pytest.raises(DomainError, match="unknown substitution"):
+        radial_quadrature(2, lambda r: 1.0, 1.0, 0.0, 1.0, "w^3", SPEC)
+
+
+# --- Gaussian tails at large k ----------------------------------------------------
+
+def _gaussian_miss(d, k):
+    # |error| beyond the engine's own estimate (floor 1e-12); the exact
+    # transform is (2 pi)^(d/2) e^(-k^2/2)
+    res = forward_result(Dimension(d), GAUSSIAN, k, SPEC)
+    want = (2.0 * math.pi) ** (0.5 * d) * math.exp(-0.5 * k * k)
+    return abs(res.value - want) - max(res.error_estimate, 1e-12)
+
+
+def test_gaussian_at_large_k_is_not_accelerated_to_a_wrong_value():
+    # Wynn's epsilon used to settle on -6.3e-10 here with estimate 6.3e-13
+    assert _gaussian_miss(2, 10.660299995276421) <= 0.0
+
+
+def test_gaussian_seeded_sweep_above_the_oscillatory_wavenumber():
+    rng = random.Random(1)
+    draws = [(rng.randint(1, 6), rng.uniform(8.0, 40.0)) for _ in range(120)]
+    misses = [(d, k) for d, k in draws if _gaussian_miss(d, k) > 0.0]
+    assert misses == []

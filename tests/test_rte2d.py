@@ -137,6 +137,13 @@ def test_verify_rte_mixed_k0_is_energy():
     assert rep.rhs_values[0] == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0])
+def test_energy_is_the_k0_value_of_the_mixed_lhs(t):
+    p = TransportParams(0.7, 3.0, 2.0)
+    rep = verify_rte_mixed(p, [(0.0, t)], SPEC, 48)
+    assert check_energy(p, t, SPEC) == rep.lhs_values[0]
+
+
 def test_verify_rte_mixed_small_time_initial_condition():
     rep = verify_rte_mixed(UNIT, [(1.0, 1e-3)], SPEC, 48)
     assert rep.passed
