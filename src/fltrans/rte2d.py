@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .laplace import TimeOriginal, inverse_laplace, sqrt_s2k2
 from .numerics import DomainError, QuadratureSpec
 from .radial_fourier import QuadratureError, kernel_ghat, radial_quadrature
-from .verify import VerificationReport, _compare, _settings
+from .verify import _HOP_ERRORS, VerificationReport, _compare, _settings
 
 
 class PoleError(ValueError):
@@ -169,5 +169,5 @@ def verify_rte_mixed(p: TransportParams, samples: Sequence[tuple],
                                 branch_height=p.c * k))
 
     return _compare("rte2d", 2, "transport-resolvent", samples, sides,
-                    (DomainError, QuadratureError, PoleError), tolerance,
+                    _HOP_ERRORS + (PoleError,), tolerance,
                     _settings(spec, nodes))

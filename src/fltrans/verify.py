@@ -35,8 +35,9 @@ from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, catalog_list, \
 from .radial_fourier import QuadratureError, kernel_ghat, radial_quadrature
 
 REL_FLOOR = 1e-12
-# what one hop of either side may raise at a hard point
-_HOP_ERRORS = (DomainError, QuadratureError, LaplaceError)
+# what one hop of either side may raise at a hard point; such an error
+# fails that point, never the whole run
+_HOP_ERRORS = (DomainError, QuadratureError, LaplaceError, ArithmeticError)
 # grid points whose identity value is below this cannot carry six relative
 # digits in double precision (both hops have ~1e-13 absolute floors)
 MAGNITUDE_FLOOR = 1e-7
@@ -232,7 +233,7 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
 
     return _compare("base(J0)", 2, "delta-shell",
                     [(k, u, s) for s in s_grid], sides,
-                    (DomainError, QuadratureError), tolerance,
+                    _HOP_ERRORS, tolerance,
                     _settings(spec, 0))
 
 
@@ -267,9 +268,10 @@ def build_sample_grid(pair: PairDescriptor, d: int, f: TestOriginal,
     as the default grid holds (20) are kept.  Points whose image-side value
     is below MAGNITUDE_FLOOR cannot be compared at six relative digits in
     double precision and are skipped; a point whose inversion raises
-    LaplaceError is kept with that error so that it fails (DomainError
-    propagates).  Returns (images, skipped): images maps each kept (k, t)
-    to its value or error, skipped pairs each dropped point with why.
+    LaplaceError or ArithmeticError is kept with that error so that it
+    fails (DomainError propagates).  Returns (images, skipped): images
+    maps each kept (k, t) to its value or error, skipped pairs each
+    dropped point with why.
     """
     candidates = [(k, t) for k in DEFAULT_K_GRID for t in DEFAULT_T_GRID]
     extras = [(k, t) for k in EXTRA_K_GRID for t in EXTRA_T_GRID]
@@ -279,7 +281,7 @@ def build_sample_grid(pair: PairDescriptor, d: int, f: TestOriginal,
             break
         try:
             value = fl_inversion(pair, d, f, k, t, nodes)
-        except LaplaceError as exc:
+        except (LaplaceError, ArithmeticError) as exc:
             images[k, t] = exc
             continue
         if abs(value) < MAGNITUDE_FLOOR:
@@ -327,7 +329,7 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
 
                 def sides(p):
                     rhs = images[p]
-                    if isinstance(rhs, LaplaceError):
+                    if isinstance(rhs, Exception):
                         raise rhs
                     return spacetime_transform(pair, d, f, *p, spec), rhs
 

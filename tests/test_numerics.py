@@ -136,11 +136,45 @@ def test_large_arguments_never_take_the_recurrence(monkeypatch):
 
 
 def test_branches_agree_at_the_switch_point():
-    # at x = 20 + n^2 bessel_j takes the asymptotic expansion; the
-    # recurrence that serves just below must give the same value there
-    for n in LARGE_X_ORDERS[1:]:  # the recurrence takes n >= 0
-        x = 20.0 + n * n
+    # at x = n > 8 bessel_j switches from the downward (Miller) recurrence
+    # to the upward one; the two must give the same value there
+    for n in (9, 12):
+        x = float(n)
         assert abs(numerics._bessel_miller(n, x) - bessel_j(n, x)) <= 1e-15, n
+
+
+def test_table_orders_match_scipy_up_to_eight():
+    # J0 and J1 come from fixed tables: 2e-15 absolute on 2000 points of [0, 8]
+    special = pytest.importorskip("scipy.special")
+    for n in (-1, 0, 1):
+        for i in range(2000):
+            x = 8.0 * i / 1999
+            assert abs(bessel_j(n, x) - float(special.jv(n, x))) <= 2e-15, (n, x)
+
+
+def test_upward_recurrence_matches_scipy_from_x_equal_n():
+    # the recurrence from the table J0 and J1 is least accurate where it
+    # starts, at x = max(8, n): 1e-15 absolute on the 40 units above
+    special = pytest.importorskip("scipy.special")
+    for n in (2, 3, 5, 8, 12):
+        start = max(8.0, n)
+        for i in range(401):
+            x = start + 0.1 * i
+            assert abs(bessel_j(n, x) - float(special.jv(n, x))) <= 1e-15, (n, x)
+
+
+def test_low_orders_never_take_the_downward_recurrence(monkeypatch):
+    # cost contract: orders n <= 8 never run the O(x) Miller recurrence,
+    # which serves only 8 < x < n
+    def refuse(n, x):
+        raise AssertionError(f"Miller recurrence at n={n}, x={x}")
+
+    monkeypatch.setattr(numerics, "_bessel_miller", refuse)
+    for n in range(-1, 9):
+        for i in range(1001):
+            assert abs(bessel_j(n, 0.05 * i)) <= 1.0
+        for i in range(41):
+            assert abs(bessel_j(n, 50.0 * (1e6 / 50.0) ** (i / 40.0))) <= 1.0
 
 
 # --- gamma_fn ---------------------------------------------------------------

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from fltrans.laplace import forward_laplace, sqrt_s2k2
+from fltrans import rte2d
+from fltrans.laplace import LaplaceError, forward_laplace, sqrt_s2k2
 from fltrans.numerics import DomainError, QuadratureSpec
 from fltrans.rte2d import (
     IntensityValue,
@@ -142,6 +143,20 @@ def test_energy_is_the_k0_value_of_the_mixed_lhs(t):
     p = TransportParams(0.7, 3.0, 2.0)
     rep = verify_rte_mixed(p, [(0.0, t)], SPEC, 48)
     assert check_energy(p, t, SPEC) == rep.lhs_values[0]
+
+
+def test_inversion_error_fails_only_its_point(monkeypatch):
+    original = rte2d.inverse_laplace
+
+    def faulty(image, t, *args, **kwargs):
+        if t == 2.0:
+            raise LaplaceError("injected")
+        return original(image, t, *args, **kwargs)
+
+    monkeypatch.setattr(rte2d, "inverse_laplace", faulty)
+    rep = verify_rte_mixed(UNIT, [(0.5, 1.0), (0.5, 2.0)], SPEC, 48)
+    assert rep.failures == (((0.5, 2.0), "injected"),)
+    assert rep.sample_points == ((0.5, 1.0),) and not rep.passed
 
 
 def test_verify_rte_mixed_small_time_initial_condition():

@@ -225,3 +225,19 @@ def test_report_with_every_point_below_the_floor_fails():
     assert rep.sample_points == () and not rep.failures
     assert len(rep.skipped) == 29
     assert not rep.passed
+
+
+@pytest.mark.parametrize("hop, error", [("spacetime_transform", ZeroDivisionError),
+                                        ("fl_inversion", OverflowError)])
+def test_arithmetic_error_in_one_hop_fails_only_that_point(monkeypatch, hop, error):
+    original = getattr(verify, hop)
+
+    def faulty(pair, d, f, k, t, *rest):
+        if (k, t) == (1.0, 2.0):
+            raise error("injected")
+        return original(pair, d, f, k, t, *rest)
+
+    monkeypatch.setattr(verify, hop, faulty)
+    (rep,) = verify_all([2], originals=[EXP1], pair_ids=["1.2"])
+    assert rep.failures == (((1.0, 2.0), "injected"),)
+    assert len(rep.sample_points) == 19 and not rep.passed
