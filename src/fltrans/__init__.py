@@ -15,8 +15,7 @@ radial_fourier
 laplace
     Forward Laplace quadrature and fixed-Talbot inversion.
 pairs
-    The transform-pair registry, test-function catalog, and the Efros
-    composition engine.
+    The transform-pair registry and the catalog of test originals.
 verify
     Mixed-domain verification harness (one numeric hop per side).
 rte2d
@@ -57,7 +56,6 @@ from .laplace import (
 )
 from .pairs import (
     PAIR_IDS,
-    ComposedPair,
     ConstraintError,
     EdgeError,
     PairDescriptor,
@@ -66,11 +64,9 @@ from .pairs import (
     ValidityError,
     catalog_list,
     catalog_lookup,
-    efros_compose,
     eval_fl,
     eval_spacetime,
     lookup,
-    roots_tau,
 )
 from .verify import (
     VerificationReport,

@@ -37,7 +37,6 @@ from .numerics import (
     DomainError,
     OscillatoryKernel,
     QuadratureSpec,
-    integrate_adaptive,
     integrate_oscillatory,
     integrate_semi_infinite,
 )
@@ -51,18 +50,19 @@ class LaplaceError(RuntimeError):
 class TimeOriginal:
     """Original f(t) on t >= 0 with growth metadata and an optional atom.
 
-    sigma0 is the growth abscissa (|f(t)| <= C exp(sigma0 t)); an atom of
-    weight atom_weight at atom_location contributes analytically.  For
-    evaluation left of sigma0 (deep inversion-contour nodes) an entire
-    original may supply eval_complex, valid on the sector swept by ray
-    rotation, with |f(z)| <= C(|z|) exp(sigma0 Re z + imag_growth |Im z|).
+    sigma0 is the growth abscissa (|f(t)| <= C exp(sigma0 t)); f is
+    integrated over the whole half-line t >= 0.  An atom of weight
+    atom_weight at atom_location (none when atom_location is None)
+    contributes analytically.  For evaluation left of sigma0 (deep
+    inversion-contour nodes) an entire original may supply eval_complex,
+    valid on the sector swept by ray rotation, with
+    |f(z)| <= C(|z|) exp(sigma0 Re z + imag_growth |Im z|).
     """
 
     eval: Callable[[float], float]
     sigma0: float = 0.0
     atom_location: Optional[float] = None
-    atom_weight: Optional[float] = None
-    support_upper: float = math.inf
+    atom_weight: float = 1.0
     eval_complex: Optional[Callable[[complex], complex]] = None
     imag_growth: float = 0.0
 
@@ -144,19 +144,7 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
     s = complex(s)
     total = 0.0 + 0.0j
     if f.atom_location is not None:
-        weight = f.atom_weight if f.atom_weight is not None else 1.0
-        total += weight * cmath.exp(-s * f.atom_location)
-
-    if math.isfinite(f.support_upper):
-        if (-s * f.support_upper).real > 600.0:
-            raise DomainError(
-                f"e^(-s t) overflows on the support for s={s}")
-        res = integrate_adaptive(lambda t: cmath.exp(-s * t) * f.eval(t),
-                                 0.0, f.support_upper, spec)
-        if not res.converged:
-            raise LaplaceError(f"forward transform did not converge at s={s}")
-        return total + res.value
-
+        total += f.atom_weight * cmath.exp(-s * f.atom_location)
     decay = (s - f.sigma0).real
     alpha, ray_decay = (_best_ray(f, s) if f.eval_complex is not None
                         else (0.0, -math.inf))

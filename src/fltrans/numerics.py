@@ -5,9 +5,9 @@ Scalar, pure-Python kernels used by every other module:
 * Bessel functions J_nu for integer and half-integer order (see
   Abramowitz & Stegun ch. 9).  J0 and J1 come from fixed coefficient
   tables (Chebyshev series for x <= 8, modulus-phase polynomials above;
-  within 1.5e-15 of scipy.special.jv), higher integer orders from the
-  power series (x <= 8), upward recurrence from J0 and J1 (x >= n) or
-  downward Miller recurrence (8 < x < n), half-integer orders from
+  within 1.5e-15 of scipy.special.jv), higher integer orders n by upward
+  recurrence from J0 and J1 (x >= n), the power series (x < n, x <= 8)
+  or downward Miller recurrence (8 < x < n), half-integer orders from
   trigonometric closed forms.  No integer-order call of order <= 8 costs
   more than a fixed number of operations, whatever x.
 * Gamma function wrapper with a strict positive-real domain.
@@ -288,11 +288,15 @@ def _bessel_j1(x: float) -> float:
 
 def _bessel_upward(n: int, x: float) -> float:
     # J_n from the table values of J0 and J1 by the upward recurrence
-    # J_{k+1} = (2k/x) J_k - J_{k-1} (A&S 9.1.27), stable for x >= n
-    cos_x, sin_x = math.cos(x), math.sin(x)
-    amp = math.sqrt(2.0 / (math.pi * x))
-    jm = amp * _modulus_phase(0, x, cos_x, sin_x)
-    j = amp * _modulus_phase(1, x, cos_x, sin_x)
+    # J_{k+1} = (2k/x) J_k - J_{k-1} (A&S 9.1.27), stable for x >= n;
+    # above x = 8 both start values share cos x, sin x and sqrt(x)
+    if x <= 8.0:
+        jm, j = _bessel_j0(x), _bessel_j1(x)
+    else:
+        cos_x, sin_x = math.cos(x), math.sin(x)
+        amp = math.sqrt(2.0 / (math.pi * x))
+        jm = amp * _modulus_phase(0, x, cos_x, sin_x)
+        j = amp * _modulus_phase(1, x, cos_x, sin_x)
     for k in range(1, n):
         jm, j = j, (2.0 * k / x) * j - jm
     return j
@@ -349,12 +353,12 @@ def bessel_j(order: float, x: float) -> float:
     a Chebyshev series in x^2 for x <= 8 and the modulus-phase form with
     polynomial P and Q in 64/x^2 above, so a call costs the same at any x;
     their absolute error against scipy.special.jv is below 1.5e-15 on
-    [0, 8] and below 1e-15 above.  Integer orders n >= 2 use the ascending
-    power series for x <= 8 (error ~1e-14), the upward recurrence from the
-    table J0 and J1 for x >= max(8, n) (error ~1e-15, checked up to
-    x = 1e5 for n <= 12) and, for 8 < x < n, the normalized downward
-    (Miller) recurrence.  Half-integer orders use the closed trigonometric
-    forms (series below x = 1 to avoid cancellation).
+    [0, 8] and below 1e-15 above.  Integer orders n >= 2 use the upward
+    recurrence from the table J0 and J1 for x >= n (error ~1e-15, checked
+    from x = n up to x = 1e5 for n <= 12), the ascending power series for
+    x < n, x <= 8 (error ~3e-16 there) and, for 8 < x < n, the
+    normalized downward (Miller) recurrence.  Half-integer orders use the
+    closed trigonometric forms (series below x = 1 to avoid cancellation).
     """
     if not 0.0 <= x < math.inf:  # also refuses NaN
         raise DomainError(f"bessel_j requires finite x >= 0, got {x}")
@@ -366,11 +370,11 @@ def bessel_j(order: float, x: float) -> float:
     if abs(order - n) < 1e-12 and order >= -1.0:
         if n < 2:  # an order within 1e-12 of -1, 0 or 1
             return bessel_j(n, x)
+        if x >= n:
+            return _bessel_upward(n, x)
         if x <= 8.0:
             return _bessel_series(float(n), x)
-        if x < n:
-            return _bessel_miller(n, x)
-        return _bessel_upward(n, x)
+        return _bessel_miller(n, x)
     doubled = 2.0 * order
     if abs(doubled - round(doubled)) > 1e-12 or order < -1.0:
         raise DomainError(f"unsupported Bessel order {order}")

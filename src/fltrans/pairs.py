@@ -4,9 +4,10 @@ Each entry relates a space-time original P(r, t) f(A(r, t)) Theta(...) to
 its combined Fourier(space)-Laplace(time) image psi(k, s) fhat(phi(k, s)),
 for spherically symmetric functions in d dimensions and an arbitrary
 analytic f with Laplace image fhat.  Rows are stored in reduced form
-(prefactor + argument map + support); the Efros composition engine
-reconstructs the d = 2 member of the sqrt(t^2 - u^2) family from its base
-identity, demonstrating where the reduced rows come from.
+(prefactor + argument map + support).  Row 2.1 at d = 2 follows from the
+base Laplace pair J0(k sqrt(t^2 - u^2)) Theta(t - u) <->
+exp(-u sqrt(s^2 + k^2)) / sqrt(s^2 + k^2), integrated against f(u) du;
+verify.verify_base_pair checks that pair, verify.verify_all the row.
 
 Type-1 rows multiply fhat(s) by a function of (k, s); type-2 rows hand
 fhat a genuinely k-dependent argument.  All square roots and fractional
@@ -68,9 +69,7 @@ class PairDescriptor:
     st_argument_2.  substitution and d1_integrable steer the radial
     quadrature (see the module docstring).  fl_psi/fl_phi describe the
     Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)); type_one is False
-    for type-2 rows, whose argument phi(k, s) depends on k.  efros_dtau_du
-    carries d tau/d u of the generalized convolution tau(t, u) =
-    sqrt(t^2 - u^2) where the base identity is exhibited.
+    for type-2 rows, whose argument phi(k, s) depends on k.
     """
 
     id: str
@@ -89,7 +88,6 @@ class PairDescriptor:
     type_one: bool = True
     st_prefactor_2: Optional[Callable[[float, float, int], float]] = None
     st_argument_2: Optional[Callable[[float, float], float]] = None
-    efros_dtau_du: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self) -> None:
         if self.substitution not in SUBSTITUTIONS:
@@ -248,7 +246,6 @@ def _pair_21() -> PairDescriptor:
                 " * f(sqrt(t^2-r^2)) * Theta(t-r)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2)/sqrt(s^2+k^2) * F(sqrt(s^2+k^2))",
         note="proper-time argument; d=2 member is the symmetric special form",
-        efros_dtau_du=lambda t, u: -u / math.sqrt(t * t - u * u),
         type_one=False,
     )
 
@@ -463,57 +460,6 @@ def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,
             f"Re phi = {phi.real:.6g} does not exceed sigma0 = "
             f"{f.f.sigma0:.6g} for pair {pair.id}")
     return pair.fl_psi(k, s, d) * f.fhat.eval(phi)
-
-
-def roots_tau(pair: PairDescriptor, r: float, t: float) -> list[tuple[float, float]]:
-    """Solutions u_n of tau(t, u) = r with |d tau/d u| weights.
-
-    For tau = sqrt(t^2 - u^2): one root u1 = sqrt(t^2 - r^2) when t > r,
-    none otherwise (the edge t = r is measure zero and excluded).
-    """
-    if pair.efros_dtau_du is None:
-        raise ValueError(f"pair {pair.id} carries no Efros tau data")
-    if not (r > 0.0 and t > 0.0):
-        raise ValueError("roots_tau requires r > 0 and t > 0")
-    if t <= r:
-        return []
-    u1 = math.sqrt(t * t - r * r)
-    return [(u1, abs(pair.efros_dtau_du(t, u1)))]
-
-
-@dataclass(frozen=True)
-class ComposedPair:
-    """Both sides of the Efros-composed d = 2 pair for a given original."""
-
-    spacetime_side: Callable[[float, float], float]
-    fl_side: Callable[[float, complex], complex]
-
-
-def efros_compose(f: TestOriginal, d: int = 2) -> ComposedPair:
-    """Compose the base identity (d = 2) with an arbitrary analytic f.
-
-    The base Laplace pair sends J0(k sqrt(t^2 - u^2)) Theta(t - u) to
-    exp(-u sqrt(s^2 + k^2))/sqrt(s^2 + k^2); multiplying by f(u) and
-    integrating over u turns the left side into a delta-sifted sum over
-    the roots of tau(t, u) = r and the right side into
-    fhat(sqrt(s^2 + k^2))/sqrt(s^2 + k^2), i.e. registry row 2.1 at d = 2.
-    """
-    if d != 2:
-        raise ConstraintError("the exhibited base identity lives in d = 2")
-    base = lookup("2.1")
-    sd = sphere_measure(d)
-
-    def spacetime_side(r: float, t: float) -> float:
-        total = 0.0
-        for u_n, jac in roots_tau(base, r, t):
-            total += f.f.eval(u_n) / (sd * r ** (d - 1) * jac)
-        return total
-
-    def fl_side(k: float, s: complex) -> complex:
-        sq = sqrt_s2k2(s, k)
-        return f.fhat.eval(sq) / sq
-
-    return ComposedPair(spacetime_side, fl_side)
 
 
 def registry_rows() -> Sequence[PairDescriptor]:

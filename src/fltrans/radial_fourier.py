@@ -61,21 +61,20 @@ class Dimension:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Scalar function of a nonnegative radius with support/decay metadata.
+    """Scalar function of a nonnegative radius with its tail's decay class.
 
-    eval(r) must vanish for r > support_upper.  decay_class
-    in {"compact", "exponential", "gaussian", "algebraic"} selects the
-    semi-infinite strategy: algebraic tails, and exponential tails at
-    k >= 8, go through the oscillatory engine, everything else through
-    plain panel truncation.
+    The transforms integrate eval over (0, inf).  decay_class in
+    {"exponential", "gaussian", "algebraic"} selects the semi-infinite
+    strategy: algebraic tails, and exponential tails at k >= 8, go
+    through the oscillatory engine, everything else through plain panel
+    truncation.
     """
 
     eval: Callable[[float], float]
-    support_upper: float = math.inf
     decay_class: str = "exponential"
 
     def __post_init__(self) -> None:
-        if self.decay_class not in ("compact", "exponential", "gaussian", "algebraic"):
+        if self.decay_class not in ("exponential", "gaussian", "algebraic"):
             raise DomainError(f"unknown decay_class {self.decay_class!r}")
 
 
@@ -152,10 +151,12 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
 
         return integrate_adaptive(sub, math.sqrt(lo), math.sqrt(hi), spec)
     if substitution == "light_cone":
-        # r = lo + (hi - lo) sin(theta) regularizes a 1/sqrt(hi - r) edge
+        # r = lo + (hi - lo) sin(theta) regularizes a 1/sqrt(hi - r) edge;
+        # the Jacobian (hi - lo) cos(theta) is computed from the rounded r,
+        # the same r from which g computes its edge factor
         def sub(theta: float) -> float:
             r = lo + (hi - lo) * math.sin(theta)
-            return plain(r) * (hi - lo) * math.cos(theta)
+            return plain(r) * math.sqrt((hi - r) * (hi + r - 2.0 * lo))
 
         return integrate_adaptive(sub, 0.0, 0.5 * math.pi, spec)
     if math.isinf(hi):
@@ -165,11 +166,10 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
 
 def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
                      spec: QuadratureSpec) -> IntegralResult:
-    """S_d * integral of profile(r) r^{d-1} ghat_d(k, r) over the support."""
+    """S_d * integral of profile(r) r^{d-1} ghat_d(k, r) over (0, inf)."""
     d = dim.d
-    if math.isinf(profile.support_upper) and k > 0.0 and (
-            profile.decay_class == "algebraic"
-            or (profile.decay_class == "exponential" and k >= _OSC_WAVENUMBER)):
+    if k > 0.0 and (profile.decay_class == "algebraic" or (
+            profile.decay_class == "exponential" and k >= _OSC_WAVENUMBER)):
         # slowly decaying or rapidly oscillating tail: cell-by-cell between
         # kernel zeros with acceleration of the alternating partial sums
         sd = sphere_measure(dim)
@@ -191,8 +191,7 @@ def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
                         * (k * r) ** (1.0 - 0.5 * d))
 
         return integrate_oscillatory(envelope, kernel, 0.0, spec)
-    return radial_quadrature(d, profile.eval, k, 0.0, profile.support_upper,
-                             "none", spec)
+    return radial_quadrature(d, profile.eval, k, 0.0, math.inf, "none", spec)
 
 
 def forward_result(dim: Dimension, profile: RadialProfile, k: float,

@@ -74,8 +74,7 @@ def test_forward_unit():
 
 
 def test_forward_atom_sifting():
-    atom = TimeOriginal(lambda t: 0.0, sigma0=0.0, atom_location=0.7,
-                        atom_weight=1.0, support_upper=0.0)
+    atom = TimeOriginal(lambda t: 0.0, sigma0=0.0, atom_location=0.7)
     for s in (1.0, complex(2.0, 3.0)):
         got = forward_laplace(atom, s, SPEC)
         assert got == pytest.approx(cmath.exp(-0.7 * s), rel=1e-14)

@@ -154,12 +154,11 @@ def test_table_orders_match_scipy_up_to_eight():
 
 def test_upward_recurrence_matches_scipy_from_x_equal_n():
     # the recurrence from the table J0 and J1 is least accurate where it
-    # starts, at x = max(8, n): 1e-15 absolute on the 40 units above
+    # starts, at x = n: 1e-15 absolute from there to max(8, n) + 40
     special = pytest.importorskip("scipy.special")
     for n in (2, 3, 5, 8, 12):
-        start = max(8.0, n)
-        for i in range(401):
-            x = start + 0.1 * i
+        for i in range(round(10.0 * (max(8.0, n) + 40.0 - n)) + 1):
+            x = n + 0.1 * i
             assert abs(bessel_j(n, x) - float(special.jv(n, x))) <= 1e-15, (n, x)
 
 

@@ -1,4 +1,4 @@
-"""Tests for the pair registry, catalog, and Efros composition."""
+"""Tests for the pair registry and the catalog of test originals."""
 
 import dataclasses
 import math
@@ -13,14 +13,12 @@ from fltrans.pairs import (
     ValidityError,
     catalog_list,
     catalog_lookup,
-    efros_compose,
     eval_fl,
     eval_spacetime,
     lookup,
     make_pair_15,
     registry_rows,
     registry_text,
-    roots_tau,
 )
 from fltrans.laplace import forward_laplace
 from fltrans.numerics import QuadratureSpec
@@ -123,8 +121,13 @@ def test_catalog_unknown():
 # --- eval_spacetime -------------------------------------------------------------
 
 def test_eval_spacetime_21_value():
+    # d = 2: f(u)/(2 pi u) at the proper time u = sqrt(t^2 - r^2)
     got = eval_spacetime(lookup("2.1"), 2, EXP1, 3.0, 5.0)
     assert got == pytest.approx(math.exp(-4.0) / (8.0 * math.pi), rel=1e-12)
+    for r, t in ((0.5, 1.0), (1.0, 4.0)):
+        u = math.sqrt(t * t - r * r)
+        assert eval_spacetime(lookup("2.1"), 2, EXP1, r, t) == pytest.approx(
+            math.exp(-u) / (2.0 * math.pi * u), rel=1e-12)
 
 
 def test_eval_spacetime_21_outside_support():
@@ -169,10 +172,17 @@ def test_eval_spacetime_23_reversed_support():
 # --- eval_fl ---------------------------------------------------------------------
 
 def test_eval_fl_21():
+    # d = 2: fhat(q)/q at q = sqrt(s^2 + k^2)
     got = eval_fl(lookup("2.1"), 2, EXP1, 1.0, 1.0)
     want = 1.0 / (math.sqrt(2.0) * (math.sqrt(2.0) + 1.0))
     assert got.real == pytest.approx(want, rel=1e-12)
     assert abs(got.imag) < 1e-15
+    for k, s in ((0.5, 2.0), (2.0, 0.8)):
+        q = math.sqrt(s * s + k * k)
+        assert eval_fl(lookup("2.1"), 2, EXP1, k, s) == pytest.approx(
+            1.0 / ((q + 1.0) * q), rel=1e-12)
+    unit = catalog_lookup("unit")
+    assert eval_fl(lookup("2.1"), 2, unit, 0.0, 1.0).real == pytest.approx(1.0)
 
 
 def test_eval_fl_22():
@@ -193,50 +203,6 @@ def test_eval_fl_validity_error():
         eval_fl(lookup("2.1"), 2, EXP1, 1.0, s)
     val = eval_fl(lookup("2.1"), 2, EXP1, 1.0, s, check_validity=False)
     assert abs(val) > 0.0
-
-
-# --- roots_tau / efros_compose -----------------------------------------------------
-
-def test_roots_tau_values():
-    pair = lookup("2.1")
-    roots = roots_tau(pair, 3.0, 5.0)
-    assert len(roots) == 1
-    u1, jac = roots[0]
-    assert u1 == pytest.approx(4.0, rel=1e-14)
-    assert jac == pytest.approx(4.0 / 3.0, rel=1e-14)
-
-
-def test_roots_tau_empty_outside_cone():
-    pair = lookup("2.1")
-    assert roots_tau(pair, 5.0, 3.0) == []
-    assert roots_tau(pair, 3.0, 3.0) == []
-
-
-def test_efros_compose_matches_row_21():
-    # spec invariant: exact algebra, 1e-12, no quadrature
-    composed = efros_compose(EXP1, 2)
-    pair = lookup("2.1")
-    for r, t in ((3.0, 5.0), (0.5, 1.0), (1.0, 4.0)):
-        assert composed.spacetime_side(r, t) == pytest.approx(
-            eval_spacetime(pair, 2, EXP1, r, t), rel=1e-12)
-    for k, s in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.8)):
-        assert composed.fl_side(k, complex(s)) == pytest.approx(
-            eval_fl(pair, 2, EXP1, k, complex(s)), rel=1e-12)
-
-
-def test_efros_compose_spec_values():
-    composed = efros_compose(EXP1, 2)
-    assert composed.fl_side(1.0, 1.0).real == pytest.approx(
-        1.0 / (math.sqrt(2.0) * (math.sqrt(2.0) + 1.0)), rel=1e-7)
-    assert composed.spacetime_side(3.0, 5.0) == pytest.approx(
-        math.exp(-4.0) / (8.0 * math.pi), rel=1e-6)
-    unit = catalog_lookup("unit")
-    assert efros_compose(unit, 2).fl_side(0.0, 1.0).real == pytest.approx(1.0)
-
-
-def test_efros_compose_rejects_other_dimensions():
-    with pytest.raises(ConstraintError):
-        efros_compose(EXP1, 3)
 
 
 def test_registry_text_lists_all_rows():

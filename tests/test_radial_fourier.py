@@ -111,7 +111,7 @@ def test_inverse_yukawa_image_d3():
 
 
 def test_inverse_zero_profile():
-    zero = RadialProfile(lambda k: 0.0, decay_class="compact", support_upper=1.0)
+    zero = RadialProfile(lambda k: 0.0)
     assert inverse(Dimension(1), zero, 0.7, SPEC) == 0.0
 
 

@@ -145,6 +145,23 @@ def test_energy_is_the_k0_value_of_the_mixed_lhs(t):
     assert check_energy(p, t, SPEC) == rep.lhs_values[0]
 
 
+def test_mixed_lhs_matches_a_30_digit_reference():
+    # In the edge distance q = sqrt(t^2 - r^2) the smooth part has a smooth
+    # integrand: LHS(k, t) = e^(-t) [J0(k t) + int_0^t J0(k sqrt(t^2 - q^2))
+    # e^q dq].  The point (2, 5) is a cancellation (LHS 0.0050), where a
+    # light-cone Jacobian out of step with the rounded r shows.
+    mpmath = pytest.importorskip("mpmath")
+    samples = [(k, t) for k in (0.0, 0.5, 1.0, 2.0) for t in (0.5, 1.0, 2.0, 5.0)]
+    rep = verify_rte_mixed(UNIT, samples, SPEC, 48)
+    with mpmath.workdps(30):
+        for (k, t), lhs in zip(samples, rep.lhs_values):
+            k, t = mpmath.mpf(k), mpmath.mpf(t)
+            smooth = mpmath.quad(lambda q: mpmath.besselj(
+                0, k * mpmath.sqrt(t * t - q * q)) * mpmath.exp(q), [0, t])
+            want = (mpmath.besselj(0, k * t) + smooth) * mpmath.exp(-t)
+            assert abs(lhs - want) <= 1.5e-13 * abs(want), (k, t)
+
+
 def test_inversion_error_fails_only_its_point(monkeypatch):
     original = rte2d.inverse_laplace
 
