@@ -27,7 +27,6 @@ cli
 from .numerics import (
     DomainError,
     IntegralResult,
-    OscillatoryKernel,
     QuadratureSpec,
     bessel_j,
     bessel_j_zero,

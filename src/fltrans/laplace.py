@@ -3,7 +3,8 @@
 The forward transform integrates e^{-s t} f(t) by damped semi-infinite
 quadrature along one ray t = tau e^{i alpha}, the real axis being the
 alpha = 0 ray; on the real axis it switches to the oscillatory engine
-when |Im s| dominates the decay rate.  Originals that are analytic in a
+when |Im s| dominates the decay rate, integrating the cos and sin parts
+between their zeros.  Originals that are analytic in a
 sector advertise it through TimeOriginal.eval_complex; for them the ray
 is rotated into the complex t-plane whenever a rotated ray decays faster
 than both the real axis and rate 1.  That computes the analytic continuation of the
@@ -35,7 +36,6 @@ from typing import Callable, Optional, Sequence
 
 from .numerics import (
     DomainError,
-    OscillatoryKernel,
     QuadratureSpec,
     integrate_oscillatory,
     integrate_semi_infinite,
@@ -150,15 +150,17 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
                         else (0.0, -math.inf))
     if decay > _MARGIN and ray_decay <= max(decay, 1.0):
         if abs(s.imag) > 10.0 * max(1.0, decay):
-            # heavily oscillatory: integrate against cos/sin kernels with
-            # series acceleration
+            # heavily oscillatory: the cos and sin parts cell by cell
+            # between their zeros, with series acceleration
             omega = abs(s.imag)
             sign = 1.0 if s.imag > 0 else -1.0
             env = lambda t: math.exp(-s.real * t) * f.eval(t)
-            re_part = integrate_oscillatory(env, OscillatoryKernel("cos", omega),
-                                            0.0, spec)
-            im_part = integrate_oscillatory(env, OscillatoryKernel("sin", omega),
-                                            0.0, spec)
+            re_part = integrate_oscillatory(
+                lambda t: env(t) * math.cos(omega * t),
+                lambda n: (n - 0.5) * math.pi / omega, spec)
+            im_part = integrate_oscillatory(
+                lambda t: env(t) * math.sin(omega * t),
+                lambda n: n * math.pi / omega, spec)
             if not (re_part.converged and im_part.converged):
                 raise LaplaceError(
                     f"oscillatory forward transform did not converge at s={s}")

@@ -13,8 +13,9 @@ Scalar, pure-Python kernels used by every other module:
 * Gamma function wrapper with a strict positive-real domain.
 * Adaptive Gauss-Kronrod (G7/K15) quadrature on finite intervals.
 * Semi-infinite quadrature by geometrically growing panels.
-* Oscillatory semi-infinite quadrature: integration between consecutive
-  kernel zeros plus Wynn epsilon acceleration of the partial sums.
+* Oscillatory semi-infinite quadrature of a whole integrand: integration
+  between consecutive zeros of its oscillating factor plus Wynn epsilon
+  acceleration of the partial sums.
 
 All functions are pure and reentrant; the dataclasses are frozen, so
 values may be shared freely across threads.
@@ -36,22 +37,18 @@ class QuadratureSpec:
     """Accuracy/effort budget shared by the quadrature engines.
 
     abs_tol / rel_tol control the convergence target, max_subdivisions
-    bounds adaptive bisection, max_oscillation_cells bounds the number of
-    kernel-zero cells before acceleration gives up.
+    bounds adaptive bisection.
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    max_oscillation_cells: int = 200
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be >= 1")
-        if self.max_oscillation_cells < 4:
-            raise DomainError("max_oscillation_cells must be >= 4")
 
 
 @dataclass(frozen=True)
@@ -67,26 +64,6 @@ class IntegralResult:
     error_estimate: float
     converged: bool
     evaluations: int
-
-
-@dataclass(frozen=True)
-class OscillatoryKernel:
-    """Descriptor for the oscillating factor of a semi-infinite integrand.
-
-    kind is one of "cos", "sin", "bessel_j"; omega is the frequency of the
-    kernel argument (kernel(x) = cos(omega x) etc.); order is the Bessel
-    order for kind "bessel_j".
-    """
-
-    kind: str
-    omega: float
-    order: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("cos", "sin", "bessel_j"):
-            raise DomainError(f"unknown kernel kind {self.kind!r}")
-        if not self.omega > 0.0:
-            raise DomainError("kernel frequency must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -608,51 +585,31 @@ def _wynn_epsilon(sums):
     return best
 
 
-def _kernel_zero(kernel: OscillatoryKernel, n: int) -> float:
-    if kernel.kind == "sin":
-        return n * math.pi / kernel.omega
-    if kernel.kind == "cos":
-        return (n - 0.5) * math.pi / kernel.omega
-    return bessel_j_zero(kernel.order, n) / kernel.omega
+# cells past the first before acceleration gives up
+_OSCILLATION_CELLS = 200
 
 
-def _kernel_value(kernel: OscillatoryKernel, x: float) -> float:
-    if kernel.kind == "sin":
-        return math.sin(kernel.omega * x)
-    if kernel.kind == "cos":
-        return math.cos(kernel.omega * x)
-    return bessel_j(kernel.order, kernel.omega * x)
+def integrate_oscillatory(f, zero, spec: QuadratureSpec) -> IntegralResult:
+    """Integral of f(x) over (0, inf), cell by cell between oscillation zeros.
 
-
-def integrate_oscillatory(envelope, kernel: OscillatoryKernel, a: float,
-                          spec: QuadratureSpec) -> IntegralResult:
-    """Integral of envelope(x) * kernel(x) over (a, inf).
-
-    The integrand is integrated cell by cell between consecutive kernel
-    zeros and the alternating partial-sum sequence is accelerated with the
-    Wynn epsilon algorithm, which handles the slowly decaying envelopes of
-    inverse radial transforms.  Convergence of the raw sums (fast-decaying
-    envelopes) is also accepted directly.
+    zero(n) is the n-th positive zero (n >= 1, increasing in n) of the
+    oscillating factor of f.  f is integrated over (0, zero(1)) and then
+    between consecutive zeros, and the alternating partial-sum sequence is
+    accelerated with the Wynn epsilon algorithm, which handles the slowly
+    decaying envelopes of inverse radial transforms.  Convergence of the
+    raw sums (fast-decaying envelopes) is also accepted directly.
     """
-    if a < 0.0:
-        raise DomainError("oscillatory integrals start at a >= 0")
-    f = lambda x: envelope(x) * _kernel_value(kernel, x)
     # each zero is computed once: a cell's upper zero is the next cell's
     # lower one
-    n = 1
-    hi = _kernel_zero(kernel, n)
-    while hi <= a + 1e-300:
-        n += 1
-        hi = _kernel_zero(kernel, n)
-    first = integrate_adaptive(f, a, hi, spec)
+    hi = zero(1)
+    first = integrate_adaptive(f, 0.0, hi, spec)
     evals = first.evaluations
     total = first.value
     cell_err = first.error_estimate
     sums = [total]
     prev_accel = None
-    for c in range(spec.max_oscillation_cells):
-        n += 1
-        lo, hi = hi, _kernel_zero(kernel, n)
+    for c in range(_OSCILLATION_CELLS):
+        lo, hi = hi, zero(c + 2)
         part = integrate_adaptive(f, lo, hi, spec)
         evals += part.evaluations
         total += part.value

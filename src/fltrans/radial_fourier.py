@@ -10,9 +10,11 @@ with S_d the measure of the unit sphere.  ghat_d equals cos(kx), J0(kx)
 and sin(kx)/(kx) in one, two and three dimensions.  The forward transform
 uses the kernel with no prefactor; the inverse carries the (2 pi)^{-d}
 normalization, so the two directions share one integration routine.
-Apart from the oscillatory tail engine, every radial integral (the
-transforms, the verifier's space-time hop, the radiative transfer chain)
-is radial_quadrature, which owns the edge-singularity substitutions.
+Every radial integral (the transforms, the verifier's space-time hop,
+the radiative transfer chain) integrates one integrand,
+S_d g(r) r^{d-1} ghat_d(k, r): radial_quadrature, which owns the
+edge-singularity substitutions, or, for tails that oscillate many times,
+the oscillatory engine with cells between the zeros of ghat_d.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Callable
 from .numerics import (
     DomainError,
     IntegralResult,
-    OscillatoryKernel,
     QuadratureSpec,
     bessel_j,
+    bessel_j_zero,
     gamma_fn,
     integrate_adaptive,
     integrate_oscillatory,
@@ -124,6 +126,13 @@ def kernel_ghat(dim: Dimension | int, k: float, x: float) -> float:
     return gamma_fn(0.5 * d) * (0.5 * z) ** (1.0 - 0.5 * d) * bessel_j(nu, z)
 
 
+def _integrand(d: int, g: Callable[[float], float],
+               k: float) -> Callable[[float], float]:
+    # S_d g(r) r^{d-1} ghat_d(k, r), the integrand of every radial integral
+    sd = sphere_measure(d)
+    return lambda r: sd * g(r) * r ** (d - 1) * kernel_ghat(d, k, r)
+
+
 def radial_quadrature(d: int, g: Callable[[float], float], k: float,
                       lo: float, hi: float, substitution: str,
                       spec: QuadratureSpec) -> IntegralResult:
@@ -138,11 +147,7 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
     """
     if substitution not in SUBSTITUTIONS:
         raise DomainError(f"unknown substitution {substitution!r}")
-    sd = sphere_measure(d)
-
-    def plain(r: float) -> float:
-        return sd * g(r) * r ** (d - 1) * kernel_ghat(d, k, r)
-
+    plain = _integrand(d, g, k)
     if substitution == "origin":
         # r = w^2 turns fractional powers of r at the origin polynomial
         def sub(w: float) -> float:
@@ -170,27 +175,12 @@ def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
     d = dim.d
     if k > 0.0 and (profile.decay_class == "algebraic" or (
             profile.decay_class == "exponential" and k >= _OSC_WAVENUMBER)):
-        # slowly decaying or rapidly oscillating tail: cell-by-cell between
-        # kernel zeros with acceleration of the alternating partial sums
-        sd = sphere_measure(dim)
-        if d == 1:
-            kernel = OscillatoryKernel("cos", k)
-            envelope = lambda r: sd * profile.eval(r)
-        elif d == 3:
-            kernel = OscillatoryKernel("sin", k)
-            envelope = lambda r: sd * profile.eval(r) * r / k
-        else:
-            nu = 0.5 * d - 1.0
-            scale = (2.0 * math.pi) ** (0.5 * d)
-            kernel = OscillatoryKernel("bessel_j", k, nu)
-
-            def envelope(r: float) -> float:
-                if r == 0.0:
-                    return 0.0
-                return (scale * profile.eval(r) * r ** (d - 1)
-                        * (k * r) ** (1.0 - 0.5 * d))
-
-        return integrate_oscillatory(envelope, kernel, 0.0, spec)
+        # slowly decaying or rapidly oscillating tail: cell by cell between
+        # the zeros of ghat_d, those of J_{d/2-1}(k r), with acceleration of
+        # the alternating partial sums
+        nu = 0.5 * d - 1.0
+        return integrate_oscillatory(_integrand(d, profile.eval, k),
+                                     lambda n: bessel_j_zero(nu, n) / k, spec)
     return radial_quadrature(d, profile.eval, k, 0.0, math.inf, "none", spec)
 
 

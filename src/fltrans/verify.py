@@ -80,7 +80,6 @@ def _settings(spec: QuadratureSpec, nodes: int) -> dict:
         "abs_tol": spec.abs_tol,
         "rel_tol": spec.rel_tol,
         "max_subdivisions": spec.max_subdivisions,
-        "max_oscillation_cells": spec.max_oscillation_cells,
         "inversion_nodes": nodes,
     }
 

@@ -8,7 +8,6 @@ from fltrans import numerics
 from fltrans.numerics import (
     DomainError,
     IntegralResult,
-    OscillatoryKernel,
     QuadratureSpec,
     bessel_j,
     bessel_j_zero,
@@ -286,23 +285,23 @@ def test_oscillatory_laplace_cos_grid():
     # spec invariant: int_0^inf e^{-a x} cos(w x) dx = a/(a^2+w^2) to 1e-9
     for a in (0.5, 1.0, 2.0):
         for w in (0.5, 1.0, 2.0):
-            res = integrate_oscillatory(lambda x, a=a: math.exp(-a * x),
-                                        OscillatoryKernel("cos", w), 0.0, SPEC)
+            res = integrate_oscillatory(
+                lambda x, a=a, w=w: math.exp(-a * x) * math.cos(w * x),
+                lambda n, w=w: (n - 0.5) * math.pi / w, SPEC)
             assert res.converged
             assert res.value == pytest.approx(a / (a * a + w * w), abs=1e-9)
 
 
 def test_oscillatory_j0_exponential():
     # int_0^inf e^{-x} J0(x) dx = 1/sqrt(2)
-    res = integrate_oscillatory(lambda x: math.exp(-x),
-                                OscillatoryKernel("bessel_j", 1.0, 0.0), 0.0, SPEC)
+    res = integrate_oscillatory(lambda x: math.exp(-x) * bessel_j(0, x),
+                                lambda n: bessel_j_zero(0, n), SPEC)
     assert res.converged
     assert res.value == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-10)
 
 
 def test_oscillatory_zero_envelope():
-    res = integrate_oscillatory(lambda x: 0.0, OscillatoryKernel("sin", 1.0),
-                                0.0, SPEC)
+    res = integrate_oscillatory(lambda x: 0.0, lambda n: n * math.pi, SPEC)
     assert res.converged
     assert res.value == 0.0
 
@@ -311,16 +310,17 @@ def test_oscillatory_slow_decay_needs_acceleration():
     # int_0^inf k sin(k r)/(1 + k^2) dk = (pi/2) e^{-r}: conditionally
     # convergent, naive truncation is hopeless
     for r in (0.5, 1.0, 2.0):
-        res = integrate_oscillatory(lambda k: k / (1.0 + k * k),
-                                    OscillatoryKernel("sin", r), 0.0, SPEC)
+        res = integrate_oscillatory(
+            lambda k, r=r: k / (1.0 + k * k) * math.sin(k * r),
+            lambda n, r=r: n * math.pi / r, SPEC)
         assert res.converged
         assert res.value == pytest.approx(0.5 * math.pi * math.exp(-r), rel=1e-9)
 
 
-def test_oscillatory_stall_reported():
-    few = QuadratureSpec(max_oscillation_cells=4)
-    res = integrate_oscillatory(lambda k: k / (1.0 + k * k),
-                                OscillatoryKernel("sin", 1.0), 0.0, few)
+def test_oscillatory_stall_reported(monkeypatch):
+    monkeypatch.setattr(numerics, "_OSCILLATION_CELLS", 4)
+    res = integrate_oscillatory(lambda k: k / (1.0 + k * k) * math.sin(k),
+                                lambda n: n * math.pi, SPEC)
     assert not res.converged
 
 
@@ -331,15 +331,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(max_oscillation_cells=2)
-
-
-def test_kernel_validation():
-    with pytest.raises(DomainError):
-        OscillatoryKernel("triangle", 1.0)
-    with pytest.raises(DomainError):
-        OscillatoryKernel("cos", 0.0)
 
 
 def test_integral_result_is_frozen():
