@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -88,7 +89,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.originals == "all":
         originals = catalog_list()
     else:
-        originals = [catalog_lookup(oid) for oid in args.originals.split(",")]
+        # a comma starts a new id only when a name follows; others separate
+        # the parameters of one id, as in poly_exp:2,1
+        originals = [catalog_lookup(oid)
+                     for oid in re.split(r",(?=[A-Za-z])", args.originals)]
     pair_ids = None if args.pair_id == "all" else [lookup(args.pair_id).id]
     reports = verify_all(dimensions, args.tol, nodes=args.nodes,
                          originals=originals, pair_ids=pair_ids)
@@ -211,8 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", default="2,3",
                           help="comma-separated dimensions")
     p_verify.add_argument("--f", dest="originals", default="all",
-                          help="catalog id like exp_decay:1 (comma-separated) "
-                               "or 'all'")
+                          help="catalog ids like exp_decay:1,poly_exp:2,1 "
+                               "(comma-separated) or 'all'")
     p_verify.add_argument("--tol", type=float, default=1e-6)
     p_verify.add_argument("--nodes", type=int, default=48)
     p_verify.add_argument("--out", dest="output_path")

@@ -368,11 +368,12 @@ def _poly_exp(n: int, a: float) -> TestOriginal:
 def _sine(a: float) -> TestOriginal:
     return TestOriginal(
         id=f"sine:{a:g}",
-        f=TimeOriginal(lambda u: math.sin(a * u), sigma0=0.0, imag_growth=a,
+        f=TimeOriginal(lambda u: math.sin(a * u), sigma0=0.0,
+                       imag_growth=abs(a),
                        eval_complex=lambda z: cmath.sin(a * z)),
         fhat=LaplaceImage(lambda s: a / (s * s + a * a), sigma0=0.0),
         description=f"f(u) = sin({a:g} u), image {a:g}/(s^2+{a:g}^2)",
-        image_pole_height=a,
+        image_pole_height=abs(a),  # poles at s = +-i a
     )
 
 
@@ -395,21 +396,41 @@ def catalog_list() -> list[TestOriginal]:
     ]
 
 
+# catalog originals by name: constructor and default parameters
+_CATALOG = {
+    "exp_decay": (_exp_decay, (1.0,)),
+    "poly_exp": (_poly_exp, (1, 1.0)),
+    "sine": (_sine, (1.0,)),
+    "unit": (_unit, ()),
+}
+
+
 def catalog_lookup(original_id: str) -> TestOriginal:
-    """Resolve a "name" or "name:param1,param2" tag into a catalog entry."""
+    """Resolve a "name" or "name:param1,param2" tag into a catalog entry.
+
+    Raises UnknownPairError for an unknown name, a parameter that is not a
+    finite number, more parameters than the original takes, or a poly_exp
+    order that is not an integer >= 0.
+    """
     name, _, params = original_id.partition(":")
-    args = [float(p) for p in params.split(",")] if params else []
-    if name == "exp_decay":
-        return _exp_decay(args[0] if args else 1.0)
+    if name not in _CATALOG:
+        raise UnknownPairError(f"unknown catalog original {original_id!r}")
+    make, defaults = _CATALOG[name]
+    try:
+        args = [float(p) for p in params.split(",")] if params else []
+    except ValueError:  # fails the finiteness test below
+        args = [math.nan]
+    if (len(args) > len(defaults) or not all(map(math.isfinite, args))
+            or (name == "poly_exp" and args
+                and not (args[0] >= 0.0 and args[0].is_integer()))):
+        raise UnknownPairError(
+            f"bad parameters in catalog original {original_id!r}; ids are "
+            "exp_decay:a, poly_exp:n,a (integer n >= 0), sine:a and unit, "
+            "with finite numbers a, each optional")
+    args += defaults[len(args):]
     if name == "poly_exp":
-        n = int(args[0]) if args else 1
-        a = args[1] if len(args) > 1 else 1.0
-        return _poly_exp(n, a)
-    if name == "sine":
-        return _sine(args[0] if args else 1.0)
-    if name == "unit":
-        return _unit()
-    raise UnknownPairError(f"unknown catalog original {original_id!r}")
+        args[0] = int(args[0])
+    return make(*args)
 
 
 # --------------------------------------------------------------------------

@@ -187,16 +187,16 @@ def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
 def forward_result(dim: Dimension, profile: RadialProfile, k: float,
                    spec: QuadratureSpec) -> IntegralResult:
     """Forward transform with the full IntegralResult (no raise on failure)."""
-    if k < 0.0:
-        raise DomainError("wavenumber must be nonnegative")
+    if not 0.0 <= k < math.inf:  # also refuses NaN
+        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
     return _radial_integral(dim, profile, k, spec)
 
 
 def inverse_result(dim: Dimension, image: RadialProfile, r: float,
                    spec: QuadratureSpec) -> IntegralResult:
     """Inverse transform with the full IntegralResult (no raise on failure)."""
-    if r < 0.0:
-        raise DomainError("radius must be nonnegative")
+    if not 0.0 <= r < math.inf:  # also refuses NaN
+        raise DomainError(f"radius must be finite and >= 0, got {r}")
     res = _radial_integral(dim, image, r, spec)
     scale = (2.0 * math.pi) ** (-dim.d)
     return IntegralResult(res.value * scale, res.error_estimate * scale,

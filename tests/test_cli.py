@@ -57,6 +57,34 @@ def test_verify_constraint_violation(capsys):
     assert "no admissible" in err
 
 
+def test_verify_two_parameter_catalog_ids(capsys):
+    # a comma followed by a digit separates parameters, not ids
+    code, out, err = run(capsys, "verify", "--pair", "2.1", "--dim", "2",
+                         "--f", "poly_exp:2,1,exp_decay:1")
+    assert code == 0, err
+    assert "poly_exp:2,1" in out
+    assert "exp_decay:1" in out
+
+
+def test_verify_negative_sine_frequency(capsys):
+    # the poles of a/(s^2 + a^2) sit at +-i|a|; a contour raised by a
+    # negative height missed them
+    code, out, err = run(capsys, "verify", "--pair", "1.5", "--dim", "2",
+                         "--f", "sine:-1")
+    assert code == 0, err
+    assert "passed=1" in out
+
+
+@pytest.mark.parametrize("original", ["exp_decay:x", "poly_exp:-1,1",
+                                      "poly_exp:1.5,1", "sine:1,2", "unit:1",
+                                      "exp_decay:nan"])
+def test_verify_bad_catalog_parameters_are_config_errors(capsys, original):
+    code, _, err = run(capsys, "verify", "--pair", "2.1", "--dim", "2",
+                       "--f", original)
+    assert code == 2
+    assert "bad parameters" in err
+
+
 def test_verify_json_report(capsys, tmp_path):
     out_path = tmp_path / "rep.json"
     code, _, _ = run(capsys, "verify", "--pair", "1.4", "--dim", "2",
@@ -157,6 +185,17 @@ def test_transform_yukawa_d1_rejected(capsys):
                        "--profile", "yukawa", "--grid", "1")
     assert code != 0
     assert "not defined for d = 1" in err
+
+
+@pytest.mark.parametrize("grid", ["inf", "nan"])
+@pytest.mark.parametrize("direction, profile", [("forward", "exponential"),
+                                                ("inverse", "yukawa-image")])
+def test_transform_non_finite_grid_is_a_config_error(capsys, direction,
+                                                     profile, grid):
+    code, _, err = run(capsys, "transform", "--direction", direction,
+                       "--dim", "3", "--profile", profile, "--grid", grid)
+    assert code == 2
+    assert "finite" in err
 
 
 def test_csv_is_deterministic(capsys):

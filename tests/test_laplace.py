@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from fltrans.laplace import (
     sqrt_s2k2,
 )
 from fltrans.numerics import DomainError, QuadratureSpec
+from fltrans.pairs import catalog_lookup
 
 SPEC = QuadratureSpec()
 
@@ -92,6 +94,15 @@ def test_forward_large_imag_uses_oscillatory_path():
     s = complex(0.5, 40.0)
     got = forward_laplace(plain, s, SPEC)
     assert got == pytest.approx(1.0 / (s + 1.0), rel=1e-8)
+    # catalog originals stripped of their complex evaluators, far above the
+    # |Im s| > 10 max(1, Re s - sigma0) switch to the cos/sin cells
+    for oid in ("poly_exp:2,1", "sine:1"):
+        entry = catalog_lookup(oid)
+        plain = replace(entry.f, eval_complex=None)
+        for im in (20.0, 50.0, 120.0, 200.0, -200.0):
+            s = complex(plain.sigma0 + 0.5, im)
+            got = forward_laplace(plain, s, SPEC)
+            assert got == pytest.approx(entry.fhat.eval(s), rel=1e-12), (oid, s)
 
 
 def test_forward_rotated_ray_continuation():

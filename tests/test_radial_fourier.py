@@ -12,6 +12,7 @@ from fltrans.radial_fourier import (
     forward,
     forward_result,
     inverse,
+    inverse_result,
     kernel_ghat,
     radial_quadrature,
     sphere_measure,
@@ -110,6 +111,18 @@ def test_inverse_yukawa_image_d3():
         math.exp(-1.0), rel=1e-8)
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_non_finite_wavenumber_or_radius_is_refused(x):
+    # an infinite k used to spin on zero-width cells, a NaN one to spend
+    # every subdivision budget on NaN panels
+    img = RadialProfile(lambda k: 4 * math.pi / (1 + k * k),
+                        decay_class="algebraic")
+    with pytest.raises(DomainError, match="finite"):
+        forward_result(Dimension(3), EXPONENTIAL, x, SPEC)
+    with pytest.raises(DomainError, match="finite"):
+        inverse_result(Dimension(3), img, x, SPEC)
+
+
 def test_inverse_zero_profile():
     zero = RadialProfile(lambda k: 0.0)
     assert inverse(Dimension(1), zero, 0.7, SPEC) == 0.0
@@ -206,4 +219,26 @@ def test_gaussian_seeded_sweep_above_the_oscillatory_wavenumber():
     rng = random.Random(1)
     draws = [(rng.randint(1, 6), rng.uniform(8.0, 40.0)) for _ in range(120)]
     misses = [(d, k) for d, k in draws if _gaussian_miss(d, k) > 0.0]
+    assert misses == []
+
+
+# --- exponential tails on the oscillatory path ------------------------------------
+
+def _exponential_miss(d, k):
+    # |error| beyond the engine's own estimate (floor 1e-12), infinite when
+    # not converged; the exact transform of e^{-r} is
+    # 2^d pi^((d-1)/2) Gamma((d+1)/2) / (1 + k^2)^((d+1)/2)
+    res = forward_result(Dimension(d), EXPONENTIAL, k, SPEC)
+    want = (2.0 ** d * math.pi ** (0.5 * (d - 1)) * math.gamma(0.5 * (d + 1))
+            / (1.0 + k * k) ** (0.5 * (d + 1)))
+    if not res.converged:
+        return math.inf
+    return abs(res.value - want) - max(res.error_estimate, 1e-12)
+
+
+def test_exponential_seeded_sweep_on_the_oscillatory_path():
+    rng = random.Random(2)
+    draws = [(rng.randint(1, 6), rng.uniform(8.0, 60.0)) for _ in range(120)]
+    draws += [(d, k) for d in range(1, 7) for k in (8.0, 16.0, 38.0)]
+    misses = [(d, k) for d, k in draws if _exponential_miss(d, k) > 0.0]
     assert misses == []
