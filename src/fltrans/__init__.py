@@ -46,7 +46,6 @@ from .radial_fourier import (
 )
 from .laplace import (
     LaplaceError,
-    LaplaceImage,
     TimeOriginal,
     forward_laplace,
     inverse_laplace,

@@ -98,8 +98,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                          originals=originals, pair_ids=pair_ids)
     if not reports:
         raise ConfigError(
-            f"no admissible (pair, dimension) combinations for pair="
-            f"{args.pair_id} dims={dimensions}")
+            f"no admissible (pair, dimension, original) combinations for "
+            f"pair={args.pair_id} dims={dimensions} "
+            f"originals={', '.join(f.id for f in originals)}")
     if args.output_format == "json-report":
         text = json.dumps([r.to_dict() for r in reports], indent=1) + "\n"
     else:

@@ -48,31 +48,19 @@ class LaplaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeOriginal:
-    """Original f(t) on t >= 0 with growth metadata and an optional atom.
+    """Original f(t) on t >= 0 with its growth metadata.
 
     sigma0 is the growth abscissa (|f(t)| <= C exp(sigma0 t)); f is
-    integrated over the whole half-line t >= 0.  An atom of weight
-    atom_weight at atom_location (none when atom_location is None)
-    contributes analytically.  For evaluation left of sigma0 (deep
-    inversion-contour nodes) an entire original may supply eval_complex,
-    valid on the sector swept by ray rotation, with
+    integrated over the whole half-line t >= 0.  For evaluation left of
+    sigma0 (deep inversion-contour nodes) an entire original may supply
+    eval_complex, valid on the sector swept by ray rotation, with
     |f(z)| <= C(|z|) exp(sigma0 Re z + imag_growth |Im z|).
     """
 
     eval: Callable[[float], float]
     sigma0: float = 0.0
-    atom_location: Optional[float] = None
-    atom_weight: float = 1.0
     eval_complex: Optional[Callable[[complex], complex]] = None
     imag_growth: float = 0.0
-
-
-@dataclass(frozen=True)
-class LaplaceImage:
-    """Image F(s), analytic for Re s > sigma0 (caller contract)."""
-
-    eval: Callable[[complex], complex]
-    sigma0: float = 0.0
 
 
 def sqrt_s2k2(s: complex, k: float) -> complex:
@@ -133,7 +121,7 @@ def _best_ray(f: TimeOriginal, s: complex) -> tuple[float, float]:
 
 
 def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> complex:
-    """Laplace transform of f at complex s: atom part (analytic) + quadrature.
+    """Laplace transform of f at complex s by quadrature.
 
     Requires Re s > sigma0 + margin unless f supplies eval_complex.  With
     eval_complex the integration ray is rotated into the sector of
@@ -142,9 +130,6 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
     sigma0 + margin whenever some ray decays faster than 0.25.
     """
     s = complex(s)
-    total = 0.0 + 0.0j
-    if f.atom_location is not None:
-        total += f.atom_weight * cmath.exp(-s * f.atom_location)
     decay = (s - f.sigma0).real
     alpha, ray_decay = (_best_ray(f, s) if f.eval_complex is not None
                         else (0.0, -math.inf))
@@ -164,7 +149,7 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
             if not (re_part.converged and im_part.converged):
                 raise LaplaceError(
                     f"oscillatory forward transform did not converge at s={s}")
-            return total + complex(re_part.value, -sign * im_part.value)
+            return complex(re_part.value, -sign * im_part.value)
         # the real axis is the alpha = 0 ray
         evaluate, ray = f.eval, 1.0
     elif f.eval_complex is None:
@@ -183,7 +168,7 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
     res = integrate_semi_infinite(integrand, 0.0, spec)
     if not res.converged:
         raise LaplaceError(f"forward transform did not converge at s={s}")
-    return total + res.value
+    return complex(res.value)
 
 
 # Skip Talbot nodes whose weight e^{s t} cannot matter: e^{-60} ~ 9e-27
@@ -192,11 +177,11 @@ _NODE_EXPONENT_FLOOR = -60.0
 _RADIUS_FACTOR = 0.30
 
 
-def inverse_laplace(image, t: float, nodes: int = 48, *,
-                    branch_height: float = 0.0) -> float:
-    """Fixed-Talbot inversion of a Laplace image at time t > 0.
+def inverse_laplace(image: Callable[[complex], complex], t: float,
+                    nodes: int = 48, *, branch_height: float = 0.0) -> float:
+    """Fixed-Talbot inversion of the Laplace image s -> F(s) at time t > 0.
 
-    image is a LaplaceImage or a plain callable s -> F(s).  The contour
+    The contour
     radius is 0.30 * 2 * nodes / (5 t) and grows with nodes, so
     accuracy improves geometrically in `nodes` for images analytic off the
     negative real axis.  branch_height raises the contour so that
@@ -209,9 +194,8 @@ def inverse_laplace(image, t: float, nodes: int = 48, *,
         raise DomainError(f"inversion time must be positive, got {t}")
     if nodes < 4:
         raise DomainError("at least 4 Talbot nodes are required")
-    feval = image.eval if isinstance(image, LaplaceImage) else image
     r = max(_RADIUS_FACTOR * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
-    f0 = complex(feval(complex(r, 0.0)))
+    f0 = complex(image(complex(r, 0.0)))
     if not (math.isfinite(f0.real) and math.isfinite(f0.imag)):
         raise LaplaceError(f"image not finite at contour base s={r}")
     total = 0.5 * cmath.exp(r * t) * f0
@@ -221,7 +205,7 @@ def inverse_laplace(image, t: float, nodes: int = 48, *,
         s = r * theta * complex(cot, 1.0)
         if (s * t).real < _NODE_EXPONENT_FLOOR:
             continue
-        fs = complex(feval(s))
+        fs = complex(image(s))
         if not (math.isfinite(fs.real) and math.isfinite(fs.imag)):
             raise LaplaceError(f"image not finite at contour node s={s}")
         sigma = theta + (theta * cot - 1.0) * cot
@@ -237,8 +221,6 @@ def roundtrip_check(f: TimeOriginal, t_grid: Sequence[float], nodes: int,
     forward hop runs with tolerances clamped to near machine precision
     regardless of the requested spec.
     """
-    if f.atom_location is not None:
-        raise DomainError("roundtrip_check requires a smooth original")
     tight = replace(spec,
                     abs_tol=min(spec.abs_tol, 1e-14),
                     rel_tol=min(spec.rel_tol, 1e-13))

@@ -36,7 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .laplace import LaplaceImage, TimeOriginal, sqrt_s2k2
+from .laplace import TimeOriginal, sqrt_s2k2
+from .numerics import DomainError
 from .radial_fourier import SUBSTITUTIONS, sphere_measure
 
 
@@ -44,7 +45,7 @@ class UnknownPairError(KeyError):
     """Requested id is not one of the registry tags."""
 
 
-class ConstraintError(ValueError):
+class ConstraintError(DomainError):
     """Dimension outside the row's validity constraint."""
 
 
@@ -106,22 +107,33 @@ class PairDescriptor:
 
 @dataclass(frozen=True)
 class TestOriginal:
-    """Analytic test function f with a closed-form Laplace image.
-
-    image_pole_height bounds |Im| of the image's singularities; inversion
-    contours are raised above it.
-    """
+    """Analytic test function f with its closed-form Laplace image fhat."""
 
     id: str
     f: TimeOriginal
-    fhat: LaplaceImage
-    description: str
-    image_pole_height: float = 0.0
+    fhat: Callable[[complex], complex]
+
+    @property
+    def image_pole_height(self) -> float:
+        """f.imag_growth, which bounds |Im s| of fhat's singularities.
+
+        For |f(z)| <= C exp(sigma0 Re z + g |Im z|) the Laplace integral
+        converges on the ray t = -i tau when Im s > g and on t = +i tau
+        when Im s < -g, so fhat is analytic off |Im s| <= g.  Inversion
+        contours are raised above this height.
+        """
+        return self.f.imag_growth
 
 
 # --------------------------------------------------------------------------
 # registry construction
 # --------------------------------------------------------------------------
+
+def _retarded_psi(k: float, s: complex, d: int) -> complex:
+    # (s + sqrt(s^2 + k^2))^(1 - d/2) / sqrt(s^2 + k^2): rows 1.2, 2.1, 2.3
+    root = sqrt_s2k2(s, k)
+    return (s + root) ** (1 - 0.5 * d) / root
+
 
 def _pair_11() -> PairDescriptor:
     def pref(r, t, d):
@@ -152,8 +164,7 @@ def _pair_12() -> PairDescriptor:
         st_argument=lambda r, t: t - r,
         radial_range=lambda t: (0.0, t),
         substitution="origin",
-        fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d)
-        / sqrt_s2k2(s, k),
+        fl_psi=_retarded_psi,
         fl_phi=lambda k, s: complex(s),
         st_text="(2*pi*r)^(-d/2) * f(t-r) * Theta(t-r)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2)/sqrt(s^2+k^2) * F(s)",
@@ -239,8 +250,7 @@ def _pair_21() -> PairDescriptor:
         st_argument=lambda r, t: math.sqrt(t * t - r * r),
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
-        fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d)
-        / sqrt_s2k2(s, k),
+        fl_psi=_retarded_psi,
         fl_phi=lambda k, s: sqrt_s2k2(s, k),
         st_text="(2*pi)^(-d/2)*(t+sqrt(t^2-r^2))^(1-d/2)/sqrt(t^2-r^2)"
                 " * f(sqrt(t^2-r^2)) * Theta(t-r)",
@@ -277,8 +287,7 @@ def _pair_23() -> PairDescriptor:
         * r ** (2 - d) * t ** (0.5 * d - 2.0),
         st_argument=lambda r, t: (r * r - t * t) / (2.0 * t),
         radial_range=lambda t: (t, math.inf),
-        fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d)
-        / sqrt_s2k2(s, k),
+        fl_psi=_retarded_psi,
         fl_phi=lambda k, s: sqrt_s2k2(s, k) - s,
         st_text="(2*pi)^(-d/2) * r^(2-d)/t^(2-d/2) * f((r^2-t^2)/(2t))"
                 " * Theta(r-t)",
@@ -349,8 +358,7 @@ def _exp_decay(a: float) -> TestOriginal:
         id=f"exp_decay:{a:g}",
         f=TimeOriginal(lambda u: math.exp(-a * u), sigma0=-a,
                        eval_complex=lambda z: cmath.exp(-a * z)),
-        fhat=LaplaceImage(lambda s: 1.0 / (s + a), sigma0=-a),
-        description=f"f(u) = exp(-{a:g} u), image 1/(s+{a:g})",
+        fhat=lambda s: 1.0 / (s + a),
     )
 
 
@@ -360,8 +368,7 @@ def _poly_exp(n: int, a: float) -> TestOriginal:
         id=f"poly_exp:{n},{a:g}",
         f=TimeOriginal(lambda u: u ** n * math.exp(-a * u), sigma0=-a,
                        eval_complex=lambda z: z ** n * cmath.exp(-a * z)),
-        fhat=LaplaceImage(lambda s: fact / (s + a) ** (n + 1), sigma0=-a),
-        description=f"f(u) = u^{n} exp(-{a:g} u), image {n}!/(s+{a:g})^{n + 1}",
+        fhat=lambda s: fact / (s + a) ** (n + 1),
     )
 
 
@@ -371,9 +378,7 @@ def _sine(a: float) -> TestOriginal:
         f=TimeOriginal(lambda u: math.sin(a * u), sigma0=0.0,
                        imag_growth=abs(a),
                        eval_complex=lambda z: cmath.sin(a * z)),
-        fhat=LaplaceImage(lambda s: a / (s * s + a * a), sigma0=0.0),
-        description=f"f(u) = sin({a:g} u), image {a:g}/(s^2+{a:g}^2)",
-        image_pole_height=abs(a),  # poles at s = +-i a
+        fhat=lambda s: a / (s * s + a * a),
     )
 
 
@@ -382,8 +387,7 @@ def _unit() -> TestOriginal:
         id="unit",
         f=TimeOriginal(lambda u: 1.0, sigma0=0.0,
                        eval_complex=lambda z: 1.0 + 0.0j),
-        fhat=LaplaceImage(lambda s: 1.0 / s, sigma0=0.0),
-        description="f(u) = 1, image 1/s",
+        fhat=lambda s: 1.0 / s,
     )
 
 
@@ -480,7 +484,7 @@ def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,
         raise ValidityError(
             f"Re phi = {phi.real:.6g} does not exceed sigma0 = "
             f"{f.f.sigma0:.6g} for pair {pair.id}")
-    return pair.fl_psi(k, s, d) * f.fhat.eval(phi)
+    return pair.fl_psi(k, s, d) * f.fhat(phi)
 
 
 def registry_rows() -> Sequence[PairDescriptor]:

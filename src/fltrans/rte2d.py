@@ -16,11 +16,14 @@ free propagator gbar(k, s) = 1/sqrt(s^2 + c^2 k^2):
     ihat(k, s) = A0 gbar(k, s + c/ell) / (1 - (c/ell) gbar(k, s + c/ell)),
 
 and the two forms are connected by the proper-time transform pair (row
-2.1 of the registry at d = 2) applied to f with image s/(s - c/ell).
-The mixed-domain harness verifies that chain numerically.  Its space
-side is the d = 2 radial transform of i(., t): the analytic transform
-of the atom plus one radial_fourier.radial_quadrature of the smooth part
-under the light-cone substitution r = c t sin(theta).  The energy check
+2.1 of the registry at d = 2) applied to f with image s/(s - c/ell),
+that is f(u) = delta(u) + (c/ell) exp(c u/ell).  The atom of f at u = 0
+is the ballistic shell; it enters here in closed form, never as a
+Laplace original.  The mixed-domain harness verifies that chain
+numerically.  Its space side is the d = 2 radial transform of i(., t):
+the analytic transform of the shell plus one
+radial_fourier.radial_quadrature of the smooth part under the
+light-cone substitution r = c t sin(theta).  The energy check
 is the k = 0 value of the same transform.
 
 The paper-facing convention sets c = 1 in gbar; here the celerity is
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .laplace import TimeOriginal, inverse_laplace, sqrt_s2k2
+from .laplace import inverse_laplace, sqrt_s2k2
 from .numerics import DomainError, QuadratureSpec
 from .radial_fourier import QuadratureError, kernel_ghat, radial_quadrature
 from .verify import _HOP_ERRORS, VerificationReport, _compare, _settings
@@ -130,17 +133,6 @@ def fl_intensity(p: TransportParams, k: float, s: complex) -> complex:
         raise PoleError(
             f"resolvent pole encountered at (k, s) = ({k}, {s})")
     return p.A0 * g / denom
-
-
-def resolvent_original_scaled(p: TransportParams) -> TimeOriginal:
-    """Original of s/(s - c/ell) for explicit transport parameters."""
-    rate = p.c / p.ell
-    return TimeOriginal(
-        eval=lambda t: rate * math.exp(rate * t),
-        sigma0=rate,
-        atom_location=0.0,
-        atom_weight=1.0,
-    )
 
 
 def check_energy(p: TransportParams, t: float, spec: QuadratureSpec) -> float:

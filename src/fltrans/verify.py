@@ -30,8 +30,8 @@ from typing import Iterable, Optional, Sequence
 
 from .laplace import LaplaceError, inverse_laplace
 from .numerics import DomainError, QuadratureSpec, integrate_semi_infinite
-from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, catalog_list, \
-    eval_fl, lookup, registry_rows
+from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, _check_dim, \
+    catalog_list, eval_fl, lookup, registry_rows
 from .radial_fourier import QuadratureError, kernel_ghat, radial_quadrature
 
 REL_FLOOR = 1e-12
@@ -166,7 +166,7 @@ def _assert_catalog_image(f: TestOriginal, spec: QuadratureSpec) -> None:
 
     for s in (f.f.sigma0 + 1.1, f.f.sigma0 + 2.6):
         got = forward_laplace(f.f, s, spec)
-        want = f.fhat.eval(s)
+        want = f.fhat(s)
         if abs(got - want) > 1e-9 * max(1.0, abs(want)):
             raise DomainError(
                 f"catalog original {f.id}: closed-form image disagrees with "
@@ -183,8 +183,7 @@ def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
     never silently skipped.
     """
     pair = lookup(pair_id)
-    if not pair.dim_constraint(d):
-        raise DomainError(f"pair {pair.id} requires {pair.dim_note}, got d={d}")
+    _check_dim(pair, d)
     _assert_catalog_image(f, spec)
     return _compare(
         pair.id, d, f.id, samples,
@@ -292,19 +291,21 @@ def build_sample_grid(pair: PairDescriptor, d: int, f: TestOriginal,
 
 
 def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
-               spec: Optional[QuadratureSpec] = None, nodes: int = 48,
+               nodes: int = 48,
                originals: Optional[Sequence[TestOriginal]] = None,
                pair_ids: Optional[Sequence[str]] = None
                ) -> list[VerificationReport]:
     """Run the mixed-domain protocol over the registry.
 
-    Every requested row is verified for every admissible dimension and
-    every admissible catalog original on the grid of build_sample_grid.
-    Incompatible originals (growing f against a type-2 row) are skipped
-    with a recorded reason, never silently.
+    Every admissible (row, d, original) triple of the requested rows,
+    dimensions and originals (default: the catalog) gets one report on
+    the grid of build_sample_grid.  A triple is admissible when the row's
+    constraint admits d, d = 1 only for rows radially integrable there,
+    and, for a type-2 row, when the original decays (sigma0 < 0).
+    Inadmissible triples are dropped, so a request that admits none
+    returns no report.
     """
-    if spec is None:
-        spec = QuadratureSpec()
+    spec = QuadratureSpec()
     if originals is None:
         originals = catalog_list()
     if pair_ids is None:
@@ -317,12 +318,6 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
         for d in _admissible_dims(pair, d_list):
             for f in originals:
                 if not _original_admissible(pair, f):
-                    reports.append(dc_replace(
-                        _compare(pair.id, d, f.id, (), None, (), tolerance,
-                                 _settings(spec, nodes)),
-                        passed=True,
-                        skipped=(((), f"original {f.id} (sigma0 >= 0) "
-                                      f"incompatible with type-2 row"),)))
                     continue
                 images, skipped = build_sample_grid(pair, d, f, nodes)
 

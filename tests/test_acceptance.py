@@ -114,7 +114,7 @@ def test_criterion_4_symmetric_special_form():
     for k in (0.0, 0.5, 1.0, 2.0):
         for s in (0.5, 1.0, 2.0, complex(1.0, 0.5)):
             q = cmath.sqrt(s * s + k * k)
-            a = EXP1.fhat.eval(q) / q
+            a = EXP1.fhat(q) / q
             b = eval_fl(row, 2, EXP1, k, complex(s))
             algebra_worst = max(algebra_worst, abs(a - b) / max(abs(b), 1e-300))
     elapsed = time.perf_counter() - start

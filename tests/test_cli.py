@@ -57,6 +57,16 @@ def test_verify_constraint_violation(capsys):
     assert "no admissible" in err
 
 
+@pytest.mark.parametrize("original", ["exp_decay:-1", "exp_decay:0", "sine:0"])
+def test_verify_growing_original_on_type2_row_is_refused(capsys, original):
+    # a type-2 row admits only decaying originals: nothing would be compared
+    code, out, err = run(capsys, "verify", "--pair", "2.1", "--dim", "2",
+                         "--f", original)
+    assert code == 2
+    assert "no admissible" in err and original in err
+    assert out == ""
+
+
 def test_verify_two_parameter_catalog_ids(capsys):
     # a comma followed by a digit separates parameters, not ids
     code, out, err = run(capsys, "verify", "--pair", "2.1", "--dim", "2",

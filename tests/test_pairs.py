@@ -97,20 +97,32 @@ def test_catalog_contents():
 
 def test_catalog_closed_form_values():
     assert catalog_lookup("exp_decay:1").f.eval(0.0) == 1.0
-    assert catalog_lookup("exp_decay:1").fhat.eval(1.0) == pytest.approx(0.5)
-    assert catalog_lookup("unit").fhat.eval(2.0) == pytest.approx(0.5)
-    assert catalog_lookup("poly_exp:1,1").fhat.eval(1.0) == pytest.approx(0.25)
+    assert catalog_lookup("exp_decay:1").fhat(1.0) == pytest.approx(0.5)
+    assert catalog_lookup("unit").fhat(2.0) == pytest.approx(0.5)
+    assert catalog_lookup("poly_exp:1,1").fhat(1.0) == pytest.approx(0.25)
 
 
 def test_catalog_images_match_numeric_transform():
-    # TestOriginal invariant: forward_laplace(f, s) = fhat(s) to 1e-9
-    for entry in catalog_list():
+    # TestOriginal invariant: forward_laplace(f, s) = fhat(s) to 1e-9 on the
+    # real axis, and to 1e-12 where Talbot contours pass: left of sigma0,
+    # just above image_pole_height (rotated-ray continuation)
+    entries = catalog_list() + [catalog_lookup("sine:-2"),
+                                catalog_lookup("sine:3")]
+    for entry in entries:
         for s in (0.5, 1.0, 3.0):
             if s <= entry.f.sigma0 + 0.1:
                 continue
             got = forward_laplace(entry.f, s, SPEC)
-            want = entry.fhat.eval(s)
+            want = entry.fhat(s)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), entry.id
+        for left in (0.5, 1.5):
+            for sign in (1.0, -1.0):
+                s = complex(entry.f.sigma0 - left,
+                            sign * (entry.image_pole_height + 1.0))
+                got = forward_laplace(entry.f, s, SPEC)
+                want = entry.fhat(s)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), \
+                    (entry.id, s)
 
 
 def test_catalog_unknown():

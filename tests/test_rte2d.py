@@ -5,7 +5,7 @@ import math
 import pytest
 
 from fltrans import rte2d
-from fltrans.laplace import LaplaceError, forward_laplace, sqrt_s2k2
+from fltrans.laplace import LaplaceError, sqrt_s2k2
 from fltrans.numerics import DomainError, QuadratureSpec
 from fltrans.rte2d import (
     IntensityValue,
@@ -15,7 +15,6 @@ from fltrans.rte2d import (
     fl_greens_avg,
     fl_intensity,
     intensity,
-    resolvent_original_scaled,
     verify_rte_mixed,
 )
 
@@ -82,18 +81,6 @@ def test_fl_intensity_energy_pole_structure():
 def test_fl_intensity_pole_error():
     with pytest.raises(PoleError):
         fl_intensity(UNIT, 0.0, 0.0)
-
-
-def test_resolvent_original():
-    res = resolvent_original_scaled(TransportParams())
-    assert res.atom_weight == 1.0 and res.atom_location == 0.0
-    assert res.eval(1.0) == pytest.approx(math.e, rel=1e-14)
-    got = forward_laplace(res, 2.0, SPEC)
-    assert got.real == pytest.approx(2.0, rel=1e-10)  # s/(s-1) at s=2
-
-    scaled = resolvent_original_scaled(TransportParams(2.0, 1.0, 1.0))
-    assert scaled.eval(0.0) == pytest.approx(2.0)
-    assert scaled.sigma0 == 2.0
 
 
 def test_pair_machinery_cross_check():
