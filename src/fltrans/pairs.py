@@ -237,9 +237,15 @@ def make_pair_15(a: float) -> PairDescriptor:
     )
 
 
+def _edge_distance(r: float, t: float) -> float:
+    # q = sqrt(t^2 - r^2) as sqrt((t - r)(t + r)): t - r is exact near the
+    # light cone r -> t, where t*t - r*r cancels
+    return math.sqrt((t - r) * (t + r))
+
+
 def _pair_21() -> PairDescriptor:
     def pref(r, t, d):
-        q = math.sqrt(t * t - r * r)
+        q = _edge_distance(r, t)
         return (2.0 * math.pi) ** (-0.5 * d) * (t + q) ** (1 - 0.5 * d) / q
 
     return PairDescriptor(
@@ -247,7 +253,7 @@ def _pair_21() -> PairDescriptor:
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
         st_prefactor=pref,
-        st_argument=lambda r, t: math.sqrt(t * t - r * r),
+        st_argument=_edge_distance,
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
         fl_psi=_retarded_psi,
@@ -304,12 +310,18 @@ def _pair_24() -> PairDescriptor:
     # check int f != int f * w/(t+w), so the registry stores the two-branch
     # form with phi = (s^2 + k^2)/(2 s), which passes mixed-domain
     # verification in d = 1, 2, 3.
+    # The minus root is computed as u_- = r^2/(t + q), q = sqrt(t^2 - r^2),
+    # since t - q cancels near the origin.
+    def root_minus(r, t):
+        return r * r / (t + _edge_distance(r, t))
+
     def pref_minus(r, t, d):
-        q = math.sqrt(t * t - r * r)
-        return (2.0 * math.pi) ** (-0.5 * d) * (t - q) ** (1 - 0.5 * d) / q
+        q = _edge_distance(r, t)
+        u = r * r / (t + q)
+        return (2.0 * math.pi) ** (-0.5 * d) * u ** (1 - 0.5 * d) / q
 
     def pref_plus(r, t, d):
-        q = math.sqrt(t * t - r * r)
+        q = _edge_distance(r, t)
         return (2.0 * math.pi) ** (-0.5 * d) * (t + q) ** (1 - 0.5 * d) / q
 
     return PairDescriptor(
@@ -317,7 +329,7 @@ def _pair_24() -> PairDescriptor:
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
         st_prefactor=pref_minus,
-        st_argument=lambda r, t: t - math.sqrt(t * t - r * r),
+        st_argument=root_minus,
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
         fl_psi=lambda k, s, d: s ** (-0.5 * d),
@@ -327,7 +339,7 @@ def _pair_24() -> PairDescriptor:
         fl_text="s^(-d/2) * F((s^2+k^2)/(2s))",
         note="two argument roots inside the cone (corrected two-branch row)",
         st_prefactor_2=pref_plus,
-        st_argument_2=lambda r, t: t + math.sqrt(t * t - r * r),
+        st_argument_2=lambda r, t: t + _edge_distance(r, t),
         type_one=False,
     )
 

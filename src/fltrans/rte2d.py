@@ -72,7 +72,7 @@ class IntensityValue:
 
 def _smooth(p: TransportParams, ct: float, damping: float, r: float) -> float:
     """Smooth part of i at radius r < c t, damping e^(-c t/ell)."""
-    q = math.sqrt(ct * ct - r * r)
+    q = math.sqrt((ct - r) * (ct + r))  # no cancellation as r -> c t
     return p.A0 / (2.0 * math.pi) * math.exp(q / p.ell) / (p.ell * q) * damping
 
 

@@ -1,6 +1,7 @@
 """Tests for the special-function and quadrature engines."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -225,6 +226,22 @@ def test_adaptive_polynomials_exact():
         res = integrate_adaptive(lambda x, d=deg: x**d, 0.0, 1.0, SPEC)
         assert res.converged
         assert res.value == pytest.approx(1.0 / (deg + 1), rel=1e-14)
+
+
+def test_panel_rule_degrees_on_a_shifted_interval():
+    # K21 is exact for degree <= 31 and its embedded G10 for degree <= 19;
+    # a mistyped node or weight breaks one of these moments
+    a, b = -0.5, 1.5
+    center, halflen = 0.5 * (a + b), 0.5 * (b - a)
+    for j in range(32):
+        exact = float((Fraction(b) ** (j + 1) - Fraction(a) ** (j + 1)) / (j + 1))
+        kronrod, _ = numerics._gk21(lambda x: x**j, a, b)
+        assert abs(kronrod - exact) <= 1e-15 * abs(exact), j
+        if j <= 19:
+            gauss = halflen * sum(
+                wg * ((center - halflen * x) ** j + (center + halflen * x) ** j)
+                for x, _, wg in numerics._GAUSS_NODES)
+            assert abs(gauss - exact) <= 1e-15 * abs(exact), j
 
 
 def test_adaptive_complex_integrand():

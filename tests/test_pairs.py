@@ -160,6 +160,43 @@ def test_eval_spacetime_24_two_branches():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def _light_cone_reference(mpmath, row_id, d, r, t):
+    # rows 2.1 and 2.4 with f(u) = e^{-u} at the float point (r, t), at 50
+    # digits so that t - sqrt(t^2 - r^2) keeps 30 of them at r = 1e-9 t
+    with mpmath.workdps(50):
+        r, t = mpmath.mpf(r), mpmath.mpf(t)
+        q = mpmath.sqrt(t * t - r * r)
+        power = 1 - mpmath.mpf(d) / 2
+        scale = (2 * mpmath.pi) ** (-mpmath.mpf(d) / 2) / q
+        if row_id == "2.1":
+            return scale * (t + q) ** power * mpmath.exp(-q)
+        return sum(scale * u ** power * mpmath.exp(-u) for u in (t - q, t + q))
+
+
+def test_row_24_minus_root_near_the_origin():
+    # u_- = t - sqrt(t^2 - r^2) cancels as r -> 0: it used to raise
+    # ZeroDivisionError at r = 1e-9 and be 33% off at r = 1e-8
+    mpmath = pytest.importorskip("mpmath")
+    row = lookup("2.4")
+    for r in (1e-9, 1e-8, 1e-6):
+        want = _light_cone_reference(mpmath, "2.4", 3, r, 1.0)
+        got = row.spacetime_value(3, EXP1, r, 1.0)
+        assert abs(got - want) <= 1e-15 * abs(want), r
+
+
+def test_light_cone_rows_near_the_edge():
+    # q = sqrt((t - r)(t + r)) keeps its digits at r = t(1 - 1e-8), where
+    # t*t - r*r loses half of them
+    mpmath = pytest.importorskip("mpmath")
+    for row_id in ("2.1", "2.4"):
+        for d in (1, 2, 3):
+            for t in (0.5, 1.0, 3.0):
+                r = t * (1.0 - 1e-8)
+                want = _light_cone_reference(mpmath, row_id, d, r, t)
+                got = lookup(row_id).spacetime_value(d, EXP1, r, t)
+                assert abs(got - want) <= 1e-14 * abs(want), (row_id, d, t)
+
+
 def test_eval_spacetime_dimension_constraint():
     with pytest.raises(ConstraintError):
         eval_spacetime(lookup("1.3"), 2, EXP1, 0.5, 2.0)

@@ -215,6 +215,12 @@ def test_gaussian_at_large_k_is_not_accelerated_to_a_wrong_value():
     assert _gaussian_miss(2, 10.660299995276421) <= 0.0
 
 
+def test_gaussian_panel_over_many_periods_meets_its_estimate():
+    # a G7/K15 panel on [7, 15], about 45 periods of cos(k r), returned
+    # 4.25e-12 with estimate 2.53e-12 here; the truth is about 1e-265
+    assert _gaussian_miss(1, 34.958727140485834) <= 0.0
+
+
 def test_gaussian_seeded_sweep_above_the_oscillatory_wavenumber():
     rng = random.Random(1)
     draws = [(rng.randint(1, 6), rng.uniform(8.0, 40.0)) for _ in range(120)]

@@ -132,6 +132,22 @@ def test_energy_is_the_k0_value_of_the_mixed_lhs(t):
     assert check_energy(p, t, SPEC) == rep.lhs_values[0]
 
 
+def test_smooth_part_near_the_shell():
+    # the edge distance sqrt((ct - r)(ct + r)) keeps its digits at
+    # r = ct(1 - 1e-8), where ct*ct - r*r loses half of them
+    mpmath = pytest.importorskip("mpmath")
+    for p in (UNIT, TransportParams(0.7, 3.0, 2.0)):
+        for t in (0.5, 1.0, 3.0):
+            ct = p.c * t
+            r = ct * (1.0 - 1e-8)
+            got = intensity(p, r, t).smooth
+            with mpmath.workdps(30):
+                q = mpmath.sqrt(mpmath.mpf(ct) ** 2 - mpmath.mpf(r) ** 2)
+                want = (p.A0 / (2 * mpmath.pi) * mpmath.exp(q / p.ell)
+                        / (p.ell * q) * mpmath.exp(-mpmath.mpf(ct) / p.ell))
+            assert abs(got - want) <= 1e-14 * want, (p, t)
+
+
 def test_mixed_lhs_matches_a_30_digit_reference():
     # In the edge distance q = sqrt(t^2 - r^2) the smooth part has a smooth
     # integrand: LHS(k, t) = e^(-t) [J0(k t) + int_0^t J0(k sqrt(t^2 - q^2))

@@ -103,8 +103,10 @@ def test_mixed_rejects_wrong_dimension():
 
 
 def test_unachievable_tolerance_fails_honestly():
+    # 1e-17 is below the relative spacing of doubles (2.2e-16), so only
+    # bit-identical sides could meet it
     rep = verify_pair_mixed("2.1", 2, EXP1, [(1.0, 1.0)], SPEC, 48,
-                            tolerance=1e-15)
+                            tolerance=1e-17)
     assert not rep.passed
 
 
