@@ -2,12 +2,10 @@
 
 The forward transform integrates e^{-s t} f(t) by damped semi-infinite
 quadrature along one ray t = tau e^{i alpha}, the real axis being the
-alpha = 0 ray; on the real axis it switches to the oscillatory engine
-when |Im s| dominates the decay rate, integrating the cos and sin parts
-between their zeros.  Originals that are analytic in a
-sector advertise it through TimeOriginal.eval_complex; for them the ray
-is rotated into the complex t-plane whenever a rotated ray decays faster
-than both the real axis and rate 1.  That computes the analytic continuation of the
+alpha = 0 ray.  Originals that are analytic in a sector advertise it
+through TimeOriginal.eval_complex; for them the ray is rotated into the
+complex t-plane whenever a rotated ray decays faster than both the real
+axis and rate 1.  That computes the analytic continuation of the
 integral, which reaches points left of the growth abscissa (the deep part
 of an inversion contour) and replaces the slowly decaying real-axis
 integrand just right of it.
@@ -37,7 +35,6 @@ from typing import Callable, Optional, Sequence
 from .numerics import (
     DomainError,
     QuadratureSpec,
-    integrate_oscillatory,
     integrate_semi_infinite,
 )
 
@@ -127,29 +124,16 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
     eval_complex the integration ray is rotated into the sector of
     analyticity, returning the analytic continuation, whenever some ray
     decays faster than both the real axis and rate 1, and left of
-    sigma0 + margin whenever some ray decays faster than 0.25.
+    sigma0 + margin whenever some ray decays faster than 0.25.  Otherwise
+    the real axis is integrated as it stands, also at large |Im s|, where
+    the semi-infinite panels resolve the oscillation at the cost of many
+    more evaluations.
     """
     s = complex(s)
     decay = (s - f.sigma0).real
     alpha, ray_decay = (_best_ray(f, s) if f.eval_complex is not None
                         else (0.0, -math.inf))
     if decay > _MARGIN and ray_decay <= max(decay, 1.0):
-        if abs(s.imag) > 10.0 * max(1.0, decay):
-            # heavily oscillatory: the cos and sin parts cell by cell
-            # between their zeros, with series acceleration
-            omega = abs(s.imag)
-            sign = 1.0 if s.imag > 0 else -1.0
-            env = lambda t: math.exp(-s.real * t) * f.eval(t)
-            re_part = integrate_oscillatory(
-                lambda t: env(t) * math.cos(omega * t),
-                lambda n: (n - 0.5) * math.pi / omega, spec)
-            im_part = integrate_oscillatory(
-                lambda t: env(t) * math.sin(omega * t),
-                lambda n: n * math.pi / omega, spec)
-            if not (re_part.converged and im_part.converged):
-                raise LaplaceError(
-                    f"oscillatory forward transform did not converge at s={s}")
-            return complex(re_part.value, -sign * im_part.value)
         # the real axis is the alpha = 0 ray
         evaluate, ray = f.eval, 1.0
     elif f.eval_complex is None:

@@ -3,9 +3,10 @@
 Each entry relates a space-time original P(r, t) f(A(r, t)) Theta(...) to
 its combined Fourier(space)-Laplace(time) image psi(k, s) fhat(phi(k, s)),
 for spherically symmetric functions in d dimensions and an arbitrary
-analytic f with Laplace image fhat.  Rows are stored in reduced form
-(prefactor + argument map + support).  Row 2.1 at d = 2 follows from the
-base Laplace pair J0(k sqrt(t^2 - u^2)) Theta(t - u) <->
+analytic f with Laplace image fhat.  A row states its space-time side as
+one function st_value(r, t, d, f) that writes the product P f(A) once;
+its support is the separate radial_range.  Row 2.1 at d = 2 follows from
+the base Laplace pair J0(k sqrt(t^2 - u^2)) Theta(t - u) <->
 exp(-u sqrt(s^2 + k^2)) / sqrt(s^2 + k^2), integrated against f(u) du;
 verify.verify_base_pair checks that pair, verify.verify_all the row.
 
@@ -14,9 +15,9 @@ fhat a genuinely k-dependent argument.  All square roots and fractional
 powers take principal branches through sqrt_s2k2, so the images evaluate
 correctly on an inversion contour that encloses the branch segment.
 
-Entry 2.4 carries two space-time branches: its argument map
-u(t, r) = t -+ sqrt(t^2 - r^2) has two roots inside the light cone, and
-both contribute.
+Entry 2.4 sums two space-time branches in its st_value: its argument
+map u(t, r) = t -+ sqrt(t^2 - r^2) has two roots inside the light cone,
+and both contribute.
 
 A row also carries what the radial quadrature of its space-time side
 needs.  radial_range(t) = (lo, hi) is the r-support at time t (hi may be
@@ -64,11 +65,11 @@ _EDGE_MARGIN = 1e-3
 class PairDescriptor:
     """One registry row in reduced form.
 
-    st_prefactor/st_argument describe the space-time side
-    prefactor(r, t, d) * f(argument(r, t)) for r in radial_range(t); rows
-    with a second argument branch (entry 2.4) populate st_prefactor_2 and
-    st_argument_2.  substitution and d1_integrable steer the radial
-    quadrature (see the module docstring).  fl_psi/fl_phi describe the
+    st_value(r, t, d, f) is the space-time side P(r, t) * f(A(r, t)) for
+    the scalar original u -> f(u), without support or edge checks; it is
+    meant for r in radial_range(t), and entry 2.4 sums both argument roots
+    in it.  substitution and d1_integrable steer the radial quadrature
+    (see the module docstring).  fl_psi/fl_phi describe the
     Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)); type_one is False
     for type-2 rows, whose argument phi(k, s) depends on k.
     """
@@ -76,8 +77,7 @@ class PairDescriptor:
     id: str
     dim_constraint: Callable[[int], bool]
     dim_note: str
-    st_prefactor: Callable[[float, float, int], float]
-    st_argument: Callable[[float, float], float]
+    st_value: Callable[[float, float, int, Callable[[float], float]], float]
     radial_range: Callable[[float], tuple[float, float]]
     fl_psi: Callable[[float, complex, int], complex]
     fl_phi: Callable[[float, complex], complex]
@@ -87,22 +87,11 @@ class PairDescriptor:
     substitution: str = "none"
     d1_integrable: bool = True
     type_one: bool = True
-    st_prefactor_2: Optional[Callable[[float, float, int], float]] = None
-    st_argument_2: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self) -> None:
         if self.substitution not in SUBSTITUTIONS:
             raise ValueError(f"pair {self.id}: unknown substitution "
                              f"{self.substitution!r}")
-
-    def spacetime_value(self, d: int, f: TestOriginal, r: float,
-                        t: float) -> float:
-        """Both argument branches at (r, t), without support or edge checks."""
-        value = self.st_prefactor(r, t, d) * f.f.eval(self.st_argument(r, t))
-        if self.st_argument_2 is not None:
-            value += self.st_prefactor_2(r, t, d) * f.f.eval(
-                self.st_argument_2(r, t))
-        return value
 
 
 @dataclass(frozen=True)
@@ -136,15 +125,15 @@ def _retarded_psi(k: float, s: complex, d: int) -> complex:
 
 
 def _pair_11() -> PairDescriptor:
-    def pref(r, t, d):
-        return math.pi * sphere_measure(d - 1) / (2.0 * math.pi) ** d / r
+    def value(r, t, d, f):
+        return (math.pi * sphere_measure(d - 1) / (2.0 * math.pi) ** d / r
+                * f(t - r))
 
     return PairDescriptor(
         id="1.1",
         dim_constraint=lambda d: d >= 2,
         dim_note="d >= 2",
-        st_prefactor=pref,
-        st_argument=lambda r, t: t - r,
+        st_value=value,
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         fl_psi=lambda k, s, d: sqrt_s2k2(s, k) ** (1 - d),
@@ -160,8 +149,8 @@ def _pair_12() -> PairDescriptor:
         id="1.2",
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
-        st_prefactor=lambda r, t, d: (2.0 * math.pi * r) ** (-0.5 * d),
-        st_argument=lambda r, t: t - r,
+        st_value=lambda r, t, d, f: (2.0 * math.pi * r) ** (-0.5 * d)
+        * f(t - r),
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         fl_psi=_retarded_psi,
@@ -177,9 +166,8 @@ def _pair_13() -> PairDescriptor:
         id="1.3",
         dim_constraint=lambda d: d != 2,
         dim_note="d != 2",
-        st_prefactor=lambda r, t, d: (0.5 * d - 1.0)
-        / (2.0 * math.pi) ** (0.5 * d) / r ** (0.5 * d + 1.0),
-        st_argument=lambda r, t: t - r,
+        st_value=lambda r, t, d, f: (0.5 * d - 1.0)
+        / (2.0 * math.pi) ** (0.5 * d) / r ** (0.5 * d + 1.0) * f(t - r),
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         d1_integrable=False,
@@ -196,8 +184,7 @@ def _pair_14() -> PairDescriptor:
         id="1.4",
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
-        st_prefactor=lambda r, t, d: math.pi ** (-0.5 * d),
-        st_argument=lambda r, t: t - r * r,
+        st_value=lambda r, t, d, f: math.pi ** (-0.5 * d) * f(t - r * r),
         radial_range=lambda t: (0.0, math.sqrt(t)),
         fl_psi=lambda k, s, d: s ** (-0.5 * d) * cmath.exp(-k * k / (4.0 * s)),
         fl_phi=lambda k, s: complex(s),
@@ -212,9 +199,10 @@ def make_pair_15(a: float) -> PairDescriptor:
     if a < 0.0:
         raise ValueError("entry 1.5 requires a >= 0")
 
-    def pref(r, t, d):
+    def value(r, t, d, f):
         root = math.sqrt(r * r + a * a)
-        return (2.0 * math.pi) ** (-0.5 * d) * (a + root) ** (1 - 0.5 * d) / root
+        return ((2.0 * math.pi) ** (-0.5 * d) * (a + root) ** (1 - 0.5 * d)
+                / root * f(t + a - root))
 
     def psi(k, s, d):
         sq = sqrt_s2k2(s, k)
@@ -224,8 +212,7 @@ def make_pair_15(a: float) -> PairDescriptor:
         id="1.5",
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
-        st_prefactor=pref,
-        st_argument=lambda r, t: t + a - math.sqrt(r * r + a * a),
+        st_value=value,
         radial_range=lambda t: (0.0, math.sqrt(t * t + 2.0 * a * t)),
         fl_psi=psi,
         fl_phi=lambda k, s: complex(s),
@@ -244,16 +231,16 @@ def _edge_distance(r: float, t: float) -> float:
 
 
 def _pair_21() -> PairDescriptor:
-    def pref(r, t, d):
+    def value(r, t, d, f):
         q = _edge_distance(r, t)
-        return (2.0 * math.pi) ** (-0.5 * d) * (t + q) ** (1 - 0.5 * d) / q
+        return ((2.0 * math.pi) ** (-0.5 * d) * (t + q) ** (1 - 0.5 * d) / q
+                * f(q))
 
     return PairDescriptor(
         id="2.1",
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
-        st_prefactor=pref,
-        st_argument=_edge_distance,
+        st_value=value,
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
         fl_psi=_retarded_psi,
@@ -271,9 +258,8 @@ def _pair_22() -> PairDescriptor:
         id="2.2",
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
-        st_prefactor=lambda r, t, d: (2.0 * math.pi) ** (-0.5 * d)
-        * r ** (2 - d) * (2.0 * t) ** (0.5 * d - 2.0),
-        st_argument=lambda r, t: r * r / (4.0 * t),
+        st_value=lambda r, t, d, f: (2.0 * math.pi) ** (-0.5 * d)
+        * r ** (2 - d) * (2.0 * t) ** (0.5 * d - 2.0) * f(r * r / (4.0 * t)),
         radial_range=lambda t: (0.0, math.inf),
         fl_psi=lambda k, s, d: s ** (-0.5 * d),
         fl_phi=lambda k, s: complex(k * k) / s,
@@ -289,9 +275,8 @@ def _pair_23() -> PairDescriptor:
         id="2.3",
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
-        st_prefactor=lambda r, t, d: (2.0 * math.pi) ** (-0.5 * d)
-        * r ** (2 - d) * t ** (0.5 * d - 2.0),
-        st_argument=lambda r, t: (r * r - t * t) / (2.0 * t),
+        st_value=lambda r, t, d, f: (2.0 * math.pi) ** (-0.5 * d)
+        * r ** (2 - d) * t ** (0.5 * d - 2.0) * f((r * r - t * t) / (2.0 * t)),
         radial_range=lambda t: (t, math.inf),
         fl_psi=_retarded_psi,
         fl_phi=lambda k, s: sqrt_s2k2(s, k) - s,
@@ -312,24 +297,18 @@ def _pair_24() -> PairDescriptor:
     # verification in d = 1, 2, 3.
     # The minus root is computed as u_- = r^2/(t + q), q = sqrt(t^2 - r^2),
     # since t - q cancels near the origin.
-    def root_minus(r, t):
-        return r * r / (t + _edge_distance(r, t))
-
-    def pref_minus(r, t, d):
+    def value(r, t, d, f):
         q = _edge_distance(r, t)
-        u = r * r / (t + q)
-        return (2.0 * math.pi) ** (-0.5 * d) * u ** (1 - 0.5 * d) / q
-
-    def pref_plus(r, t, d):
-        q = _edge_distance(r, t)
-        return (2.0 * math.pi) ** (-0.5 * d) * (t + q) ** (1 - 0.5 * d) / q
+        minus, plus = r * r / (t + q), t + q
+        scale = (2.0 * math.pi) ** (-0.5 * d)
+        return (scale * minus ** (1 - 0.5 * d) / q * f(minus)
+                + scale * plus ** (1 - 0.5 * d) / q * f(plus))
 
     return PairDescriptor(
         id="2.4",
         dim_constraint=lambda d: d >= 1,
         dim_note="any d",
-        st_prefactor=pref_minus,
-        st_argument=root_minus,
+        st_value=value,
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
         fl_psi=lambda k, s, d: s ** (-0.5 * d),
@@ -338,8 +317,6 @@ def _pair_24() -> PairDescriptor:
                 " summed over both roots, Theta(t-r)",
         fl_text="s^(-d/2) * F((s^2+k^2)/(2s))",
         note="two argument roots inside the cone (corrected two-branch row)",
-        st_prefactor_2=pref_plus,
-        st_argument_2=lambda r, t: t + _edge_distance(r, t),
         type_one=False,
     )
 
@@ -461,7 +438,7 @@ def _check_dim(pair: PairDescriptor, d: int) -> None:
 
 def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
                    r: float, t: float) -> float:
-    """Space-time side value prefactor(r,t,d) * f(argument(r,t)) on support.
+    """Space-time side value pair.st_value(r, t, d, f) on support.
 
     Zero before t = 0 and outside radial_range(t).  Refuses points on the
     light-cone edge (|t - r| below a small margin) of rows singular there;
@@ -478,7 +455,7 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
     lo, hi = pair.radial_range(t)
     if not lo <= r < hi:
         return 0.0
-    return pair.spacetime_value(d, f, r, t)
+    return pair.st_value(r, t, d, f.f.eval)
 
 
 def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,

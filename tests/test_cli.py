@@ -95,6 +95,17 @@ def test_verify_bad_catalog_parameters_are_config_errors(capsys, original):
     assert "bad parameters" in err
 
 
+@pytest.mark.parametrize("original", ["poly_exp:30,1", "exp_decay:50"])
+def test_verify_catalog_original_whose_image_check_fails(capsys, original):
+    # a well-formed id whose closed-form image cannot be confirmed by the
+    # numeric transform is a configuration error, not a crash
+    code, out, err = run(capsys, "verify", "--pair", "1.2", "--dim", "2",
+                         "--f", original)
+    assert code == 2
+    assert "catalog original" in err and original in err
+    assert out == ""
+
+
 def test_verify_json_report(capsys, tmp_path):
     out_path = tmp_path / "rep.json"
     code, _, _ = run(capsys, "verify", "--pair", "1.4", "--dim", "2",

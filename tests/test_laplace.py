@@ -80,7 +80,7 @@ def test_forward_complex_s():
     assert got == pytest.approx(1.0 / (s + 1.0), rel=1e-10)
 
 
-def test_forward_large_imag_uses_oscillatory_path():
+def test_forward_large_imag_on_the_real_axis():
     # without a complex evaluator no ray can be rotated
     plain = TimeOriginal(lambda t: math.exp(-t), sigma0=-1.0)
     s = complex(0.5, 40.0)
@@ -95,6 +95,17 @@ def test_forward_large_imag_uses_oscillatory_path():
             s = complex(plain.sigma0 + 0.5, im)
             got = forward_laplace(plain, s, SPEC)
             assert got == pytest.approx(entry.fhat(s), rel=1e-12), (oid, s)
+
+
+@pytest.mark.parametrize("a", [10.0, 20.0])
+def test_forward_fuses_an_overflowing_damping_factor(a):
+    # at Re s = -a + 1.1 the factor e^{-s t} alone overflows on the tail of
+    # the real axis; the damped product e^{-(s + a) t} is representable
+    entry = catalog_lookup(f"exp_decay:{a:g}")
+    for shift in (1.1, 2.6):
+        s = entry.f.sigma0 + shift
+        got = forward_laplace(entry.f, s, SPEC)
+        assert got == pytest.approx(1.0 / (s + a), rel=1e-12), s
 
 
 def test_forward_rotated_ray_continuation():

@@ -38,7 +38,10 @@ def test_registry_has_exactly_nine_rows():
 def test_lookup_and_alias():
     assert lookup("2.1").fl_phi(1.0, 2.0) == pytest.approx(math.sqrt(5.0))
     assert lookup("2D-SDT").id == "2.1"
-    assert lookup("1.4").st_argument(2.0, 7.0) == pytest.approx(3.0)
+    # row 1.4's argument t - r^2, read through the identity original
+    row = lookup("1.4")
+    assert row.st_value(2.0, 7.0, 2, lambda u: u) == pytest.approx(
+        3.0 * row.st_value(2.0, 7.0, 2, lambda u: 1.0))
 
 
 def test_lookup_unknown_id():
@@ -78,9 +81,10 @@ def test_pair_15_with_a_zero_degenerates_to_12():
     p12 = lookup("1.2")
     for d in (1, 2, 3):
         for r, t in ((0.5, 2.0), (1.0, 3.0)):
-            assert p15.st_prefactor(r, t, d) == pytest.approx(
-                p12.st_prefactor(r, t, d), rel=1e-12)
-            assert p15.st_argument(r, t) == pytest.approx(p12.st_argument(r, t))
+            # f = 1 compares the prefactors, f(u) = u then the arguments
+            for f in (lambda u: 1.0, lambda u: u):
+                assert p15.st_value(r, t, d, f) == pytest.approx(
+                    p12.st_value(r, t, d, f), rel=1e-12)
         for k, s in ((0.5, 1.0), (2.0, 0.7)):
             assert p15.fl_psi(k, complex(s), d) == pytest.approx(
                 p12.fl_psi(k, complex(s), d), rel=1e-12)
@@ -180,7 +184,7 @@ def test_row_24_minus_root_near_the_origin():
     row = lookup("2.4")
     for r in (1e-9, 1e-8, 1e-6):
         want = _light_cone_reference(mpmath, "2.4", 3, r, 1.0)
-        got = row.spacetime_value(3, EXP1, r, 1.0)
+        got = row.st_value(r, 1.0, 3, EXP1.f.eval)
         assert abs(got - want) <= 1e-15 * abs(want), r
 
 
@@ -193,7 +197,7 @@ def test_light_cone_rows_near_the_edge():
             for t in (0.5, 1.0, 3.0):
                 r = t * (1.0 - 1e-8)
                 want = _light_cone_reference(mpmath, row_id, d, r, t)
-                got = lookup(row_id).spacetime_value(d, EXP1, r, t)
+                got = lookup(row_id).st_value(r, t, d, EXP1.f.eval)
                 assert abs(got - want) <= 1e-14 * abs(want), (row_id, d, t)
 
 
