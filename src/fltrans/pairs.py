@@ -24,10 +24,11 @@ needs.  radial_range(t) = (lo, hi) is the r-support at time t (hi may be
 inf).  substitution names the change of variable that regularizes the
 row's integrable singularity, one of radial_fourier.SUBSTITUTIONS:
 "none"; "origin", r = w^2, for fractional powers of r at r = 0;
-"light_cone", r = t sin(theta), for a 1/sqrt(t^2 - r^2) edge of the
-support (0, t).  d1_integrable says whether the space-time side is
-radially integrable in one dimension.  The verifier reads only these
-fields, so adding a row touches only this module.
+"light_cone" for a side R(r, t)/sqrt(t^2 - r^2) on the support (0, t),
+whose weight 1/sqrt(t^2 - r^2) the quadrature owns: st_value states R.
+d1_integrable says whether the space-time side is radially integrable in
+one dimension.  The verifier reads only these fields, so adding a row
+touches only this module.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable, Optional, Sequence
 
 from .laplace import TimeOriginal, sqrt_s2k2
 from .numerics import DomainError
-from .radial_fourier import SUBSTITUTIONS, sphere_measure
+from .radial_fourier import SUBSTITUTIONS, edge_distance, sphere_measure
 
 
 class UnknownPairError(KeyError):
@@ -68,8 +69,9 @@ class PairDescriptor:
     st_value(r, t, d, f) is the space-time side P(r, t) * f(A(r, t)) for
     the scalar original u -> f(u), without support or edge checks; it is
     meant for r in radial_range(t), and entry 2.4 sums both argument roots
-    in it.  substitution and d1_integrable steer the radial quadrature
-    (see the module docstring).  fl_psi/fl_phi describe the
+    in it; a light_cone row's st_value omits 1/sqrt(t^2 - r^2).
+    substitution and d1_integrable steer the radial quadrature (see the
+    module docstring).  fl_psi/fl_phi describe the
     Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)); type_one is False
     for type-2 rows, whose argument phi(k, s) depends on k.
     """
@@ -224,17 +226,10 @@ def make_pair_15(a: float) -> PairDescriptor:
     )
 
 
-def _edge_distance(r: float, t: float) -> float:
-    # q = sqrt(t^2 - r^2) as sqrt((t - r)(t + r)): t - r is exact near the
-    # light cone r -> t, where t*t - r*r cancels
-    return math.sqrt((t - r) * (t + r))
-
-
 def _pair_21() -> PairDescriptor:
     def value(r, t, d, f):
-        q = _edge_distance(r, t)
-        return ((2.0 * math.pi) ** (-0.5 * d) * (t + q) ** (1 - 0.5 * d) / q
-                * f(q))
+        q = edge_distance(r, t)
+        return (2.0 * math.pi) ** (-0.5 * d) * (t + q) ** (1 - 0.5 * d) * f(q)
 
     return PairDescriptor(
         id="2.1",
@@ -298,11 +293,11 @@ def _pair_24() -> PairDescriptor:
     # The minus root is computed as u_- = r^2/(t + q), q = sqrt(t^2 - r^2),
     # since t - q cancels near the origin.
     def value(r, t, d, f):
-        q = _edge_distance(r, t)
+        q = edge_distance(r, t)
         minus, plus = r * r / (t + q), t + q
-        scale = (2.0 * math.pi) ** (-0.5 * d)
-        return (scale * minus ** (1 - 0.5 * d) / q * f(minus)
-                + scale * plus ** (1 - 0.5 * d) / q * f(plus))
+        power = 1 - 0.5 * d
+        return (2.0 * math.pi) ** (-0.5 * d) * (
+            minus ** power * f(minus) + plus ** power * f(plus))
 
     return PairDescriptor(
         id="2.4",
@@ -438,12 +433,12 @@ def _check_dim(pair: PairDescriptor, d: int) -> None:
 
 def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
                    r: float, t: float) -> float:
-    """Space-time side value pair.st_value(r, t, d, f) on support.
+    """pair.st_value(r, t, d, f) on support, over q for a light_cone row.
 
     Zero before t = 0 and outside radial_range(t).  Refuses points on the
     light-cone edge (|t - r| below a small margin) of rows singular there;
-    quadrature callers integrate across such edges under a substitution
-    instead.
+    quadrature callers integrate across such edges under the weight of
+    the substitution instead.
     """
     _check_dim(pair, d)
     if (pair.substitution == "light_cone"
@@ -455,6 +450,8 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
     lo, hi = pair.radial_range(t)
     if not lo <= r < hi:
         return 0.0
+    if pair.substitution == "light_cone":
+        return pair.st_value(r, t, d, f.f.eval) / edge_distance(r, hi)
     return pair.st_value(r, t, d, f.f.eval)
 
 

@@ -13,8 +13,10 @@ normalization, so the two directions share one integration routine.
 Every radial integral (the transforms, the verifier's space-time hop,
 the radiative transfer chain) integrates one integrand,
 S_d g(r) r^{d-1} ghat_d(k, r): radial_quadrature, which owns the
-edge-singularity substitutions, or, for tails that oscillate many times,
-the oscillatory engine with cells between the zeros of ghat_d.
+edge-singularity substitutions and the light-cone weight, so that g is
+only the regular part (QUADPACK's QAWS convention), or, for tails that
+oscillate many times, the oscillatory engine with cells between the
+zeros of ghat_d.
 """
 
 from __future__ import annotations
@@ -133,37 +135,35 @@ def _integrand(d: int, g: Callable[[float], float],
     return lambda r: sd * g(r) * r ** (d - 1) * kernel_ghat(d, k, r)
 
 
+def edge_distance(r: float, hi: float) -> float:
+    """sqrt(hi^2 - r^2), without the cancellation of hi*hi - r*r at r ~ hi."""
+    return math.sqrt((hi - r) * (hi + r))
+
+
 def radial_quadrature(d: int, g: Callable[[float], float], k: float,
                       lo: float, hi: float, substitution: str,
                       spec: QuadratureSpec) -> IntegralResult:
-    """S_d * integral of g(r) r^{d-1} ghat_d(k, r) over (lo, hi).
+    """S_d * integral of g(r) W(r) r^{d-1} ghat_d(k, r) over (lo, hi).
 
-    substitution names the change of variable that regularizes an
-    integrable edge singularity of g (one of SUBSTITUTIONS): "none";
-    "origin", r = w^2, for fractional powers of r at r = lo = 0;
-    "light_cone", r = lo + (hi - lo) sin(theta), for an inverse square
-    root at r = hi, such as 1/sqrt(hi^2 - r^2).  An infinite hi
-    (substitution "none") goes to the semi-infinite panel engine.
+    substitution (one of SUBSTITUTIONS) regularizes an integrable edge
+    singularity: "none"; "origin", r = w^2, for fractional powers of g at
+    r = lo = 0; both with W = 1.  "light_cone" owns the weight
+    W = 1/sqrt((hi - r)(hi + r - 2 lo)), 1/sqrt(hi^2 - r^2) at lo = 0, so
+    g is the regular part alone: r = lo + (hi - lo) sin(theta) turns
+    W(r) dr into exactly d theta.  An infinite hi (substitution "none")
+    goes to the semi-infinite panel engine.
     """
     if substitution not in SUBSTITUTIONS:
         raise DomainError(f"unknown substitution {substitution!r}")
     plain = _integrand(d, g, k)
     if substitution == "origin":
         # r = w^2 turns fractional powers of r at the origin polynomial
-        def sub(w: float) -> float:
-            r = w * w
-            return plain(r) * 2.0 * w
-
-        return integrate_adaptive(sub, math.sqrt(lo), math.sqrt(hi), spec)
+        return integrate_adaptive(lambda w: plain(w * w) * 2.0 * w,
+                                  math.sqrt(lo), math.sqrt(hi), spec)
     if substitution == "light_cone":
-        # r = lo + (hi - lo) sin(theta) regularizes a 1/sqrt(hi - r) edge;
-        # the Jacobian (hi - lo) cos(theta) is computed from the rounded r,
-        # the same r from which g computes its edge factor
-        def sub(theta: float) -> float:
-            r = lo + (hi - lo) * math.sin(theta)
-            return plain(r) * math.sqrt((hi - r) * (hi + r - 2.0 * lo))
-
-        return integrate_adaptive(sub, 0.0, 0.5 * math.pi, spec)
+        return integrate_adaptive(
+            lambda theta: plain(lo + (hi - lo) * math.sin(theta)),
+            0.0, 0.5 * math.pi, spec)
     if math.isinf(hi):
         return integrate_semi_infinite(plain, lo, spec)
     return integrate_adaptive(plain, lo, hi, spec)

@@ -10,6 +10,10 @@ the light cone:
               + exp(sqrt(c^2 t^2 - r^2)/ell) / (ell sqrt(c^2 t^2 - r^2))
                 * Theta(c t - r) ] * exp(-c t / ell).
 
+The smooth part is R/q, q = sqrt(c^2 t^2 - r^2), with the regular part
+R = A0/(2 pi ell) exp(-r^2/(ell (c t + q))): c t - q = r^2/(c t + q)
+neither cancels nor overflows, as exp(q/ell) does past c t/ell = 709.8.
+
 In the Fourier-Laplace domain the same solution is the resolvent of the
 free propagator gbar(k, s) = 1/sqrt(s^2 + c^2 k^2):
 
@@ -22,8 +26,8 @@ is the ballistic shell; it enters here in closed form, never as a
 Laplace original.  The mixed-domain harness verifies that chain
 numerically.  Its space side is the d = 2 radial transform of i(., t):
 the analytic transform of the shell plus one
-radial_fourier.radial_quadrature of the smooth part under the
-light-cone substitution r = c t sin(theta).  The energy check
+radial_fourier.radial_quadrature of R under the light-cone weight
+1/sqrt(c^2 t^2 - r^2), which the quadrature owns.  The energy check
 is the k = 0 value of the same transform.
 
 The paper-facing convention sets c = 1 in gbar; here the celerity is
@@ -38,11 +42,12 @@ from typing import Optional, Sequence
 
 from .laplace import inverse_laplace, sqrt_s2k2
 from .numerics import DomainError, QuadratureSpec
-from .radial_fourier import QuadratureError, kernel_ghat, radial_quadrature
-from .verify import _HOP_ERRORS, VerificationReport, _compare, _settings
+from .radial_fourier import QuadratureError, edge_distance, kernel_ghat, \
+    radial_quadrature
+from .verify import VerificationReport, _compare, _settings
 
 
-class PoleError(ValueError):
+class PoleError(ArithmeticError):
     """The resolvent denominator vanishes at the requested (k, s)."""
 
 
@@ -70,10 +75,10 @@ class IntensityValue:
     ballistic_weight: float
 
 
-def _smooth(p: TransportParams, ct: float, damping: float, r: float) -> float:
-    """Smooth part of i at radius r < c t, damping e^(-c t/ell)."""
-    q = math.sqrt((ct - r) * (ct + r))  # no cancellation as r -> c t
-    return p.A0 / (2.0 * math.pi) * math.exp(q / p.ell) / (p.ell * q) * damping
+def _smooth(p: TransportParams, ct: float, r: float) -> float:
+    """Regular part R of the smooth part R/sqrt(c^2 t^2 - r^2), r < c t."""
+    damping = math.exp(-r * r / (p.ell * (ct + edge_distance(r, ct))))
+    return p.A0 / (2.0 * math.pi * p.ell) * damping
 
 
 def _transform(p: TransportParams, k: float, t: float,
@@ -81,19 +86,19 @@ def _transform(p: TransportParams, k: float, t: float,
     """d = 2 radial Fourier transform of i(., t) at wavenumber k.
 
     The ballistic atom transforms analytically to A0 ghat_2(k, c t)
-    e^(-c t/ell); the smooth part is one radial quadrature over the light
-    cone (0, c t).
+    e^(-c t/ell); the smooth part is one radial quadrature of its regular
+    part over the light cone (0, c t) under the light-cone weight.
     """
     if not t > 0.0:
         raise DomainError("time must be positive")
     ct = p.c * t
-    damping = math.exp(-ct / p.ell)
-    res = radial_quadrature(2, lambda r: _smooth(p, ct, damping, r), k, 0.0,
-                            ct, "light_cone", spec)
+    res = radial_quadrature(2, lambda r: _smooth(p, ct, r), k, 0.0, ct,
+                            "light_cone", spec)
     if not res.converged:
         raise QuadratureError(
             f"smooth-part transform did not converge at (k,t)=({k},{t})")
-    return p.A0 * kernel_ghat(2, k, ct) * damping + float(res.value)
+    return (p.A0 * kernel_ghat(2, k, ct) * math.exp(-ct / p.ell)
+            + float(res.value))
 
 
 def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
@@ -107,11 +112,10 @@ def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
         raise DomainError(
             f"r = c t = {ct:.6g} sits on the ballistic shell; the pointwise "
             "smooth value is undefined there")
-    damping = math.exp(-ct / p.ell)
-    weight = p.A0 / (2.0 * math.pi) * damping
+    weight = p.A0 / (2.0 * math.pi) * math.exp(-ct / p.ell)
     if r > ct:
         return IntensityValue(0.0, weight)
-    return IntensityValue(_smooth(p, ct, damping, r), weight)
+    return IntensityValue(_smooth(p, ct, r) / edge_distance(r, ct), weight)
 
 
 def fl_greens_avg(p: TransportParams, k: float, s: complex) -> complex:
@@ -161,5 +165,4 @@ def verify_rte_mixed(p: TransportParams, samples: Sequence[tuple],
                                 branch_height=p.c * k))
 
     return _compare("rte2d", 2, "transport-resolvent", samples, sides,
-                    _HOP_ERRORS + (PoleError,), tolerance,
-                    _settings(spec, nodes))
+                    tolerance, _settings(spec, nodes))

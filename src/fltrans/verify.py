@@ -12,8 +12,9 @@ Each side exercises an independent engine and an independent formula, so
 agreement at 1e-6 relative is strong evidence for both the table entry
 and the implementation.  Edge singularities of the space-time sides are
 integrated under the row's substitution in radial_fourier.radial_quadrature
-(r = t sin(theta) at the light cone, r = w^2 at the origin); the matching
-inversion contour is raised above the branch segment |Im s| <= k.
+(r = w^2 at the origin; at the light cone the quadrature owns the weight
+1/sqrt(t^2 - r^2)); the inversion contour is raised above the branch
+segment |Im s| <= k.
 
 verify_all compares at the first 20 grid points (default grid, then the
 extension grid) whose inverted image side clears MAGNITUDE_FLOOR, reusing
@@ -89,20 +90,20 @@ def _rel_error(lhs: float, rhs: float) -> float:
 
 
 def _compare(pair_id: str, dimension: int, test_original: str,
-             samples: Iterable[tuple], sides, errors: tuple,
-             tolerance: float, settings: dict) -> VerificationReport:
+             samples: Iterable[tuple], sides, tolerance: float,
+             settings: dict) -> VerificationReport:
     """Evaluate sides(point) -> (lhs, rhs) at every sample and report.
 
-    An exception of a type in errors is recorded as a failure of its point
-    and fails the report; points are never silently skipped.  A report
-    that compared nothing fails.
+    An exception of a type in _HOP_ERRORS is recorded as a failure of its
+    point and fails the report; points are never silently skipped.  A
+    report that compared nothing fails.
     """
     start = time.perf_counter()
     points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
     for point in map(tuple, samples):
         try:
             lv, rv = sides(point)
-        except errors as exc:
+        except _HOP_ERRORS as exc:
             failures.append((point, str(exc)))
             continue
         points.append(point)
@@ -195,7 +196,7 @@ def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
         pair.id, d, f.id, samples,
         lambda p: (spacetime_transform(pair, d, f, p[0], p[1], spec),
                    fl_inversion(pair, d, f, p[0], p[1], nodes)),
-        _HOP_ERRORS, tolerance, _settings(spec, nodes))
+        tolerance, _settings(spec, nodes))
 
 
 def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
@@ -236,8 +237,7 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
         return float(res.value), math.exp(-u * root) / root
 
     return _compare("base(J0)", 2, "delta-shell",
-                    [(k, u, s) for s in s_grid], sides,
-                    _HOP_ERRORS, tolerance,
+                    [(k, u, s) for s in s_grid], sides, tolerance,
                     _settings(spec, 0))
 
 
@@ -334,7 +334,7 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
                     return spacetime_transform(pair, d, f, *p, spec), rhs
 
                 reports.append(dc_replace(_compare(
-                    pair.id, d, f.id, images, sides, _HOP_ERRORS, tolerance,
+                    pair.id, d, f.id, images, sides, tolerance,
                     _settings(spec, nodes)), skipped=tuple(skipped)))
     return reports
 

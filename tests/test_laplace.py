@@ -237,6 +237,14 @@ def test_roundtrip_poly_exp():
     assert roundtrip_check(POLY11, (1.0,), 48, SPEC) <= 1e-8
 
 
+def test_roundtrip_raises_the_contour_above_the_image_poles():
+    # the poles of sine:1 at s = +-i: on a contour that ignores them the
+    # error was 7.5e-10 at t = 7, and from t = 8 on the shrinking contour
+    # came so near +-i that forward_laplace raised DomainError
+    sine = catalog_lookup("sine:1").f
+    assert roundtrip_check(sine, (6.0, 7.0, 8.0, 10.0), 48, SPEC) <= 1.9e-12
+
+
 def test_roundtrip_zero_original():
     zero = TimeOriginal(lambda t: 0.0, sigma0=0.0,
                         eval_complex=lambda z: 0.0 + 0.0j)

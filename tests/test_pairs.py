@@ -165,13 +165,14 @@ def test_eval_spacetime_24_two_branches():
 
 
 def _light_cone_reference(mpmath, row_id, d, r, t):
-    # rows 2.1 and 2.4 with f(u) = e^{-u} at the float point (r, t), at 50
-    # digits so that t - sqrt(t^2 - r^2) keeps 30 of them at r = 1e-9 t
+    # regular parts (the side times sqrt(t^2 - r^2)) of rows 2.1 and 2.4
+    # with f(u) = e^{-u} at the float point (r, t), at 50 digits so that
+    # t - sqrt(t^2 - r^2) keeps 30 of them at r = 1e-9 t
     with mpmath.workdps(50):
         r, t = mpmath.mpf(r), mpmath.mpf(t)
         q = mpmath.sqrt(t * t - r * r)
         power = 1 - mpmath.mpf(d) / 2
-        scale = (2 * mpmath.pi) ** (-mpmath.mpf(d) / 2) / q
+        scale = (2 * mpmath.pi) ** (-mpmath.mpf(d) / 2)
         if row_id == "2.1":
             return scale * (t + q) ** power * mpmath.exp(-q)
         return sum(scale * u ** power * mpmath.exp(-u) for u in (t - q, t + q))

@@ -148,6 +148,40 @@ def test_smooth_part_near_the_shell():
             assert abs(got - want) <= 1e-14 * want, (p, t)
 
 
+@pytest.mark.parametrize("t", [0.5, 5.0, 800.0])
+def test_intensity_matches_mpmath_at_long_times(t):
+    # e^(q/ell) e^(-ct/ell) overflowed once ct/ell > 709.8; the smooth part
+    # is exp(-r^2/(ell (ct + q)))/q, since ct - q = r^2/(ct + q)
+    mpmath = pytest.importorskip("mpmath")
+    for r in (0.01, 0.25, 0.9 * t):
+        got = intensity(UNIT, r, t).smooth
+        with mpmath.workdps(40):
+            t_, r_ = mpmath.mpf(t), mpmath.mpf(r)
+            q = mpmath.sqrt(t_ * t_ - r_ * r_)
+            want = mpmath.exp(q - t_) / (2 * mpmath.pi * q)
+        assert abs(got - want) <= 1e-13 * want, r
+
+
+def test_energy_conservation_at_long_times():
+    assert abs(check_energy(UNIT, 800.0, SPEC) - 1.0) <= 1e-9
+
+
+def test_pole_error_fails_only_its_point(monkeypatch):
+    # a vanishing resolvent denominator is an ArithmeticError, which the
+    # verifier records against its point
+    original = rte2d.fl_intensity
+
+    def faulty(p, k, s):
+        if k == 2.0:
+            raise PoleError("injected")
+        return original(p, k, s)
+
+    monkeypatch.setattr(rte2d, "fl_intensity", faulty)
+    rep = verify_rte_mixed(UNIT, [(0.5, 1.0), (2.0, 1.0)], SPEC, 48)
+    assert rep.failures == (((2.0, 1.0), "injected"),)
+    assert rep.sample_points == ((0.5, 1.0),) and not rep.passed
+
+
 def test_mixed_lhs_matches_a_30_digit_reference():
     # In the edge distance q = sqrt(t^2 - r^2) the smooth part has a smooth
     # integrand: LHS(k, t) = e^(-t) [J0(k t) + int_0^t J0(k sqrt(t^2 - q^2))

@@ -1,5 +1,6 @@
 """Tests for the mixed-domain verification harness."""
 
+import cmath
 import dataclasses
 import math
 
@@ -241,3 +242,21 @@ def test_arithmetic_error_in_one_hop_fails_only_that_point(monkeypatch, hop, err
     (rep,) = verify_all([2], originals=[EXP1], pair_ids=["1.2"])
     assert rep.failures == (((1.0, 2.0), "injected"),)
     assert len(rep.sample_points) == 19 and not rep.passed
+
+
+def test_branch_point_original_on_the_light_cone_rows():
+    # u^(1/2) e^(-u) has the branch-point image Gamma(3/2)/(s + 1)^(3/2).
+    # Row 2.1 used to fail in d = 1, 2, 3 with "float division by zero":
+    # the node r = t sin(theta) rounded to t and the row divided by
+    # sqrt(t^2 - r^2) = 0, where now the quadrature owns that weight
+    gamma = math.gamma(1.5)
+    half = pairs.TestOriginal(
+        "u^0.5*exp(-u)",
+        TimeOriginal(lambda u: math.sqrt(u) * math.exp(-u), sigma0=-1.0,
+                     eval_complex=lambda z: cmath.sqrt(z) * cmath.exp(-z)),
+        lambda s: gamma / (s + 1.0) ** 1.5)
+    reports = verify_all([1, 2, 3], originals=[half], pair_ids=["2.1", "2.4"])
+    assert len(reports) == 6
+    for rep in reports:
+        assert rep.passed, (rep.pair_id, rep.dimension, rep.failures,
+                            rep.max_rel_error)
