@@ -135,7 +135,7 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
                         else (0.0, -math.inf))
     if decay > _MARGIN and ray_decay <= max(decay, 1.0):
         # the real axis is the alpha = 0 ray
-        evaluate, ray = f.eval, 1.0
+        evaluate, ray, ray_decay = f.eval, 1.0, decay
     elif f.eval_complex is None:
         raise DomainError(
             f"Re s = {s.real:.6g} is not above sigma0 = {f.sigma0:.6g} "
@@ -147,7 +147,14 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
 
     def integrand(tau: float) -> complex:
         z = ray * tau
-        return _damped_product(evaluate(z) * ray, -s * z)
+        value = evaluate(z) * ray
+        # an original that underflowed to 0 under an overflowing damping
+        # factor hides a product that may still exceed e^{-32} ~ 1e-14
+        if value == 0.0 and (s * z).real < -600.0 and ray_decay * tau < 32.0:
+            raise LaplaceError(
+                f"original underflows at t={z} where the damped integrand "
+                "is not negligible")
+        return _damped_product(value, -s * z)
 
     res = integrate_semi_infinite(integrand, 0.0, spec)
     if not res.converged:

@@ -5,11 +5,12 @@ Scalar, pure-Python kernels used by every other module:
 * Bessel functions J_nu for integer and half-integer order (see
   Abramowitz & Stegun ch. 9).  J0 and J1 come from fixed coefficient
   tables (Chebyshev series for x <= 8, modulus-phase polynomials above;
-  within 1.5e-15 of scipy.special.jv), higher integer orders n by upward
-  recurrence from J0 and J1 (x >= n), the power series (x < n, x <= 8)
-  or downward Miller recurrence (8 < x < n), half-integer orders from
-  trigonometric closed forms.  No integer-order call of order <= 8 costs
-  more than a fixed number of operations, whatever x.
+  within 1.5e-15 of scipy.special.jv).  Both order families then share
+  one path from a start pair, (J0, J1) or the closed forms
+  (J_{-1/2}, J_{1/2}): upward recurrence (x >= max(nu, 1)), the
+  normalized ascending series (smaller x <= 8) or Miller's downward
+  recurrence normalized against the start pair (8 < x < nu).  No call of
+  order <= 8 costs more than a fixed number of operations, whatever x.
 * Gamma function wrapper with a strict positive-real domain.
 * Adaptive Gauss-Kronrod (G10/K21, as in QUADPACK's QAGS) quadrature on
   finite intervals.
@@ -78,21 +79,22 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def _bessel_series(nu: float, x: float) -> float:
-    # Ascending series, A&S 9.1.10.  Accurate for x <= 8 at integer order
-    # (roundoff grows like eps * I_nu(x)) and for x < 1 at any order.
-    half = 0.5 * x
-    term = half**nu / math.gamma(nu + 1.0)
-    total = term
+def bessel_series(nu: float, x: float) -> float:
+    """Normalized ascending series S_nu(x) = Gamma(nu + 1) (x/2)^{-nu} J_nu(x).
+
+    S_nu(x) = sum_m (-x^2/4)^m / (m! (nu + 1)_m), A&S 9.1.10, for nu > -1;
+    exactly 1 at x = 0.  Its roundoff grows like eps e^{x^2 / (4 (nu + 1))},
+    so bessel_j sums it only for x < max(nu, 1), x <= 8.  S_nu is also the
+    d-dimensional plane-wave kernel ghat_d at nu = d/2 - 1.
+    """
+    q = -0.25 * x * x
+    total = term = 1.0
     m = 0
-    while True:
+    while abs(term) > 1e-17 * abs(total):
         m += 1
-        term *= -half * half / (m * (nu + m))
+        term *= q / (m * (nu + m))
         total += term
-        if m > 4 and abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            return total
-        if m > 400:  # unreachable for the supported range
-            return total
+    return total
 
 
 # Coefficient tables of J0 and J1, fitted at 50 digits and checked against
@@ -264,64 +266,54 @@ def _bessel_j1(x: float) -> float:
     return x * _chebyshev(_J1X_STEPS, x)
 
 
-def _bessel_upward(n: int, x: float) -> float:
-    # J_n from the table values of J0 and J1 by the upward recurrence
-    # J_{k+1} = (2k/x) J_k - J_{k-1} (A&S 9.1.27), stable for x >= n;
-    # above x = 8 both start values share cos x, sin x and sqrt(x)
+def _start_pair(nu: float, x: float) -> tuple:
+    # (nu0, J_nu0(x), J_{nu0+1}(x)) for the order family of nu: the table J0
+    # and J1 for integer orders, the closed forms J_{-1/2} = c cos x and
+    # J_{1/2} = c sin x, c = sqrt(2/(pi x)) (A&S 10.1.11), for half-integer
+    # ones; above x = 8 the table values share cos x, sin x and sqrt(x)
+    if nu % 1.0:
+        c = math.sqrt(2.0 / (math.pi * x))
+        return -0.5, c * math.cos(x), c * math.sin(x)
     if x <= 8.0:
-        jm, j = _bessel_j0(x), _bessel_j1(x)
-    else:
-        cos_x, sin_x = math.cos(x), math.sin(x)
-        amp = math.sqrt(2.0 / (math.pi * x))
-        jm = amp * _modulus_phase(0, x, cos_x, sin_x)
-        j = amp * _modulus_phase(1, x, cos_x, sin_x)
-    for k in range(1, n):
-        jm, j = j, (2.0 * k / x) * j - jm
+        return 0.0, _bessel_j0(x), _bessel_j1(x)
+    cos_x, sin_x = math.cos(x), math.sin(x)
+    amp = math.sqrt(2.0 / (math.pi * x))
+    return (0.0, amp * _modulus_phase(0, x, cos_x, sin_x),
+            amp * _modulus_phase(1, x, cos_x, sin_x))
+
+
+def _bessel_upward(nu: float, x: float) -> float:
+    # J_nu from the start pair by the upward recurrence
+    # J_{m+1} = (2m/x) J_m - J_{m-1} (A&S 9.1.27), stable for x >= nu
+    m, j, jp = _start_pair(nu, x)
+    while m < nu:
+        m += 1.0
+        j, jp = jp, (2.0 * m / x) * jp - j
     return j
 
 
-def _bessel_miller(n: int, x: float) -> float:
-    # Downward recurrence normalized by J0 + 2 sum J_{2k} = 1 (A&S 9.1.46),
-    # stable for all x; used for 8 < x < n, where the series loses digits
-    # and the upward recurrence is unstable.
-    start = int(x + 16 + 10.0 * math.sqrt(x + 1.0))
-    if start % 2:
-        start += 1
-    jp = 0.0
-    j = 1e-30
-    norm = 0.0
-    out = None
-    for m in range(start, 0, -1):
-        jm = (2.0 * m / x) * j - jp
-        jp, j = j, jm
+def _bessel_miller(nu: float, x: float) -> float:
+    # Miller's algorithm (DLMF 3.6): the downward recurrence
+    # J_{m-1} = (2m/x) J_m - J_{m+1}, stable for all x, run from far above
+    # max(x, nu) down to the start orders (nu0, nu0 + 1) and scaled by least
+    # squares against the start pair, which is never near zero in both
+    # entries.  Used for 8 < x < nu, where the series loses digits and the
+    # upward recurrence is unstable.
+    nu0, a, b = _start_pair(nu, x)
+    top = max(x, nu)
+    m = nu0 + int(top + 16.0 + 10.0 * math.sqrt(top + 1.0))
+    jp, j = 0.0, 1e-30
+    out = 0.0
+    while m > nu0:
+        jp, j = j, (2.0 * m / x) * j - jp
+        m -= 1.0
+        if m == nu:
+            out = j
         if abs(j) > 1e10:
             j *= 1e-10
             jp *= 1e-10
-            norm *= 1e-10
-            if out is not None:
-                out *= 1e-10
-        if m - 1 == n:
-            out = j
-        if (m - 1) % 2 == 0 and m - 1 > 0:
-            norm += j
-    norm = 2.0 * norm + j
-    return (out if out is not None else j) / norm
-
-
-def _bessel_half_trig(nu: float, x: float) -> float:
-    # Closed trigonometric forms J_{-1/2}, J_{1/2} plus upward recurrence
-    # (A&S 10.1.1, 10.1.11 in spherical form).  Used for x >= 1 where the
-    # recurrence is stable for the low orders supported here.
-    c = math.sqrt(2.0 / (math.pi * x))
-    jm = c * math.cos(x)
-    j = c * math.sin(x)
-    if nu == -0.5:
-        return jm
-    order = 0.5
-    while order < nu - 0.25:
-        jm, j = j, (2.0 * order / x) * j - jm
-        order += 1.0
-    return j
+            out *= 1e-10
+    return out * (a * j + b * jp) / (j * j + jp * jp)
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -331,12 +323,13 @@ def bessel_j(order: float, x: float) -> float:
     a Chebyshev series in x^2 for x <= 8 and the modulus-phase form with
     polynomial P and Q in 64/x^2 above, so a call costs the same at any x;
     their absolute error against scipy.special.jv is below 1.5e-15 on
-    [0, 8] and below 1e-15 above.  Integer orders n >= 2 use the upward
-    recurrence from the table J0 and J1 for x >= n (error ~1e-15, checked
-    from x = n up to x = 1e5 for n <= 12), the ascending power series for
-    x < n, x <= 8 (error ~3e-16 there) and, for 8 < x < n, the
-    normalized downward (Miller) recurrence.  Half-integer orders use the
-    closed trigonometric forms (series below x = 1 to avoid cancellation).
+    [0, 8] and below 1e-15 above.  Every other order nu takes one path,
+    whichever its family, from a start pair (J0, J1 from the tables for
+    integer orders, the closed forms of J_{-1/2}, J_{1/2} for half-integer
+    ones): the upward recurrence for x >= max(nu, 1), the ascending series
+    (bessel_series) for smaller x <= 8, and Miller's downward recurrence,
+    normalized against the start pair, for 8 < x < nu.  Against scipy
+    orders 2 to 60 and 1.5 to 59.5 agree to 1e-14 absolute on (0, 60].
     """
     if not 0.0 <= x < math.inf:  # also refuses NaN
         raise DomainError(f"bessel_j requires finite x >= 0, got {x}")
@@ -344,23 +337,18 @@ def bessel_j(order: float, x: float) -> float:
         return _bessel_j0(x)
     if order == 1 or order == -1:  # J_{-1} = -J_1
         return order * _bessel_j1(x)
-    n = round(order)
-    if abs(order - n) < 1e-12 and order >= -1.0:
-        if n < 2:  # an order within 1e-12 of -1, 0 or 1
-            return bessel_j(n, x)
-        if x >= n:
-            return _bessel_upward(n, x)
-        if x <= 8.0:
-            return _bessel_series(float(n), x)
-        return _bessel_miller(n, x)
-    doubled = 2.0 * order
-    if abs(doubled - round(doubled)) > 1e-12 or order < -1.0:
+    nu = 0.5 * round(2.0 * order)
+    if abs(order - nu) > 1e-12 or nu < -1.0:
         raise DomainError(f"unsupported Bessel order {order}")
+    if nu in (-1.0, 0.0, 1.0):  # an order within 1e-12 of a table order
+        return bessel_j(nu, x)
     if x == 0.0:
-        return math.inf if order < 0.0 else 0.0
-    if x < 1.0:
-        return _bessel_series(order, x)
-    return _bessel_half_trig(order, x)
+        return math.inf if nu < 0.0 else 0.0
+    if x >= nu and x >= 1.0:
+        return _bessel_upward(nu, x)
+    if x <= 8.0:
+        return (0.5 * x) ** nu / math.gamma(nu + 1.0) * bessel_series(nu, x)
+    return _bessel_miller(nu, x)
 
 
 def bessel_j_zero(order: float, n: int) -> float:

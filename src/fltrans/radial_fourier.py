@@ -31,6 +31,7 @@ from .numerics import (
     QuadratureSpec,
     bessel_j,
     bessel_j_zero,
+    bessel_series,
     gamma_fn,
     integrate_adaptive,
     integrate_oscillatory,
@@ -112,20 +113,12 @@ def kernel_ghat(dim: Dimension | int, k: float, x: float) -> float:
             z2 = z * z
             return 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0)
         return math.sin(z) / z
-    # general dimension: Gamma(d/2) (z/2)^{1-d/2} J_{d/2-1}(z)
-    if z < 0.5:
-        # ascending series of the normalized kernel, exact limit 1 at z = 0
-        total = 0.0
-        term = 1.0
-        m = 0
-        while True:
-            total += term
-            m += 1
-            term *= -(z * z / 4.0) / (m * (0.5 * d + m - 1.0))
-            if abs(term) < 1e-18:
-                return total
+    # general dimension: Gamma(d/2) (z/2)^{1-d/2} J_{d/2-1}(z), which is the
+    # normalized series S_{d/2-1}(z) itself where bessel_j would sum that
     nu = 0.5 * d - 1.0
-    return gamma_fn(0.5 * d) * (0.5 * z) ** (1.0 - 0.5 * d) * bessel_j(nu, z)
+    if z < nu and z <= 8.0:
+        return bessel_series(nu, z)
+    return gamma_fn(0.5 * d) * (0.5 * z) ** -nu * bessel_j(nu, z)
 
 
 def _integrand(d: int, g: Callable[[float], float],

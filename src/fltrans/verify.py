@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Optional, Sequence
 
-from .laplace import LaplaceError, inverse_laplace
+from .laplace import LaplaceError, forward_laplace, inverse_laplace
 from .numerics import DomainError, QuadratureSpec, integrate_semi_infinite
 from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, _check_dim, \
     catalog_list, eval_fl, lookup, registry_rows
@@ -164,8 +164,6 @@ def fl_inversion(pair: PairDescriptor, d: int, f: TestOriginal,
 def _assert_catalog_image(f: TestOriginal, spec: QuadratureSpec) -> None:
     # TestOriginal invariant, asserted once per run: the closed-form image
     # must match the numeric transform to 1e-9 above sigma0
-    from .laplace import forward_laplace
-
     for s in (f.f.sigma0 + 1.1, f.f.sigma0 + 2.6):
         try:
             got = forward_laplace(f.f, s, spec)

@@ -108,6 +108,17 @@ def test_forward_fuses_an_overflowing_damping_factor(a):
         assert got == pytest.approx(1.0 / (s + a), rel=1e-12), s
 
 
+@pytest.mark.parametrize("a", [50.0, 200.0, 1000.0])
+def test_forward_refuses_an_original_that_underflows_too_early(a):
+    # at Re s = -a + 1.1, e^{-a t} underflows to 0 where e^{-(s + a) t} is
+    # still above 1e-14; the dropped tail made the value wrong (0.5087 for
+    # 1/(s + a) = 0.9091 at a = 1000), so the transform must raise instead
+    from fltrans.laplace import LaplaceError
+    entry = catalog_lookup(f"exp_decay:{a:g}")
+    with pytest.raises(LaplaceError, match="underflows"):
+        forward_laplace(entry.f, entry.f.sigma0 + 1.1, SPEC)
+
+
 def test_forward_rotated_ray_continuation():
     # left of sigma0 the quadrature diverges on the real axis, but the
     # analytic continuation 1/(s+1) is reachable by ray rotation

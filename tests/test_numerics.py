@@ -176,6 +176,26 @@ def test_low_orders_never_take_the_downward_recurrence(monkeypatch):
             assert abs(bessel_j(n, 50.0 * (1e6 / 50.0) ** (i / 40.0))) <= 1.0
 
 
+def test_both_order_families_match_scipy_on_zero_to_sixty():
+    # one path for integer orders 2..60 and half-integer orders 1.5..59.5:
+    # upward recurrence, series and Miller's recurrence all within 2e-14
+    # absolute of scipy on (0, 60]
+    special = pytest.importorskip("scipy.special")
+    xs = [1e-6, 1e-3, 0.05, 0.5] + [0.2 * i for i in range(1, 301)]
+    for n in range(2, 61):
+        for nu in (float(n), n - 0.5):
+            for x in xs:
+                err = abs(bessel_j(nu, x) - float(special.jv(nu, x)))
+                assert err <= 2e-14, (nu, x)
+
+
+def test_miller_starts_above_the_requested_order():
+    # J_60(9) is 1.34e-43; a recurrence started below order 60 returned
+    # J0(9) = -0.0903 instead
+    assert bessel_j(60, 9.0) == pytest.approx(
+        1.342813628309903768e-43, rel=1e-12)
+
+
 # --- gamma_fn ---------------------------------------------------------------
 
 def test_gamma_values():

@@ -60,6 +60,19 @@ def test_kernel_d4_small_argument_series_matches_bessel():
         assert kernel_ghat(4, 1.0, z) == pytest.approx(expected, abs=1e-13)
 
 
+def test_kernel_general_dimensions_match_scipy():
+    # ghat_d(z) = Gamma(d/2) (z/2)^{1-d/2} J_{d/2-1}(z) for d = 4..41 on
+    # [0, 60], with scipy's J as the oracle; 5e-14 absolute
+    special = pytest.importorskip("scipy.special")
+    for d in range(4, 42):
+        for i in range(301):
+            z = 0.2 * i
+            want = 1.0 if z == 0.0 else (
+                math.gamma(0.5 * d) * (0.5 * z) ** (1.0 - 0.5 * d)
+                * float(special.jv(0.5 * d - 1.0, z)))
+            assert abs(kernel_ghat(d, 1.0, z) - want) <= 5e-14, (d, z)
+
+
 def test_forward_gaussian_dc():
     # d=2 Gaussian at k=0: polar-coordinates oracle 2 pi
     assert forward(Dimension(2), GAUSSIAN, 0.0, SPEC) == pytest.approx(
