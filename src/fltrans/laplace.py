@@ -126,7 +126,7 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
     decays faster than both the real axis and rate 1, and left of
     sigma0 + margin whenever some ray decays faster than 0.25.  Otherwise
     the real axis is integrated as it stands, also at large |Im s|, where
-    the semi-infinite panels resolve the oscillation at the cost of many
+    the geometric cells resolve the oscillation at the cost of many
     more evaluations.
     """
     s = complex(s)

@@ -14,10 +14,9 @@ Scalar, pure-Python kernels used by every other module:
 * Gamma function wrapper with a strict positive-real domain.
 * Adaptive Gauss-Kronrod (G10/K21, as in QUADPACK's QAGS) quadrature on
   finite intervals.
-* Semi-infinite quadrature by geometrically growing panels.
-* Oscillatory semi-infinite quadrature of a whole integrand: integration
-  between consecutive zeros of its oscillating factor plus Wynn epsilon
-  acceleration of the partial sums.
+* Semi-infinite quadrature by one cell loop: geometric cells for decaying
+  integrands, cells between the zeros of the oscillating factor for
+  oscillatory ones, with Wynn epsilon acceleration while cells alternate.
 
 All functions are pure and reentrant; the dataclasses are frozen, so
 values may be shared freely across threads.
@@ -497,10 +496,10 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralR
             return IntegralResult(total, total_err, total_err <= tol, evals)
         _, _, ca, cb, cval, cerr = heapq.heappop(cells)
         mid = 0.5 * (ca + cb)
-        if mid <= ca or mid >= cb:  # interval exhausted at machine resolution
-            count += 1
-            heapq.heappush(cells, (0.0, count, ca, cb, cval, cerr))
-            continue
+        if mid <= ca or mid >= cb:
+            # the worst cell is exhausted at machine resolution (QUADPACK's
+            # ier = 3); a NaN integrand ends here too
+            return IntegralResult(total, total_err, False, evals)
         lval, lerr = _gk21(f, ca, mid)
         rval, rerr = _gk21(f, mid, cb)
         evals += 42
@@ -512,55 +511,8 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralR
         heapq.heappush(cells, (-rerr, count, mid, cb, rval, rerr))
 
 
-# tail-magnitude cutoff of the semi-infinite panels
-_TRUNCATION_THRESHOLD = 1e-14
-
-
-def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult:
-    """Integral of a decaying f over (a, inf) by geometric panels.
-
-    Successive panels double in width (capped at 64) and are handed to
-    integrate_adaptive; the scan stops once two consecutive panel
-    contributions fall below tolerance.  |f| must eventually decay below
-    _TRUNCATION_THRESHOLD and keep decaying (caller contract).
-    """
-    total = 0.0  # promotes to complex automatically for complex integrands
-    total_err = 0.0
-    evals = 0
-    lo = a
-    width = 1.0
-    small_streak = 0
-    prev_mag = math.inf
-    grow_streak = 0
-    for _ in range(100):
-        hi = lo + width
-        part = integrate_adaptive(f, lo, hi, spec)
-        evals += part.evaluations
-        total += part.value
-        total_err += part.error_estimate
-        mag = abs(part.value)
-        tol = max(_TRUNCATION_THRESHOLD, spec.abs_tol,
-                  spec.rel_tol * abs(total))
-        if mag <= tol:
-            small_streak += 1
-            if small_streak >= 2:
-                return IntegralResult(total, total_err + mag, True, evals)
-        else:
-            small_streak = 0
-        if mag > prev_mag * 1.2:
-            grow_streak += 1
-            if grow_streak >= 4:  # tail is not decaying: caller contract broken
-                return IntegralResult(total, total_err + mag, False, evals)
-        else:
-            grow_streak = 0
-        prev_mag = mag
-        lo = hi
-        width = min(2.0 * width, 64.0)
-    return IntegralResult(total, total_err + prev_mag, False, evals)
-
-
 # ---------------------------------------------------------------------------
-# Oscillatory integrals: zero-partitioned cells + Wynn epsilon acceleration
+# Semi-infinite integrals: one cell loop, Wynn epsilon on alternating sums
 # ---------------------------------------------------------------------------
 
 def _wynn_epsilon(sums):
@@ -593,52 +545,74 @@ def _wynn_epsilon(sums):
     return best
 
 
-# cells past the first before acceleration gives up
+# cells past the first before a semi-infinite integral is reported unconverged
 _OSCILLATION_CELLS = 200
+
+
+def _integrate_cells(f, a: float, edge, spec: QuadratureSpec) -> IntegralResult:
+    """Sum of integrate_adaptive over the cells (a, edge(1)), (edge(1), edge(2)), ...
+
+    The error estimate sums the cell estimates (QUADPACK's convention).  The
+    sum stops on two consecutive negligible cells, on one cell below the
+    roundoff of the total, or when two successive Wynn epsilon extrapolations
+    of the partial sums agree.  Extrapolation is tried only while the two
+    newest cells alternate in sign, the sequences it is made for; on a
+    same-sign tail that has not yet peaked, two equal extrapolations prove
+    nothing.
+    """
+    hi = edge(1)  # a cell's upper edge is the next cell's lower one
+    first = integrate_adaptive(f, a, hi, spec)
+    evals = first.evaluations
+    total = part = first.value
+    cell_err = first.error_estimate
+    sums = [total]
+    prev_accel = None
+    for c in range(_OSCILLATION_CELLS):
+        prev = part
+        lo, hi = hi, edge(c + 2)
+        res = integrate_adaptive(f, lo, hi, spec)
+        part = res.value
+        evals += res.evaluations
+        total += part
+        cell_err += res.error_estimate
+        sums.append(total)
+        tol = 0.1 * max(spec.abs_tol, spec.rel_tol * abs(total))
+        if c >= 1 and (abs(part) <= 5e-16 * abs(total)
+                       or abs(part) <= tol and abs(prev) <= tol):
+            return IntegralResult(total, abs(part) + cell_err, True, evals)
+        if (part * prev.conjugate()).real >= 0.0:  # not alternating
+            prev_accel = None
+        elif len(sums) >= 6:
+            accel = _wynn_epsilon(sums[-24:])
+            if math.isfinite(abs(accel)):  # the sums may be complex
+                if prev_accel is not None:
+                    delta = abs(accel - prev_accel)
+                    if delta <= max(spec.abs_tol, spec.rel_tol * abs(accel)):
+                        return IntegralResult(accel, delta + cell_err, True, evals)
+                prev_accel = accel
+    best = total if prev_accel is None else prev_accel
+    return IntegralResult(best, abs(best - total) + abs(part) + cell_err, False, evals)
+
+
+def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult:
+    """Integral of a decaying f over (a, inf) by geometric cells.
+
+    The cells end at a + 1, 3, 7, ..., 63 and then every 64; a tail that
+    does not decay is reported through converged=False.
+    """
+    def edge(n: int) -> float:
+        x = a  # widths 1, 2, 4, ..., 64, 64, ... added in order
+        for m in range(n):
+            x += min(2.0 ** m, 64.0)
+        return x
+
+    return _integrate_cells(f, a, edge, spec)
 
 
 def integrate_oscillatory(f, zero, spec: QuadratureSpec) -> IntegralResult:
     """Integral of f(x) over (0, inf), cell by cell between oscillation zeros.
 
     zero(n) is the n-th positive zero (n >= 1, increasing in n) of the
-    oscillating factor of f.  f is integrated over (0, zero(1)) and then
-    between consecutive zeros, and the alternating partial-sum sequence is
-    accelerated with the Wynn epsilon algorithm, which handles the slowly
-    decaying envelopes of inverse radial transforms.  Convergence of the
-    raw sums (fast-decaying envelopes) is also accepted directly.
+    oscillating factor of f; the cells alternate, so Wynn's epsilon applies.
     """
-    # each zero is computed once: a cell's upper zero is the next cell's
-    # lower one
-    hi = zero(1)
-    first = integrate_adaptive(f, 0.0, hi, spec)
-    evals = first.evaluations
-    total = first.value
-    cell_err = first.error_estimate
-    sums = [total]
-    prev_accel = None
-    for c in range(_OSCILLATION_CELLS):
-        lo, hi = hi, zero(c + 2)
-        part = integrate_adaptive(f, lo, hi, spec)
-        evals += part.evaluations
-        total += part.value
-        cell_err = max(cell_err, part.error_estimate)
-        sums.append(total)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        # raw convergence: two consecutive negligible cells
-        if c >= 1 and abs(part.value) <= 0.1 * tol and abs(sums[-2] - sums[-3]) <= 0.1 * tol:
-            return IntegralResult(total, abs(part.value) + cell_err, True, evals)
-        # machine-level convergence of the raw sums
-        if c >= 1 and abs(part.value) <= 5e-16 * abs(total):
-            return IntegralResult(total, abs(part.value) + cell_err, True, evals)
-        if len(sums) >= 6:
-            accel = _wynn_epsilon(sums[-24:])
-            if prev_accel is not None and math.isfinite(accel):
-                delta = abs(accel - prev_accel)
-                atol = max(spec.abs_tol, spec.rel_tol * abs(accel))
-                if delta <= atol:
-                    return IntegralResult(accel, delta + cell_err, True, evals)
-            if math.isfinite(accel):
-                prev_accel = accel
-    best = prev_accel if prev_accel is not None else total
-    gap = abs(best - total)
-    return IntegralResult(best, gap + cell_err, False, evals)
+    return _integrate_cells(f, 0.0, zero, spec)

@@ -44,9 +44,9 @@ class QuadratureError(RuntimeError):
 
 
 # above this wavenumber an exponentially decaying tail still spans many
-# kernel oscillations, and zero-partitioned acceleration beats truncation;
-# Gaussian tails stay on panels, because Wynn's epsilon stalls on their
-# super-geometric partial sums
+# kernel oscillations, and Wynn-accelerated cells between the kernel's
+# zeros beat geometric cells; Gaussian tails stay on geometric cells,
+# because Wynn's epsilon stalls on their super-geometric partial sums
 _OSC_WAVENUMBER = 8.0
 
 # changes of variable radial_quadrature applies at an edge singularity
@@ -60,8 +60,7 @@ class Dimension:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.d}")
+        _dimension(self.d)
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,8 @@ class RadialProfile:
     The transforms integrate eval over (0, inf).  decay_class in
     {"exponential", "gaussian", "algebraic"} selects the semi-infinite
     strategy: algebraic tails, and exponential tails at k >= 8, go
-    through the oscillatory engine, everything else through plain panel
-    truncation.
+    through the oscillatory engine, everything else through geometric
+    cells (integrate_semi_infinite).
     """
 
     eval: Callable[[float], float]
@@ -83,11 +82,17 @@ class RadialProfile:
             raise DomainError(f"unknown decay_class {self.decay_class!r}")
 
 
+def _dimension(dim: Dimension | int) -> int:
+    # d of a Dimension or an integral number >= 1; 2.5 is refused, not truncated
+    d = dim.d if isinstance(dim, Dimension) else dim
+    if not (d >= 1 and d % 1 == 0):  # also refuses NaN and inf
+        raise DomainError(f"dimension must be an integer >= 1, got {d}")
+    return int(d)
+
+
 def sphere_measure(dim: Dimension | int) -> float:
     """Measure S_d = 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
-    d = dim.d if isinstance(dim, Dimension) else int(dim)
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
+    d = _dimension(dim)
     return 2.0 * math.pi ** (0.5 * d) / gamma_fn(0.5 * d)
 
 
@@ -98,9 +103,9 @@ def kernel_ghat(dim: Dimension | int, k: float, x: float) -> float:
     singularity handled analytically).  Dimensions 1-3 dispatch to the
     closed forms cos, J0 and sinc.
     """
-    d = dim.d if isinstance(dim, Dimension) else int(dim)
-    if d < 1:
-        raise DomainError("dimension must be >= 1")
+    d = dim.d if isinstance(dim, Dimension) else dim
+    if not (d >= 1 and d % 1 == 0):  # _dimension's test, inline on a hot path
+        raise DomainError(f"dimension must be an integer >= 1, got {d}")
     z = k * x
     if z < 0.0:
         raise DomainError("kernel argument must be nonnegative")
@@ -144,7 +149,7 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
     W = 1/sqrt((hi - r)(hi + r - 2 lo)), 1/sqrt(hi^2 - r^2) at lo = 0, so
     g is the regular part alone: r = lo + (hi - lo) sin(theta) turns
     W(r) dr into exactly d theta.  An infinite hi (substitution "none")
-    goes to the semi-infinite panel engine.
+    goes to integrate_semi_infinite.
     """
     if substitution not in SUBSTITUTIONS:
         raise DomainError(f"unknown substitution {substitution!r}")

@@ -81,19 +81,38 @@ def _smooth(p: TransportParams, ct: float, r: float) -> float:
     return p.A0 / (2.0 * math.pi * p.ell) * damping
 
 
+def _light_cone_radius(p: TransportParams, t: float) -> float:
+    """c t, for a time t > 0 at which c^2 t^2 - r^2 stays finite."""
+    ct = p.c * t
+    if not (t > 0.0 and math.isfinite(ct * ct)):
+        raise DomainError(
+            f"time must be positive with c^2 t^2 finite, got t = {t:g} at "
+            f"c = {p.c:g}")
+    return ct
+
+
 def _transform(p: TransportParams, k: float, t: float,
                spec: QuadratureSpec) -> float:
     """d = 2 radial Fourier transform of i(., t) at wavenumber k.
 
     The ballistic atom transforms analytically to A0 ghat_2(k, c t)
     e^(-c t/ell); the smooth part is one radial quadrature of its regular
-    part over the light cone (0, c t) under the light-cone weight.
+    part over the light cone (0, c t) under the light-cone weight.  Since
+    R <= A0/(2 pi ell) exp(-r^2/(2 ell c t)) underflows past
+    r = 40 sqrt(ell c t), a light cone wider than that is integrated only
+    up to it; the weight is regular there, so R/q goes under substitution
+    "none".  Without the cut, at c t/ell = 1e8 no node of the first
+    light-cone panel lands where R is not negligible.
     """
-    if not t > 0.0:
-        raise DomainError("time must be positive")
-    ct = p.c * t
-    res = radial_quadrature(2, lambda r: _smooth(p, ct, r), k, 0.0, ct,
-                            "light_cone", spec)
+    ct = _light_cone_radius(p, t)
+    cut = 40.0 * math.sqrt(p.ell * ct)
+    if cut < ct:
+        res = radial_quadrature(
+            2, lambda r: _smooth(p, ct, r) / edge_distance(r, ct), k, 0.0,
+            cut, "none", spec)
+    else:
+        res = radial_quadrature(2, lambda r: _smooth(p, ct, r), k, 0.0, ct,
+                                "light_cone", spec)
     if not res.converged:
         raise QuadratureError(
             f"smooth-part transform did not converge at (k,t)=({k},{t})")
@@ -103,11 +122,9 @@ def _transform(p: TransportParams, k: float, t: float,
 
 def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
     """Closed-form i(r, t) away from the shell r = c t."""
-    if not t > 0.0:
-        raise DomainError("time must be positive")
-    if r < 0.0:
-        raise DomainError("radius must be nonnegative")
-    ct = p.c * t
+    ct = _light_cone_radius(p, t)
+    if not 0.0 <= r < math.inf:  # also refuses NaN
+        raise DomainError(f"radius must be finite and nonnegative, got {r}")
     if abs(r - ct) <= 1e-9 * max(1.0, ct):
         raise DomainError(
             f"r = c t = {ct:.6g} sits on the ballistic shell; the pointwise "

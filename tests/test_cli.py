@@ -95,7 +95,7 @@ def test_verify_bad_catalog_parameters_are_config_errors(capsys, original):
     assert "bad parameters" in err
 
 
-@pytest.mark.parametrize("original", ["poly_exp:30,1", "exp_decay:50"])
+@pytest.mark.parametrize("original", ["exp_decay:50"])
 def test_verify_catalog_original_whose_image_check_fails(capsys, original):
     # a well-formed id whose closed-form image cannot be confirmed by the
     # numeric transform is a configuration error, not a crash
@@ -159,6 +159,15 @@ def test_rte_rejects_shell_point(capsys):
     code, _, err = run(capsys, "rte", "--t", "1", "--r", "1")
     assert code != 0
     assert "ballistic shell" in err
+
+
+@pytest.mark.parametrize("t, r", [("1", "nan"), ("1", "inf"), ("inf", "0.5")])
+def test_rte_refuses_non_finite_input(capsys, t, r):
+    # r = nan printed nan with exit 0; t = inf was called a shell point
+    code, out, err = run(capsys, "rte", "--t", t, "--r", r)
+    assert code == 2
+    assert out == ""
+    assert "must be" in err and "ballistic shell" not in err
 
 
 def test_rte_requires_params(capsys):

@@ -119,6 +119,18 @@ def test_forward_refuses_an_original_that_underflows_too_early(a):
         forward_laplace(entry.f, entry.f.sigma0 + 1.1, SPEC)
 
 
+@pytest.mark.parametrize("n", [20, 30, 40])
+@pytest.mark.parametrize("shift", [1.1, 2.6])
+def test_forward_transform_of_a_late_peaking_original(n, shift):
+    # t^n e^{-t} e^{-s t} peaks at t = n/(s + 1), far past the first cells;
+    # the image check of every verify run transforms at sigma0 + 1.1, 2.6
+    entry = catalog_lookup(f"poly_exp:{n},1")
+    s = entry.f.sigma0 + shift
+    got = forward_laplace(entry.f, s, SPEC)
+    assert got == pytest.approx(math.factorial(n) / (s + 1.0) ** (n + 1),
+                                rel=1e-12)
+
+
 def test_forward_rotated_ray_continuation():
     # left of sigma0 the quadrature diverges on the real axis, but the
     # analytic continuation 1/(s+1) is reachable by ray rotation

@@ -1,6 +1,7 @@
 """Tests for the special-function and quadrature engines."""
 
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,19 @@ def test_adaptive_honest_failure():
     assert not res.converged
 
 
+def test_adaptive_nan_integrand_returns_unconverged():
+    # every heap comparison with a NaN key is false, so bisection ends on a
+    # cell exhausted at machine resolution; that cell must stop the loop
+    # (QUADPACK's ier = 3) rather than be pushed back forever
+    results = []
+    worker = threading.Thread(target=lambda: results.append(
+        integrate_adaptive(lambda x: math.nan, 0.0, 1.0, SPEC)), daemon=True)
+    worker.start()
+    worker.join(timeout=30.0)
+    assert results, "integrate_adaptive did not return within 30 s"
+    assert not results[0].converged
+
+
 def test_adaptive_invariant_on_convergence():
     res = integrate_adaptive(lambda x: math.sin(3 * x) ** 2, 0.0, 4.0, SPEC)
     assert res.converged
@@ -309,6 +323,17 @@ def test_semi_infinite_shifted_start():
     res = integrate_semi_infinite(lambda x: math.exp(-2 * x), 1.0, SPEC)
     assert res.converged
     assert res.value == pytest.approx(math.exp(-2.0) / 2.0, rel=1e-12)
+
+
+def test_semi_infinite_integrand_that_peaks_late():
+    # x^30 e^{-1.1 x} rises over the first cells and peaks at x = 27; the
+    # same-sign partial sums must not be extrapolated (Wynn's epsilon would
+    # call them converged near 8e11)
+    res = integrate_semi_infinite(lambda x: x ** 30 * math.exp(-1.1 * x),
+                                  0.0, SPEC)
+    assert res.converged
+    assert res.value == pytest.approx(math.factorial(30) / 1.1 ** 31,
+                                      rel=1e-12)
 
 
 def test_semi_infinite_flags_non_decay():

@@ -32,6 +32,18 @@ def test_sphere_measures():
     assert sphere_measure(Dimension(1)) == pytest.approx(2.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("d", [2.5, 3.9, 0, -1, math.nan, math.inf])
+def test_non_integral_dimensions_are_refused(d):
+    # int(d) used to truncate: kernel_ghat(2.5, 1, 1) was ghat_2, and
+    # sphere_measure(3.9) was S_3
+    with pytest.raises(DomainError, match="dimension"):
+        kernel_ghat(d, 1.0, 1.0)
+    with pytest.raises(DomainError, match="dimension"):
+        sphere_measure(d)
+    with pytest.raises(DomainError, match="dimension"):
+        Dimension(d)
+
+
 def test_kernel_closed_form_values():
     assert kernel_ghat(2, 1.0, 0.0) == 1.0
     assert kernel_ghat(1, math.pi, 1.0) == pytest.approx(-1.0, rel=1e-14)

@@ -1,6 +1,7 @@
 """Tests for the 2-D radiative transfer solution."""
 
 import math
+import threading
 
 import pytest
 
@@ -164,6 +165,32 @@ def test_intensity_matches_mpmath_at_long_times(t):
 
 def test_energy_conservation_at_long_times():
     assert abs(check_energy(UNIT, 800.0, SPEC) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [1e8, 1e10, 1e15])
+def test_energy_conservation_at_very_long_times(t):
+    # R peaks within r ~ sqrt(2 ell c t), far inside a light cone whose
+    # first panel nodes all missed it: 7.4e-250 at c t/ell = 1e8, 0.0 at 1e10
+    assert abs(check_energy(UNIT, t, SPEC) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [1e200, 1e300])
+def test_energy_past_a_representable_light_cone(t):
+    # sqrt(c^2 t^2 - r^2) overflows: the energy must be right or refused,
+    # never 0.0, and within seconds (t = 1e300 once spun in the quadrature)
+    outcome = []
+
+    def energy():
+        try:
+            outcome.append(check_energy(UNIT, t, SPEC))
+        except DomainError:
+            outcome.append(None)
+
+    worker = threading.Thread(target=energy, daemon=True)
+    worker.start()
+    worker.join(timeout=30.0)
+    assert outcome, "check_energy did not return within 30 s"
+    assert outcome[0] is None or abs(outcome[0] - 1.0) <= 1e-9
 
 
 def test_pole_error_fails_only_its_point(monkeypatch):
