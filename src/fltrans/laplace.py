@@ -16,7 +16,9 @@ Inversion uses the fixed Talbot contour of Abate & Valko (2004),
 
 with the radius scaled as r = 0.30 * 2 * nodes / (5 t).  The radius
 factor 0.30 keeps the e^{r t} roundoff amplification small enough
-that doubling the node count still buys two orders of magnitude.
+that doubling the node count still buys two orders of magnitude.  The
+node angles, their cotangents and the contour weights 1 + i sigma(theta)
+depend on the node count alone and are tabulated once per count.
 
 Branch convention: sqrt_s2k2(s, k) continues sqrt(s^2 + k^2) from the
 positive real axis into the plane cut along the segment [-ik, +ik], which
@@ -28,6 +30,7 @@ the left half-plane.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -168,6 +171,22 @@ _NODE_EXPONENT_FLOOR = -60.0
 _RADIUS_FACTOR = 0.30
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _talbot_nodes(nodes: int) -> tuple:
+    """(theta, cot theta, 1 + i sigma(theta)) for the nodes j = 1 .. nodes-1.
+
+    theta = j pi / nodes and sigma(theta) = theta + (theta cot theta - 1)
+    cot theta; the table depends on nodes alone, so each count is built once.
+    """
+    table = []
+    for j in range(1, nodes):
+        theta = j * math.pi / nodes
+        cot = math.cos(theta) / math.sin(theta)
+        sigma = theta + (theta * cot - 1.0) * cot
+        table.append((theta, cot, complex(1.0, sigma)))
+    return tuple(table)
+
+
 def inverse_laplace(image: Callable[[complex], complex], t: float,
                     nodes: int = 48, *, branch_height: float = 0.0) -> float:
     """Fixed-Talbot inversion of the Laplace image s -> F(s) at time t > 0.
@@ -177,7 +196,9 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     accuracy improves geometrically in `nodes` for images analytic off the
     negative real axis.  branch_height raises the contour so that
     singularities with |Im s| up to that height stay enclosed (the sqrt
-    branch segment of transform-pair images).
+    branch segment of transform-pair images).  The angles, cotangents and
+    weights of the nodes come from a table built once per node count; only
+    the radius and the image values change from call to call.
 
     Non-finite image values on the contour abort with LaplaceError.
     """
@@ -190,17 +211,16 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     if not (math.isfinite(f0.real) and math.isfinite(f0.imag)):
         raise LaplaceError(f"image not finite at contour base s={r}")
     total = 0.5 * cmath.exp(r * t) * f0
-    for j in range(1, nodes):
-        theta = j * math.pi / nodes
-        cot = math.cos(theta) / math.sin(theta)
-        s = r * theta * complex(cot, 1.0)
+    for theta, cot, weight in _talbot_nodes(nodes):
+        # s = r theta (cot theta + i), formed without a complex product
+        r_theta = r * theta
+        s = complex(r_theta * cot, r_theta)
         if (s * t).real < _NODE_EXPONENT_FLOOR:
             continue
         fs = complex(image(s))
         if not (math.isfinite(fs.real) and math.isfinite(fs.imag)):
             raise LaplaceError(f"image not finite at contour node s={s}")
-        sigma = theta + (theta * cot - 1.0) * cot
-        total += (cmath.exp(s * t) * fs * complex(1.0, sigma)).real
+        total += (cmath.exp(s * t) * fs * weight).real
     return (r / nodes) * total.real
 
 

@@ -16,7 +16,9 @@ S_d g(r) r^{d-1} ghat_d(k, r): radial_quadrature, which owns the
 edge-singularity substitutions and the light-cone weight, so that g is
 only the regular part (QUADPACK's QAWS convention), or, for tails that
 oscillate many times, the oscillatory engine with cells between the
-zeros of ghat_d.
+zeros of ghat_d.  Each integral resolves its kernel once, to a function
+of kx alone, so the quadrature nodes pay no dispatch on d; kernel_ghat is
+the checked pointwise form of the same kernel.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .numerics import (
     DomainError,
     IntegralResult,
     QuadratureSpec,
+    _bessel_j0,
     bessel_j,
     bessel_j_zero,
     bessel_series,
@@ -96,41 +99,58 @@ def sphere_measure(dim: Dimension | int) -> float:
     return 2.0 * math.pi ** (0.5 * d) / gamma_fn(0.5 * d)
 
 
+def _sinc(z: float) -> float:
+    if z < 1e-4:
+        z2 = z * z
+        return 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0)
+    return math.sin(z) / z
+
+
+def _kernel(d: int) -> Callable[[float], float]:
+    """The one-argument kernel z -> ghat_d at z = kx >= 0, for an integer d >= 1.
+
+    The dispatch on d happens here, once per integral, not at every
+    quadrature node: cos, the table J0 and sinc in one, two and three
+    dimensions, otherwise Gamma(d/2) (z/2)^{1-d/2} J_{d/2-1}(z) with nu and
+    Gamma(d/2) computed once.  The argument is not checked.
+    """
+    if d == 1:
+        return math.cos
+    if d == 2:
+        return _bessel_j0
+    if d == 3:
+        return _sinc
+    nu = 0.5 * d - 1.0
+    scale = gamma_fn(0.5 * d)
+
+    def general(z: float) -> float:
+        # the normalized series S_{d/2-1}(z) itself where bessel_j would sum it
+        if z < nu and z <= 8.0:
+            return bessel_series(nu, z)
+        return scale * (0.5 * z) ** -nu * bessel_j(nu, z)
+
+    return general
+
+
 def kernel_ghat(dim: Dimension | int, k: float, x: float) -> float:
     """Directionally averaged plane-wave kernel ghat_d(k, x).
 
-    Depends on the product kx only; the kx -> 0 limit is 1 (removable
-    singularity handled analytically).  Dimensions 1-3 dispatch to the
-    closed forms cos, J0 and sinc.
+    Depends on the product kx only, which must be finite and >= 0; the
+    kx -> 0 limit is 1 (removable singularity handled analytically).
+    Dimensions 1-3 dispatch to the closed forms cos, J0 and sinc.
     """
-    d = dim.d if isinstance(dim, Dimension) else dim
-    if not (d >= 1 and d % 1 == 0):  # _dimension's test, inline on a hot path
-        raise DomainError(f"dimension must be an integer >= 1, got {d}")
+    d = _dimension(dim)
     z = k * x
-    if z < 0.0:
-        raise DomainError("kernel argument must be nonnegative")
-    if d == 1:
-        return math.cos(z)
-    if d == 2:
-        return bessel_j(0, z)
-    if d == 3:
-        if z < 1e-4:
-            z2 = z * z
-            return 1.0 - z2 / 6.0 * (1.0 - z2 / 20.0)
-        return math.sin(z) / z
-    # general dimension: Gamma(d/2) (z/2)^{1-d/2} J_{d/2-1}(z), which is the
-    # normalized series S_{d/2-1}(z) itself where bessel_j would sum that
-    nu = 0.5 * d - 1.0
-    if z < nu and z <= 8.0:
-        return bessel_series(nu, z)
-    return gamma_fn(0.5 * d) * (0.5 * z) ** -nu * bessel_j(nu, z)
+    if not 0.0 <= z < math.inf:  # also refuses NaN
+        raise DomainError(f"kernel argument must be finite and >= 0, got {z}")
+    return _kernel(d)(z)
 
 
 def _integrand(d: int, g: Callable[[float], float],
                k: float) -> Callable[[float], float]:
     # S_d g(r) r^{d-1} ghat_d(k, r), the integrand of every radial integral
-    sd = sphere_measure(d)
-    return lambda r: sd * g(r) * r ** (d - 1) * kernel_ghat(d, k, r)
+    sd, kern, e = sphere_measure(d), _kernel(d), d - 1
+    return lambda r: sd * g(r) * r ** e * kern(k * r)
 
 
 def edge_distance(r: float, hi: float) -> float:
@@ -148,23 +168,43 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
     r = lo = 0; both with W = 1.  "light_cone" owns the weight
     W = 1/sqrt((hi - r)(hi + r - 2 lo)), 1/sqrt(hi^2 - r^2) at lo = 0, so
     g is the regular part alone: r = lo + (hi - lo) sin(theta) turns
-    W(r) dr into exactly d theta.  An infinite hi (substitution "none")
-    goes to integrate_semi_infinite.
+    W(r) dr into exactly d theta.  An infinite hi (substitution "none"
+    only) goes to integrate_semi_infinite.  k must be finite and >= 0 and
+    the range must satisfy 0 <= lo <= hi; both are checked once, before
+    any node, and the kernel is resolved once (_kernel).
     """
     if substitution not in SUBSTITUTIONS:
         raise DomainError(f"unknown substitution {substitution!r}")
-    plain = _integrand(d, g, k)
+    if not 0.0 <= k < math.inf:  # also refuses NaN
+        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
+    if not 0.0 <= lo <= hi:  # also refuses NaN
+        raise DomainError(
+            f"radial range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+    if substitution != "none" and math.isinf(hi):
+        raise DomainError(f"substitution {substitution!r} needs a finite hi")
+    d = _dimension(d)
+    if substitution == "none":
+        plain = _integrand(d, g, k)
+        if math.isinf(hi):
+            return integrate_semi_infinite(plain, lo, spec)
+        return integrate_adaptive(plain, lo, hi, spec)
+    # one closure per substitution, with r(w) or r(theta) folded in; the
+    # product keeps the order of _integrand's, so values match it bit for bit
+    sd, kern, e = sphere_measure(d), _kernel(d), d - 1
     if substitution == "origin":
         # r = w^2 turns fractional powers of r at the origin polynomial
-        return integrate_adaptive(lambda w: plain(w * w) * 2.0 * w,
-                                  math.sqrt(lo), math.sqrt(hi), spec)
-    if substitution == "light_cone":
-        return integrate_adaptive(
-            lambda theta: plain(lo + (hi - lo) * math.sin(theta)),
-            0.0, 0.5 * math.pi, spec)
-    if math.isinf(hi):
-        return integrate_semi_infinite(plain, lo, spec)
-    return integrate_adaptive(plain, lo, hi, spec)
+        def origin(w: float) -> float:
+            r = w * w
+            return sd * g(r) * r ** e * kern(k * r) * 2.0 * w
+
+        return integrate_adaptive(origin, math.sqrt(lo), math.sqrt(hi), spec)
+    width = hi - lo
+
+    def light_cone(theta: float) -> float:
+        r = lo + width * math.sin(theta)
+        return sd * g(r) * r ** e * kern(k * r)
+
+    return integrate_adaptive(light_cone, 0.0, 0.5 * math.pi, spec)
 
 
 def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,

@@ -60,8 +60,10 @@ class TransportParams:
     A0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.c > 0.0 and self.ell > 0.0 and self.A0 > 0.0):
-            raise DomainError("transport parameters must be positive")
+        if not all(0.0 < v < math.inf for v in (self.c, self.ell, self.A0)):
+            raise DomainError("transport parameters must be finite and "
+                              f"positive, got c={self.c}, ell={self.ell}, "
+                              f"A0={self.A0}")
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from typing import Iterable, Optional, Sequence
 from .laplace import LaplaceError, forward_laplace, inverse_laplace
 from .numerics import DomainError, QuadratureSpec, integrate_semi_infinite
 from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, _check_dim, \
-    catalog_list, eval_fl, lookup, registry_rows
-from .radial_fourier import QuadratureError, kernel_ghat, radial_quadrature
+    catalog_list, lookup, registry_rows
+from .radial_fourier import QuadratureError, _kernel, radial_quadrature
 
 REL_FLOOR = 1e-12
 # what one hop of either side may raise at a hard point; such an error
@@ -149,10 +149,18 @@ def fl_inversion(pair: PairDescriptor, d: int, f: TestOriginal,
                  k: float, t: float, nodes: int) -> float:
     """Talbot inversion of the Fourier-Laplace side at time t.
 
-    The contour is raised above both the sqrt branch segment (height k)
-    and the image poles of the original.
+    The image is eval_fl's psi(k, s, d) fhat(phi(k, s)) without its
+    validity check, with the dimension checked once per inversion rather
+    than at every node.  The contour is raised above both the sqrt branch
+    segment (height k) and the image poles of the original.
     """
-    image = lambda s: eval_fl(pair, d, f, k, s, check_validity=False)
+    _check_dim(pair, d)
+    phi, psi, fhat = pair.fl_phi, pair.fl_psi, f.fhat
+
+    def image(s: complex) -> complex:
+        arg = phi(k, s)
+        return psi(k, s, d) * fhat(arg)
+
     return inverse_laplace(image, t, nodes,
                            branch_height=k + f.image_pole_height)
 
@@ -208,10 +216,11 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
     """
     if spec is None:
         spec = QuadratureSpec()
-    if k < 0.0 or u < 0.0:
-        raise DomainError("k and u must be nonnegative")
+    if not (0.0 <= k < math.inf and 0.0 <= u < math.inf):  # also refuses NaN
+        raise DomainError("k and u must be finite and nonnegative")
     if not all(s > 0.0 for s in s_grid):
         raise DomainError("base-pair s grid must be positive")
+    j0 = _kernel(2)
 
     def sides(point: tuple) -> tuple:
         s = point[2]
@@ -222,12 +231,12 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
                     return 0.0
                 return (u * math.sinh(v)
                         * math.exp(-s * u * math.cosh(v))
-                        * kernel_ghat(2, k, u * math.sinh(v)))
+                        * j0(k * (u * math.sinh(v))))
 
             res = integrate_semi_infinite(integrand, 0.0, spec)
         else:
             res = integrate_semi_infinite(
-                lambda t: math.exp(-s * t) * kernel_ghat(2, k, t), 0.0, spec)
+                lambda t: math.exp(-s * t) * j0(k * t), 0.0, spec)
         if not res.converged:
             raise QuadratureError(
                 f"base-pair quadrature did not converge at s={s}")

@@ -170,6 +170,16 @@ def test_rte_refuses_non_finite_input(capsys, t, r):
     assert "must be" in err and "ballistic shell" not in err
 
 
+@pytest.mark.parametrize("flag", ["--c", "--ell", "--A0"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_rte_refuses_non_finite_transport_parameters(capsys, flag, value):
+    # --A0 inf printed inf,inf with exit 0
+    code, out, err = run(capsys, "rte", "--t", "1", "--r", "0.5", flag, value)
+    assert code == 2
+    assert out == ""
+    assert "finite and positive" in err
+
+
 def test_rte_requires_params(capsys):
     code, _, err = run(capsys, "rte", "--r", "1")
     assert code != 0

@@ -272,3 +272,32 @@ def test_roundtrip_zero_original():
     zero = TimeOriginal(lambda t: 0.0, sigma0=0.0,
                         eval_complex=lambda z: 0.0 + 0.0j)
     assert roundtrip_check(zero, (0.5, 1.5), 48, SPEC) == 0.0
+
+
+# --- node table -------------------------------------------------------------------
+
+def _talbot_reference(image, t, nodes, branch_height):
+    # the fixed-Talbot sum with every node quantity computed at its node
+    r = max(0.30 * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
+    total = 0.5 * cmath.exp(r * t) * complex(image(complex(r, 0.0)))
+    for j in range(1, nodes):
+        theta = j * math.pi / nodes
+        cot = math.cos(theta) / math.sin(theta)
+        s = r * theta * complex(cot, 1.0)
+        if (s * t).real < -60.0:
+            continue
+        sigma = theta + (theta * cot - 1.0) * cot
+        total += (cmath.exp(s * t) * complex(image(s))
+                  * complex(1.0, sigma)).real
+    return (r / nodes) * total.real
+
+
+@pytest.mark.parametrize("nodes", [4, 24, 48, 96])
+@pytest.mark.parametrize("t, height", [(1.3, 0.0), (0.7, 40.0)])
+def test_inverse_laplace_node_table_is_bit_identical(nodes, t, height):
+    # height 0: the radius comes from t; height 40: from the branch height,
+    # at every node count, with the deep nodes under the exponent floor
+    for image in (lambda s: 1.0 / (s + 1.0),
+                  lambda s: 1.0 / sqrt_s2k2(s, 40.0)):
+        want = _talbot_reference(image, t, nodes, height)
+        assert inverse_laplace(image, t, nodes, branch_height=height) == want

@@ -273,3 +273,78 @@ def test_exponential_seeded_sweep_on_the_oscillatory_path():
     draws += [(d, k) for d in range(1, 7) for k in (8.0, 16.0, 38.0)]
     misses = [(d, k) for d, k in draws if _exponential_miss(d, k) > 0.0]
     assert misses == []
+
+
+# --- the kernel resolved once per integral ----------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("k, x", [(math.nan, 1.0), (1.0, math.nan),
+                                  (math.inf, 1.0), (1.0, math.inf),
+                                  (math.inf, 0.0), (-1.0, 1.0)])
+def test_kernel_refuses_non_finite_or_negative_arguments(d, k, x):
+    # kx = nan returned nan in d = 1 and 3, and kx = inf raised a bare
+    # ValueError there
+    with pytest.raises(DomainError, match="kernel argument"):
+        kernel_ghat(d, k, x)
+
+
+@pytest.mark.parametrize("substitution", ["none", "origin", "light_cone"])
+@pytest.mark.parametrize("k, lo, hi", [(0.0, -1.0, 1.0), (1.0, -1.0, 1.0),
+                                       (1.0, 2.0, 1.0), (1.0, math.nan, 1.0),
+                                       (math.nan, 0.0, 1.0),
+                                       (math.inf, 0.0, 1.0)])
+def test_radial_quadrature_refuses_bad_input_before_any_node(substitution,
+                                                             k, lo, hi):
+    # a negative lo at k = 0 used to integrate to 0.0 with converged set
+    nodes = []
+
+    def g(r):
+        nodes.append(r)
+        return 1.0
+
+    with pytest.raises(DomainError, match="wavenumber|radial range"):
+        radial_quadrature(2, g, k, lo, hi, substitution, SPEC)
+    assert nodes == []
+
+
+@pytest.mark.parametrize("substitution", ["origin", "light_cone"])
+def test_radial_quadrature_refuses_an_infinite_range_under_a_substitution(
+        substitution):
+    # the nodes reached r = inf and the kernel raised a bare ValueError
+    with pytest.raises(DomainError, match="finite hi"):
+        radial_quadrature(2, lambda r: math.exp(-r), 1.0, 0.0, math.inf,
+                          substitution, SPEC)
+
+
+def _composed_quadrature(d, g, k, lo, hi, substitution):
+    # radial_quadrature's integral with kernel_ghat called at every node and
+    # the substitution wrapped around the plain integrand
+    from fltrans.numerics import integrate_adaptive, integrate_semi_infinite
+    sd = sphere_measure(d)
+    plain = lambda r: sd * g(r) * r ** (d - 1) * kernel_ghat(d, k, r)
+    if substitution == "origin":
+        return integrate_adaptive(lambda w: plain(w * w) * 2.0 * w,
+                                  math.sqrt(lo), math.sqrt(hi), SPEC)
+    if substitution == "light_cone":
+        return integrate_adaptive(
+            lambda theta: plain(lo + (hi - lo) * math.sin(theta)),
+            0.0, 0.5 * math.pi, SPEC)
+    if math.isinf(hi):
+        return integrate_semi_infinite(plain, lo, SPEC)
+    return integrate_adaptive(plain, lo, hi, SPEC)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 24])
+@pytest.mark.parametrize("k", [0.0, 6.5])
+@pytest.mark.parametrize("substitution, g, lo, hi", [
+    ("none", lambda r: math.exp(-r), 0.0, math.inf),
+    ("none", lambda r: math.exp(-r * r), 0.3, 2.5),
+    ("origin", lambda r: r ** -0.5 * math.exp(-r), 0.0, 2.0),
+    ("light_cone", lambda r: math.exp(-r), 0.0, 1.5),
+    ("light_cone", lambda r: 1.0 + r, 0.5, 2.0),
+])
+def test_radial_quadrature_matches_the_kernel_ghat_composition(
+        d, k, substitution, g, lo, hi):
+    # the same value, error estimate and evaluation count, bit for bit
+    got = radial_quadrature(d, g, k, lo, hi, substitution, SPEC)
+    assert got == _composed_quadrature(d, g, k, lo, hi, substitution)

@@ -256,3 +256,11 @@ def test_params_validation():
 def test_intensity_value_causality_fields():
     v = IntensityValue(0.0, 0.1)
     assert v.smooth >= 0.0 and v.ballistic_weight >= 0.0
+
+
+@pytest.mark.parametrize("field", ["c", "ell", "A0"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_params_refuse_non_finite_values(field, value):
+    # A0 = inf used to give an intensity of inf, ell = inf was accepted
+    with pytest.raises(DomainError, match="finite and positive"):
+        TransportParams(**{field: value})
