@@ -332,15 +332,15 @@ def bessel_j(order: float, x: float) -> float:
     """
     if not 0.0 <= x < math.inf:  # also refuses NaN
         raise DomainError(f"bessel_j requires finite x >= 0, got {x}")
-    if order == 0:
-        return _bessel_j0(x)
-    if order == 1 or order == -1:  # J_{-1} = -J_1
-        return order * _bessel_j1(x)
+    if not math.isfinite(order):  # round() refuses NaN and inf
+        raise DomainError(f"unsupported Bessel order {order}")
     nu = 0.5 * round(2.0 * order)
     if abs(order - nu) > 1e-12 or nu < -1.0:
         raise DomainError(f"unsupported Bessel order {order}")
-    if nu in (-1.0, 0.0, 1.0):  # an order within 1e-12 of a table order
-        return bessel_j(nu, x)
+    if nu == 0.0:
+        return _bessel_j0(x)
+    if nu == 1.0 or nu == -1.0:  # J_{-1} = -J_1
+        return nu * _bessel_j1(x)
     if x == 0.0:
         return math.inf if nu < 0.0 else 0.0
     if x >= nu and x >= 1.0:

@@ -26,9 +26,11 @@ row's integrable singularity, one of radial_fourier.SUBSTITUTIONS:
 "none"; "origin", r = w^2, for fractional powers of r at r = 0;
 "light_cone" for a side R(r, t)/sqrt(t^2 - r^2) on the support (0, t),
 whose weight 1/sqrt(t^2 - r^2) the quadrature owns: st_value states R.
-d1_integrable says whether the space-time side is radially integrable in
-one dimension.  The verifier reads only these fields, so adding a row
-touches only this module.
+min_dim is the least dimension of the row: it holds, and its space-time
+side is radially integrable, in every integer d >= min_dim.  admits(d, f)
+states which (dimension, original) pairs the row is verified with.  The
+verifier reads only these fields, so adding a row touches only this
+module.
 """
 
 from __future__ import annotations
@@ -70,15 +72,14 @@ class PairDescriptor:
     the scalar original u -> f(u), without support or edge checks; it is
     meant for r in radial_range(t), and entry 2.4 sums both argument roots
     in it; a light_cone row's st_value omits 1/sqrt(t^2 - r^2).
-    substitution and d1_integrable steer the radial quadrature (see the
-    module docstring).  fl_psi/fl_phi describe the
-    Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)); type_one is False
-    for type-2 rows, whose argument phi(k, s) depends on k.
+    substitution steers the radial quadrature (see the module docstring).
+    fl_psi/fl_phi describe the Fourier-Laplace side
+    psi(k, s, d) * fhat(phi(k, s)); type_one is False for type-2 rows,
+    whose argument phi(k, s) depends on k.  min_dim and admits(d, f)
+    state the row's dimensions and the originals it is verified with.
     """
 
     id: str
-    dim_constraint: Callable[[int], bool]
-    dim_note: str
     st_value: Callable[[float, float, int, Callable[[float], float]], float]
     radial_range: Callable[[float], tuple[float, float]]
     fl_psi: Callable[[float, complex, int], complex]
@@ -87,13 +88,24 @@ class PairDescriptor:
     fl_text: str
     note: str
     substitution: str = "none"
-    d1_integrable: bool = True
+    min_dim: int = 1
     type_one: bool = True
 
     def __post_init__(self) -> None:
         if self.substitution not in SUBSTITUTIONS:
             raise ValueError(f"pair {self.id}: unknown substitution "
                              f"{self.substitution!r}")
+
+    def dim_constraint(self, d: float) -> bool:
+        """Whether d is an integer >= min_dim (refuses NaN and inf)."""
+        return d >= self.min_dim and d % 1 == 0
+
+    def admits(self, d: float, f: TestOriginal) -> bool:
+        """Whether the row is verified in dimension d against original f."""
+        # type-2 arguments phi(k, s) approach 0 or the whole left half-plane on
+        # the contour; originals must decay (sigma0 < 0) for fhat(phi) to stay
+        # pole-free there
+        return self.dim_constraint(d) and (self.type_one or f.f.sigma0 < 0.0)
 
 
 @dataclass(frozen=True)
@@ -133,8 +145,7 @@ def _pair_11() -> PairDescriptor:
 
     return PairDescriptor(
         id="1.1",
-        dim_constraint=lambda d: d >= 2,
-        dim_note="d >= 2",
+        min_dim=2,
         st_value=value,
         radial_range=lambda t: (0.0, t),
         substitution="origin",
@@ -149,8 +160,6 @@ def _pair_11() -> PairDescriptor:
 def _pair_12() -> PairDescriptor:
     return PairDescriptor(
         id="1.2",
-        dim_constraint=lambda d: d >= 1,
-        dim_note="any d",
         st_value=lambda r, t, d, f: (2.0 * math.pi * r) ** (-0.5 * d)
         * f(t - r),
         radial_range=lambda t: (0.0, t),
@@ -166,13 +175,11 @@ def _pair_12() -> PairDescriptor:
 def _pair_13() -> PairDescriptor:
     return PairDescriptor(
         id="1.3",
-        dim_constraint=lambda d: d != 2,
-        dim_note="d != 2",
+        min_dim=3,
         st_value=lambda r, t, d, f: (0.5 * d - 1.0)
         / (2.0 * math.pi) ** (0.5 * d) / r ** (0.5 * d + 1.0) * f(t - r),
         radial_range=lambda t: (0.0, t),
         substitution="origin",
-        d1_integrable=False,
         fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d),
         fl_phi=lambda k, s: complex(s),
         st_text="(d/2-1)/(2*pi)^(d/2) * f(t-r)/r^(d/2+1) * Theta(t-r)",
@@ -184,8 +191,6 @@ def _pair_13() -> PairDescriptor:
 def _pair_14() -> PairDescriptor:
     return PairDescriptor(
         id="1.4",
-        dim_constraint=lambda d: d >= 1,
-        dim_note="any d",
         st_value=lambda r, t, d, f: math.pi ** (-0.5 * d) * f(t - r * r),
         radial_range=lambda t: (0.0, math.sqrt(t)),
         fl_psi=lambda k, s, d: s ** (-0.5 * d) * cmath.exp(-k * k / (4.0 * s)),
@@ -212,8 +217,6 @@ def make_pair_15(a: float) -> PairDescriptor:
 
     return PairDescriptor(
         id="1.5",
-        dim_constraint=lambda d: d >= 1,
-        dim_note="any d",
         st_value=value,
         radial_range=lambda t: (0.0, math.sqrt(t * t + 2.0 * a * t)),
         fl_psi=psi,
@@ -233,8 +236,6 @@ def _pair_21() -> PairDescriptor:
 
     return PairDescriptor(
         id="2.1",
-        dim_constraint=lambda d: d >= 1,
-        dim_note="any d",
         st_value=value,
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
@@ -251,8 +252,6 @@ def _pair_21() -> PairDescriptor:
 def _pair_22() -> PairDescriptor:
     return PairDescriptor(
         id="2.2",
-        dim_constraint=lambda d: d >= 1,
-        dim_note="any d",
         st_value=lambda r, t, d, f: (2.0 * math.pi) ** (-0.5 * d)
         * r ** (2 - d) * (2.0 * t) ** (0.5 * d - 2.0) * f(r * r / (4.0 * t)),
         radial_range=lambda t: (0.0, math.inf),
@@ -268,8 +267,6 @@ def _pair_22() -> PairDescriptor:
 def _pair_23() -> PairDescriptor:
     return PairDescriptor(
         id="2.3",
-        dim_constraint=lambda d: d >= 1,
-        dim_note="any d",
         st_value=lambda r, t, d, f: (2.0 * math.pi) ** (-0.5 * d)
         * r ** (2 - d) * t ** (0.5 * d - 2.0) * f((r * r - t * t) / (2.0 * t)),
         radial_range=lambda t: (t, math.inf),
@@ -301,8 +298,6 @@ def _pair_24() -> PairDescriptor:
 
     return PairDescriptor(
         id="2.4",
-        dim_constraint=lambda d: d >= 1,
-        dim_note="any d",
         st_value=value,
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
@@ -427,8 +422,8 @@ def catalog_lookup(original_id: str) -> TestOriginal:
 
 def _check_dim(pair: PairDescriptor, d: int) -> None:
     if not pair.dim_constraint(d):
-        raise ConstraintError(
-            f"pair {pair.id} requires {pair.dim_note}, got d = {d}")
+        raise ConstraintError(f"pair {pair.id} requires an integer "
+                              f"d >= {pair.min_dim}, got d = {d}")
 
 
 def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
@@ -462,8 +457,11 @@ def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,
     check_validity enforces Re phi > sigma0, the condition under which
     fhat(phi) is literally the Laplace integral of f; inversion contours
     evaluate the closed-form continuation instead and disable the check.
+    The wavenumber k must be finite and >= 0.
     """
     _check_dim(pair, d)
+    if not 0.0 <= k < math.inf:  # also refuses NaN
+        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
     s = complex(s)
     phi = pair.fl_phi(k, s)
     if check_validity and not phi.real > f.f.sigma0:
@@ -482,7 +480,8 @@ def registry_text(rows: Optional[Sequence[PairDescriptor]] = None) -> str:
     """Plain-text listing of the given rows (default: the whole registry)."""
     lines = ["id   dims      Fourier-Laplace side  <->  space-time side"]
     for row in registry_rows() if rows is None else rows:
-        lines.append(f"{row.id}  {row.dim_note:8s}  {row.fl_text}  <->  "
+        dims = "any d" if row.min_dim == 1 else f"d >= {row.min_dim}"
+        lines.append(f"{row.id}  {dims:8s}  {row.fl_text}  <->  "
                      f"{row.st_text}   [{row.note}]")
     return "\n".join(lines)
 

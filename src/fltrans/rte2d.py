@@ -139,8 +139,8 @@ def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
 
 def fl_greens_avg(p: TransportParams, k: float, s: complex) -> complex:
     """Directionally averaged free propagator 1/sqrt(s^2 + c^2 k^2)."""
-    if k < 0.0:
-        raise DomainError("wavenumber must be nonnegative")
+    if not 0.0 <= k < math.inf:  # also refuses NaN
+        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
     s = complex(s)
     value = sqrt_s2k2(s, p.c * k)
     if value == 0.0:

@@ -252,23 +252,8 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
 # whole-registry driver
 # --------------------------------------------------------------------------
 
-def _admissible_dims(pair: PairDescriptor, d_list: Sequence[int]) -> list[int]:
-    return [d for d in d_list
-            if pair.dim_constraint(d) and (d != 1 or pair.d1_integrable)]
-
-
 # rows whose space-time side is verified in one dimension
-D1_VERIFIABLE = tuple(row.id for row in registry_rows()
-                      if _admissible_dims(row, (1,)))
-
-
-def _original_admissible(pair: PairDescriptor, f: TestOriginal) -> bool:
-    # type-2 arguments phi(k, s) approach 0 or the whole left half-plane on
-    # the contour; originals must decay (sigma0 < 0) for fhat(phi) to stay
-    # pole-free there
-    if pair.type_one:
-        return True
-    return f.f.sigma0 < 0.0
+D1_VERIFIABLE = tuple(row.id for row in registry_rows() if row.min_dim == 1)
 
 
 def build_sample_grid(pair: PairDescriptor, d: int, f: TestOriginal,
@@ -312,11 +297,10 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
 
     Every admissible (row, d, original) triple of the requested rows,
     dimensions and originals (default: the catalog) gets one report on
-    the grid of build_sample_grid.  A triple is admissible when the row's
-    constraint admits d, d = 1 only for rows radially integrable there,
-    and, for a type-2 row, when the original decays (sigma0 < 0).
-    Inadmissible triples are dropped, so a request that admits none
-    returns no report.
+    the grid of build_sample_grid.  A triple is admissible when
+    pair.admits(d, f): d is an integer >= the row's min_dim and, for a
+    type-2 row, the original decays (sigma0 < 0).  Inadmissible triples
+    are dropped, so a request that admits none returns no report.
     """
     spec = QuadratureSpec()
     if originals is None:
@@ -328,9 +312,9 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
     reports: list[VerificationReport] = []
     for pid in pair_ids:
         pair = lookup(pid)
-        for d in _admissible_dims(pair, d_list):
+        for d in d_list:
             for f in originals:
-                if not _original_admissible(pair, f):
+                if not pair.admits(d, f):
                     continue
                 images, skipped = build_sample_grid(pair, d, f, nodes)
 

@@ -99,6 +99,19 @@ def test_bessel_domain_errors():
         bessel_j(-2, 1.0)
 
 
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+def test_bessel_non_finite_order_refused(order):
+    with pytest.raises(DomainError, match="unsupported Bessel order"):
+        bessel_j(order, 3.0)
+
+
+def test_orders_near_a_table_order_take_the_table():
+    for x in (0.0, 0.3, 3.0, 17.0):
+        assert bessel_j(1 + 1e-13, x) == bessel_j(1, x)
+        assert bessel_j(-1 - 1e-13, x) == bessel_j(-1, x)
+        assert bessel_j(1e-13, x) == bessel_j(0, x)
+
+
 def test_bessel_zeros():
     assert bessel_j_zero(0.5, 3) == pytest.approx(3 * math.pi, rel=1e-15)
     z1 = bessel_j_zero(0.0, 1)

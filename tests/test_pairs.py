@@ -21,7 +21,7 @@ from fltrans.pairs import (
     registry_text,
 )
 from fltrans.laplace import forward_laplace
-from fltrans.numerics import QuadratureSpec
+from fltrans.numerics import DomainError, QuadratureSpec
 
 SPEC = QuadratureSpec()
 EXP1 = catalog_lookup("exp_decay:1")
@@ -207,6 +207,30 @@ def test_eval_spacetime_dimension_constraint():
         eval_spacetime(lookup("1.3"), 2, EXP1, 0.5, 2.0)
     with pytest.raises(ConstraintError):
         eval_spacetime(lookup("1.1"), 1, EXP1, 0.5, 2.0)
+    with pytest.raises(ConstraintError):
+        eval_spacetime(lookup("1.3"), 1, EXP1, 0.5, 2.0)
+
+
+def test_row_13_holds_from_d_3():
+    assert "1.3  d >= 3  " in registry_text()
+    with pytest.raises(ConstraintError, match=r"requires an integer d >= 3"):
+        eval_fl(lookup("1.3"), 1, EXP1, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [0, 2.5, math.nan, math.inf])
+def test_non_integral_or_nonpositive_dimension_refused(d):
+    for row in registry_rows():
+        with pytest.raises(ConstraintError, match=r"requires an integer d"):
+            eval_fl(row, d, EXP1, 1.0, 1.0)
+        with pytest.raises(ConstraintError):
+            eval_spacetime(row, d, EXP1, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
+def test_eval_fl_refuses_a_wavenumber_not_finite_and_nonnegative(k):
+    for row in registry_rows():
+        with pytest.raises(DomainError, match="wavenumber"):
+            eval_fl(row, 3, EXP1, k, 1.0)
 
 
 def test_eval_spacetime_edge_refused():

@@ -79,6 +79,18 @@ def test_fl_intensity_energy_pole_structure():
     assert fl_intensity(doubled, 0.0, 1.0).real == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
+def test_fl_greens_avg_refuses_a_wavenumber_not_finite_and_nonnegative(k):
+    with pytest.raises(DomainError, match="wavenumber"):
+        fl_greens_avg(UNIT, k, 1.0)
+
+
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
+def test_fl_intensity_refuses_a_wavenumber_not_finite_and_nonnegative(k):
+    with pytest.raises(DomainError, match="wavenumber"):
+        fl_intensity(UNIT, k, 1.0)
+
+
 def test_fl_intensity_pole_error():
     with pytest.raises(PoleError):
         fl_intensity(UNIT, 0.0, 0.0)

@@ -178,9 +178,39 @@ def test_rows_are_integrated_from_their_data_alone():
                                       EXP1, k, t, SPEC)
             assert got == want, (row.id, k, t)
         for f in (EXP1, catalog_lookup("unit")):
-            assert verify._original_admissible(
-                dataclasses.replace(row, id="x"), f) == \
-                verify._original_admissible(row, f), (row.id, f.id)
+            assert dataclasses.replace(row, id="x").admits(d, f) == \
+                row.admits(d, f), (row.id, f.id)
+
+
+def test_admitted_triples_are_pinned(monkeypatch):
+    # 1.1 from d = 2, 1.3 from d = 3, every other row from d = 1; type-2
+    # rows only with the decaying originals (not sine:1 or unit)
+    monkeypatch.setattr(verify, "build_sample_grid", lambda *args: ({}, []))
+    decaying = ("exp_decay:0.5", "exp_decay:1", "exp_decay:2",
+                "poly_exp:1,1", "poly_exp:2,1")
+    every = decaying + ("sine:1", "unit")
+    table = {"1.1": (2, every), "1.2": (1, every), "1.3": (3, every),
+             "1.4": (1, every), "1.5": (1, every), "2.1": (1, decaying),
+             "2.2": (1, decaying), "2.3": (1, decaying),
+             "2.4": (1, decaying)}
+    want = [(pid, d, fid) for pid, (least, fids) in table.items()
+            for d in range(least, 7) for fid in fids]
+    got = [(rep.pair_id, rep.dimension, rep.test_original)
+           for rep in verify_all(range(1, 7))]
+    assert got == want
+    assert sum(1 for _, d, _ in got if d <= 3) == 144
+    assert verify.D1_VERIFIABLE == ("1.2", "1.4", "1.5", "2.1", "2.2",
+                                    "2.3", "2.4")
+
+
+@pytest.mark.parametrize("d", [0, 2.5, math.nan, math.inf])
+def test_non_integral_or_nonpositive_dimension_verifies_nothing(d):
+    row = lookup("1.2")
+    with pytest.raises(pairs.ConstraintError):
+        fl_inversion(row, d, EXP1, 1.0, 1.0, 48)
+    with pytest.raises(pairs.ConstraintError):
+        verify_pair_mixed("1.2", d, EXP1, [(1.0, 1.0)], SPEC)
+    assert verify_all([d]) == []
 
 
 def _decaying(image, scale=1.0):
