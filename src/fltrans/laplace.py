@@ -187,6 +187,11 @@ def _talbot_nodes(nodes: int) -> tuple:
     return tuple(table)
 
 
+def _check_nodes(nodes: int) -> None:
+    if nodes < 4:
+        raise DomainError("at least 4 Talbot nodes are required")
+
+
 def inverse_laplace(image: Callable[[complex], complex], t: float,
                     nodes: int = 48, *, branch_height: float = 0.0) -> float:
     """Fixed-Talbot inversion of the Laplace image s -> F(s) at time t > 0.
@@ -204,8 +209,7 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     """
     if not t > 0.0:
         raise DomainError(f"inversion time must be positive, got {t}")
-    if nodes < 4:
-        raise DomainError("at least 4 Talbot nodes are required")
+    _check_nodes(nodes)
     r = max(_RADIUS_FACTOR * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
     f0 = complex(image(complex(r, 0.0)))
     if not (math.isfinite(f0.real) and math.isfinite(f0.imag)):

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .laplace import inverse_laplace, sqrt_s2k2
+from .laplace import _check_nodes, inverse_laplace, sqrt_s2k2
 from .numerics import DomainError, QuadratureSpec
 from .radial_fourier import QuadratureError, edge_distance, kernel_ghat, \
     radial_quadrature
@@ -176,6 +176,7 @@ def verify_rte_mixed(p: TransportParams, samples: Sequence[tuple],
     """
     if spec is None:
         spec = QuadratureSpec()
+    _check_nodes(nodes)
 
     def sides(point: tuple) -> tuple:
         k, t = point

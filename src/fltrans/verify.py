@@ -29,11 +29,12 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 from typing import Iterable, Optional, Sequence
 
-from .laplace import LaplaceError, forward_laplace, inverse_laplace
-from .numerics import DomainError, QuadratureSpec, integrate_semi_infinite
+from .laplace import LaplaceError, TimeOriginal, _check_nodes, \
+    forward_laplace, inverse_laplace
+from .numerics import DomainError, QuadratureSpec, bessel_j
 from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, _check_dim, \
     catalog_list, lookup, registry_rows
-from .radial_fourier import QuadratureError, _kernel, radial_quadrature
+from .radial_fourier import QuadratureError, radial_quadrature
 
 REL_FLOOR = 1e-12
 # what one hop of either side may raise at a hard point; such an error
@@ -130,8 +131,12 @@ def spacetime_transform(pair: PairDescriptor, d: int, f: TestOriginal,
     """Radial Fourier transform of the space-time side at wavenumber k.
 
     Integrates over the row's radial_range(t) under the row's
-    substitution (radial_fourier.radial_quadrature).
+    substitution (radial_fourier.radial_quadrature).  Refuses a dimension
+    outside the row's and a time that is not finite and positive.
     """
+    _check_dim(pair, d)
+    if not 0.0 < t < math.inf:  # also refuses NaN
+        raise DomainError(f"time must be finite and positive, got {t}")
     lo, hi = pair.radial_range(t)
     # a lambda over names bound once: functools.partial with t bound by
     # keyword builds a kwargs dict per call and costs about 0.5 us more
@@ -197,6 +202,7 @@ def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
     """
     pair = lookup(pair_id)
     _check_dim(pair, d)
+    _check_nodes(nodes)
     _assert_catalog_image(f, spec)
     return _compare(
         pair.id, d, f.id, samples,
@@ -210,8 +216,9 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
                      tolerance: float = 1e-8) -> VerificationReport:
     """Check the base identity behind the proper-time family.
 
-    LHS: one-hop Laplace quadrature of t -> J0(k sqrt(t^2 - u^2)) for
-    t > u (under the substitution t = u cosh(v), which absorbs the edge);
+    LHS: exp(-s u) forward_laplace(g)(s), the time shift of the smooth
+    g(tau) = J0(k sqrt(tau (tau + 2u))) onto J0(k sqrt(t^2 - u^2)) for
+    t > u; a point with s <= 0.1 fails with forward_laplace's DomainError.
     RHS: the closed form exp(-u sqrt(s^2 + k^2))/sqrt(s^2 + k^2).
     """
     if spec is None:
@@ -220,28 +227,14 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
         raise DomainError("k and u must be finite and nonnegative")
     if not all(s > 0.0 for s in s_grid):
         raise DomainError("base-pair s grid must be positive")
-    j0 = _kernel(2)
+    shifted = TimeOriginal(
+        lambda tau: bessel_j(0, k * math.sqrt(tau * (tau + 2.0 * u))))
 
     def sides(point: tuple) -> tuple:
         s = point[2]
-        if u > 0.0:
-            def integrand(v: float) -> float:
-                # the damping underflows long before sinh overflows
-                if v > 50.0 or s * u * math.cosh(v) > 745.0:
-                    return 0.0
-                return (u * math.sinh(v)
-                        * math.exp(-s * u * math.cosh(v))
-                        * j0(k * (u * math.sinh(v))))
-
-            res = integrate_semi_infinite(integrand, 0.0, spec)
-        else:
-            res = integrate_semi_infinite(
-                lambda t: math.exp(-s * t) * j0(k * t), 0.0, spec)
-        if not res.converged:
-            raise QuadratureError(
-                f"base-pair quadrature did not converge at s={s}")
         root = math.sqrt(s * s + k * k)
-        return float(res.value), math.exp(-u * root) / root
+        return (math.exp(-s * u) * forward_laplace(shifted, s, spec).real,
+                math.exp(-u * root) / root)
 
     return _compare("base(J0)", 2, "delta-shell",
                     [(k, u, s) for s in s_grid], sides, tolerance,

@@ -252,6 +252,15 @@ def test_inversion_error_fails_only_its_point(monkeypatch):
     assert rep.sample_points == ((0.5, 1.0),) and not rep.passed
 
 
+def test_verify_rte_mixed_refuses_too_few_nodes_before_any_hop(monkeypatch):
+    def no_hop(*args, **kwargs):
+        raise AssertionError("a hop ran")
+
+    monkeypatch.setattr(rte2d, "_transform", no_hop)
+    with pytest.raises(DomainError, match="at least 4 Talbot nodes"):
+        verify_rte_mixed(UNIT, [(0.5, 1.0), (0.5, 2.0)], SPEC, nodes=2)
+
+
 def test_verify_rte_mixed_small_time_initial_condition():
     rep = verify_rte_mixed(UNIT, [(1.0, 1e-3)], SPEC, 48)
     assert rep.passed

@@ -46,7 +46,7 @@ def test_base_pair_spec_points():
 
 def test_base_pair_full_grid():
     for k in (0.0, 0.5, 1.0, 2.0):
-        for u in (0.0, 0.5, 1.0, 2.0):
+        for u in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
             rep = verify_base_pair(k, u, (0.5, 1.0, 2.0, 4.0))
             assert rep.passed, (k, u, rep.rel_errors)
 
@@ -209,8 +209,30 @@ def test_non_integral_or_nonpositive_dimension_verifies_nothing(d):
     with pytest.raises(pairs.ConstraintError):
         fl_inversion(row, d, EXP1, 1.0, 1.0, 48)
     with pytest.raises(pairs.ConstraintError):
+        spacetime_transform(row, d, EXP1, 1.0, 1.0, SPEC)
+    with pytest.raises(pairs.ConstraintError):
         verify_pair_mixed("1.2", d, EXP1, [(1.0, 1.0)], SPEC)
     assert verify_all([d]) == []
+
+
+@pytest.mark.parametrize("pid,d", [("1.3", 2), ("1.3", 1), ("1.1", 1)])
+def test_both_hops_refuse_a_dimension_below_the_rows(pid, d):
+    # row 1.3's prefactor d/2 - 1 vanishes at d = 2, so an unchecked
+    # space-time hop returned 0.0 there
+    row = lookup(pid)
+    with pytest.raises(pairs.ConstraintError, match=r"requires an integer d"):
+        spacetime_transform(row, d, EXP1, 1.0, 2.0, SPEC)
+    with pytest.raises(pairs.ConstraintError, match=r"requires an integer d"):
+        fl_inversion(row, d, EXP1, 1.0, 2.0, 48)
+    with pytest.raises(pairs.ConstraintError, match=r"requires an integer d"):
+        verify_pair_mixed(pid, d, EXP1, [(1.0, 2.0)], SPEC)
+    assert verify_all([d], pair_ids=[pid]) == []
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.inf, math.nan])
+def test_spacetime_transform_refuses_a_time_not_finite_and_positive(t):
+    with pytest.raises(DomainError, match="time must be finite and positive"):
+        spacetime_transform(lookup("1.2"), 2, EXP1, 1.0, t, SPEC)
 
 
 def _decaying(image, scale=1.0):
@@ -237,6 +259,17 @@ def test_verify_all_inverts_each_point_once(monkeypatch):
 def test_too_few_nodes_raises():
     with pytest.raises(DomainError, match="at least 4 Talbot nodes"):
         verify_all([2], pair_ids=["2.1"], nodes=2)
+
+
+def test_verify_pair_mixed_refuses_too_few_nodes_before_any_hop(monkeypatch):
+    def no_hop(*args):
+        raise AssertionError("a hop ran")
+
+    monkeypatch.setattr(verify, "spacetime_transform", no_hop)
+    monkeypatch.setattr(verify, "forward_laplace", no_hop)
+    with pytest.raises(DomainError, match="at least 4 Talbot nodes"):
+        verify_pair_mixed("2.1", 2, EXP1, [(1.0, 1.0), (0.5, 2.0)], SPEC,
+                          nodes=2)
 
 
 def test_hard_points_fail_instead_of_being_skipped():
