@@ -18,7 +18,11 @@ with the radius scaled as r = 0.30 * 2 * nodes / (5 t).  The radius
 factor 0.30 keeps the e^{r t} roundoff amplification small enough
 that doubling the node count still buys two orders of magnitude.  The
 node angles, their cotangents and the contour weights 1 + i sigma(theta)
-depend on the node count alone and are tabulated once per count.
+depend on the node count alone and are tabulated once per count; the
+contour itself, each node s with its factor e^{s t}, depends on
+(nodes, radius, t) and is tabulated for the 16 most recent triples, so
+the inversions of one verification grid, which share a few times t
+across its wavenumbers, evaluate only their images.
 
 Branch convention: sqrt_s2k2(s, k) continues sqrt(s^2 + k^2) from the
 positive real axis into the plane cut along the segment [-ik, +ik], which
@@ -32,6 +36,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -187,8 +192,33 @@ def _talbot_nodes(nodes: int) -> tuple:
     return tuple(table)
 
 
+@functools.lru_cache(maxsize=16)
+def _talbot_contour(nodes: int, r: float, t: float) -> tuple:
+    """(0.5 e^{r t}, contour) for the contour of radius r at time t.
+
+    contour holds (s, e^{s t}, 1 + i sigma(theta)) for each node of
+    _talbot_nodes(nodes) whose exponent Re(s t) clears _NODE_EXPONENT_FLOOR.
+    The table depends on (nodes, r, t) alone, not on the image.
+    """
+    contour = []
+    for theta, cot, weight in _talbot_nodes(nodes):
+        # s = r theta (cot theta + i), formed without a complex product
+        r_theta = r * theta
+        s = complex(r_theta * cot, r_theta)
+        st = s * t
+        if st.real < _NODE_EXPONENT_FLOOR:
+            continue
+        contour.append((s, cmath.exp(st), weight))
+    return 0.5 * cmath.exp(r * t), tuple(contour)
+
+
 def _check_nodes(nodes: int) -> None:
-    if nodes < 4:
+    try:
+        count = operator.index(nodes)
+    except TypeError:
+        raise DomainError(
+            f"the Talbot node count must be an integer, got {nodes!r}") from None
+    if count < 4:
         raise DomainError("at least 4 Talbot nodes are required")
 
 
@@ -201,30 +231,36 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     accuracy improves geometrically in `nodes` for images analytic off the
     negative real axis.  branch_height raises the contour so that
     singularities with |Im s| up to that height stay enclosed (the sqrt
-    branch segment of transform-pair images).  The angles, cotangents and
-    weights of the nodes come from a table built once per node count; only
-    the radius and the image values change from call to call.
+    branch segment of transform-pair images).  The nodes s, their factors
+    e^{s t} and weights come from a table built once per (nodes, radius,
+    t) and kept for the 16 most recent triples; only the image values
+    change from call to call.
 
-    Non-finite image values on the contour abort with LaplaceError.
+    Refuses with DomainError a time t that is not finite and positive, a
+    branch_height that is not finite and >= 0, and a node count that is
+    not an integer >= 4.  Non-finite image values on the contour abort
+    with LaplaceError.
     """
-    if not t > 0.0:
-        raise DomainError(f"inversion time must be positive, got {t}")
+    if not 0.0 < t < math.inf:  # also refuses NaN
+        raise DomainError(f"inversion time must be finite and positive, got {t}")
+    if not 0.0 <= branch_height < math.inf:  # also refuses NaN
+        raise DomainError(
+            f"branch height must be finite and >= 0, got {branch_height}")
     _check_nodes(nodes)
     r = max(_RADIUS_FACTOR * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
+    if r == math.inf:
+        raise DomainError(f"contour radius overflows at t = {t}, "
+                          f"branch_height = {branch_height}")
     f0 = complex(image(complex(r, 0.0)))
     if not (math.isfinite(f0.real) and math.isfinite(f0.imag)):
         raise LaplaceError(f"image not finite at contour base s={r}")
-    total = 0.5 * cmath.exp(r * t) * f0
-    for theta, cot, weight in _talbot_nodes(nodes):
-        # s = r theta (cot theta + i), formed without a complex product
-        r_theta = r * theta
-        s = complex(r_theta * cot, r_theta)
-        if (s * t).real < _NODE_EXPONENT_FLOOR:
-            continue
+    half, contour = _talbot_contour(nodes, r, t)
+    total = half * f0
+    for s, e, weight in contour:
         fs = complex(image(s))
         if not (math.isfinite(fs.real) and math.isfinite(fs.imag)):
             raise LaplaceError(f"image not finite at contour node s={s}")
-        total += (cmath.exp(s * t) * fs * weight).real
+        total += (e * fs * weight).real
     return (r / nodes) * total.real
 
 

@@ -4,8 +4,9 @@ Each entry relates a space-time original P(r, t) f(A(r, t)) Theta(...) to
 its combined Fourier(space)-Laplace(time) image psi(k, s) fhat(phi(k, s)),
 for spherically symmetric functions in d dimensions and an arbitrary
 analytic f with Laplace image fhat.  A row states its space-time side as
-one function st_value(r, t, d, f) that writes the product P f(A) once;
-its support is the separate radial_range.  Row 2.1 at d = 2 follows from
+one function st_profile(t, d, f) that binds the factors of (t, d) once and
+returns the radial profile r -> P f(A); its support is the separate
+radial_range.  Row 2.1 at d = 2 follows from
 the base Laplace pair J0(k sqrt(t^2 - u^2)) Theta(t - u) <->
 exp(-u sqrt(s^2 + k^2)) / sqrt(s^2 + k^2), integrated against f(u) du;
 verify.verify_base_pair checks that pair, verify.verify_all the row.
@@ -15,7 +16,7 @@ fhat a genuinely k-dependent argument.  All square roots and fractional
 powers take principal branches through sqrt_s2k2, so the images evaluate
 correctly on an inversion contour that encloses the branch segment.
 
-Entry 2.4 sums two space-time branches in its st_value: its argument
+Entry 2.4 sums two space-time branches in its profile: its argument
 map u(t, r) = t -+ sqrt(t^2 - r^2) has two roots inside the light cone,
 and both contribute.
 
@@ -25,7 +26,7 @@ inf).  substitution names the change of variable that regularizes the
 row's integrable singularity, one of radial_fourier.SUBSTITUTIONS:
 "none"; "origin", r = w^2, for fractional powers of r at r = 0;
 "light_cone" for a side R(r, t)/sqrt(t^2 - r^2) on the support (0, t),
-whose weight 1/sqrt(t^2 - r^2) the quadrature owns: st_value states R.
+whose weight 1/sqrt(t^2 - r^2) the quadrature owns: the profile states R.
 min_dim is the least dimension of the row: it holds, and its space-time
 side is radially integrable, in every integer d >= min_dim.  admits(d, f)
 states which (dimension, original) pairs the row is verified with.  The
@@ -68,10 +69,12 @@ _EDGE_MARGIN = 1e-3
 class PairDescriptor:
     """One registry row in reduced form.
 
-    st_value(r, t, d, f) is the space-time side P(r, t) * f(A(r, t)) for
-    the scalar original u -> f(u), without support or edge checks; it is
-    meant for r in radial_range(t), and entry 2.4 sums both argument roots
-    in it; a light_cone row's st_value omits 1/sqrt(t^2 - r^2).
+    st_profile(t, d, f) binds the space-time side at time t in dimension d
+    for the scalar original u -> f(u): it computes the factors of (t, d)
+    once and returns r -> P(r, t) * f(A(r, t)), without support or edge
+    checks.  The profile is meant for r in radial_range(t), and entry 2.4
+    sums both argument roots in it; a light_cone row's profile omits
+    1/sqrt(t^2 - r^2).
     substitution steers the radial quadrature (see the module docstring).
     fl_psi/fl_phi describe the Fourier-Laplace side
     psi(k, s, d) * fhat(phi(k, s)); type_one is False for type-2 rows,
@@ -80,7 +83,8 @@ class PairDescriptor:
     """
 
     id: str
-    st_value: Callable[[float, float, int, Callable[[float], float]], float]
+    st_profile: Callable[[float, int, Callable[[float], float]],
+                         Callable[[float], float]]
     radial_range: Callable[[float], tuple[float, float]]
     fl_psi: Callable[[float, complex, int], complex]
     fl_phi: Callable[[float, complex], complex]
@@ -139,14 +143,17 @@ def _retarded_psi(k: float, s: complex, d: int) -> complex:
 
 
 def _pair_11() -> PairDescriptor:
-    def value(r, t, d, f):
-        return (math.pi * sphere_measure(d - 1) / (2.0 * math.pi) ** d / r
-                * f(t - r))
+    def profile(t, d, f):
+        c = math.pi * sphere_measure(d - 1) / (2.0 * math.pi) ** d
+
+        def value(r):
+            return c / r * f(t - r)
+        return value
 
     return PairDescriptor(
         id="1.1",
         min_dim=2,
-        st_value=value,
+        st_profile=profile,
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         fl_psi=lambda k, s, d: sqrt_s2k2(s, k) ** (1 - d),
@@ -158,10 +165,16 @@ def _pair_11() -> PairDescriptor:
 
 
 def _pair_12() -> PairDescriptor:
+    def profile(t, d, f):
+        two_pi, p = 2.0 * math.pi, -0.5 * d
+
+        def value(r):
+            return (two_pi * r) ** p * f(t - r)
+        return value
+
     return PairDescriptor(
         id="1.2",
-        st_value=lambda r, t, d, f: (2.0 * math.pi * r) ** (-0.5 * d)
-        * f(t - r),
+        st_profile=profile,
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         fl_psi=_retarded_psi,
@@ -173,11 +186,17 @@ def _pair_12() -> PairDescriptor:
 
 
 def _pair_13() -> PairDescriptor:
+    def profile(t, d, f):
+        c, p = (0.5 * d - 1.0) / (2.0 * math.pi) ** (0.5 * d), 0.5 * d + 1.0
+
+        def value(r):
+            return c / r ** p * f(t - r)
+        return value
+
     return PairDescriptor(
         id="1.3",
         min_dim=3,
-        st_value=lambda r, t, d, f: (0.5 * d - 1.0)
-        / (2.0 * math.pi) ** (0.5 * d) / r ** (0.5 * d + 1.0) * f(t - r),
+        st_profile=profile,
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d),
@@ -189,9 +208,16 @@ def _pair_13() -> PairDescriptor:
 
 
 def _pair_14() -> PairDescriptor:
+    def profile(t, d, f):
+        c = math.pi ** (-0.5 * d)
+
+        def value(r):
+            return c * f(t - r * r)
+        return value
+
     return PairDescriptor(
         id="1.4",
-        st_value=lambda r, t, d, f: math.pi ** (-0.5 * d) * f(t - r * r),
+        st_profile=profile,
         radial_range=lambda t: (0.0, math.sqrt(t)),
         fl_psi=lambda k, s, d: s ** (-0.5 * d) * cmath.exp(-k * k / (4.0 * s)),
         fl_phi=lambda k, s: complex(s),
@@ -206,10 +232,14 @@ def make_pair_15(a: float) -> PairDescriptor:
     if a < 0.0:
         raise ValueError("entry 1.5 requires a >= 0")
 
-    def value(r, t, d, f):
-        root = math.sqrt(r * r + a * a)
-        return ((2.0 * math.pi) ** (-0.5 * d) * (a + root) ** (1 - 0.5 * d)
-                / root * f(t + a - root))
+    def profile(t, d, f):
+        c, p = (2.0 * math.pi) ** (-0.5 * d), 1 - 0.5 * d
+        a2, t_a = a * a, t + a
+
+        def value(r):
+            root = math.sqrt(r * r + a2)
+            return c * (a + root) ** p / root * f(t_a - root)
+        return value
 
     def psi(k, s, d):
         sq = sqrt_s2k2(s, k)
@@ -217,7 +247,7 @@ def make_pair_15(a: float) -> PairDescriptor:
 
     return PairDescriptor(
         id="1.5",
-        st_value=value,
+        st_profile=profile,
         radial_range=lambda t: (0.0, math.sqrt(t * t + 2.0 * a * t)),
         fl_psi=psi,
         fl_phi=lambda k, s: complex(s),
@@ -230,13 +260,17 @@ def make_pair_15(a: float) -> PairDescriptor:
 
 
 def _pair_21() -> PairDescriptor:
-    def value(r, t, d, f):
-        q = edge_distance(r, t)
-        return (2.0 * math.pi) ** (-0.5 * d) * (t + q) ** (1 - 0.5 * d) * f(q)
+    def profile(t, d, f):
+        c, p = (2.0 * math.pi) ** (-0.5 * d), 1 - 0.5 * d
+
+        def value(r):
+            q = edge_distance(r, t)
+            return c * (t + q) ** p * f(q)
+        return value
 
     return PairDescriptor(
         id="2.1",
-        st_value=value,
+        st_profile=profile,
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
         fl_psi=_retarded_psi,
@@ -250,10 +284,17 @@ def _pair_21() -> PairDescriptor:
 
 
 def _pair_22() -> PairDescriptor:
+    def profile(t, d, f):
+        c, p = (2.0 * math.pi) ** (-0.5 * d), 2 - d
+        w, four_t = (2.0 * t) ** (0.5 * d - 2.0), 4.0 * t
+
+        def value(r):
+            return c * r ** p * w * f(r * r / four_t)
+        return value
+
     return PairDescriptor(
         id="2.2",
-        st_value=lambda r, t, d, f: (2.0 * math.pi) ** (-0.5 * d)
-        * r ** (2 - d) * (2.0 * t) ** (0.5 * d - 2.0) * f(r * r / (4.0 * t)),
+        st_profile=profile,
         radial_range=lambda t: (0.0, math.inf),
         fl_psi=lambda k, s, d: s ** (-0.5 * d),
         fl_phi=lambda k, s: complex(k * k) / s,
@@ -265,10 +306,17 @@ def _pair_22() -> PairDescriptor:
 
 
 def _pair_23() -> PairDescriptor:
+    def profile(t, d, f):
+        c, p = (2.0 * math.pi) ** (-0.5 * d), 2 - d
+        w, t2, two_t = t ** (0.5 * d - 2.0), t * t, 2.0 * t
+
+        def value(r):
+            return c * r ** p * w * f((r * r - t2) / two_t)
+        return value
+
     return PairDescriptor(
         id="2.3",
-        st_value=lambda r, t, d, f: (2.0 * math.pi) ** (-0.5 * d)
-        * r ** (2 - d) * t ** (0.5 * d - 2.0) * f((r * r - t * t) / (2.0 * t)),
+        st_profile=profile,
         radial_range=lambda t: (t, math.inf),
         fl_psi=_retarded_psi,
         fl_phi=lambda k, s: sqrt_s2k2(s, k) - s,
@@ -289,16 +337,18 @@ def _pair_24() -> PairDescriptor:
     # verification in d = 1, 2, 3.
     # The minus root is computed as u_- = r^2/(t + q), q = sqrt(t^2 - r^2),
     # since t - q cancels near the origin.
-    def value(r, t, d, f):
-        q = edge_distance(r, t)
-        minus, plus = r * r / (t + q), t + q
-        power = 1 - 0.5 * d
-        return (2.0 * math.pi) ** (-0.5 * d) * (
-            minus ** power * f(minus) + plus ** power * f(plus))
+    def profile(t, d, f):
+        c, p = (2.0 * math.pi) ** (-0.5 * d), 1 - 0.5 * d
+
+        def value(r):
+            q = edge_distance(r, t)
+            minus, plus = r * r / (t + q), t + q
+            return c * (minus ** p * f(minus) + plus ** p * f(plus))
+        return value
 
     return PairDescriptor(
         id="2.4",
-        st_value=value,
+        st_profile=profile,
         radial_range=lambda t: (0.0, t),
         substitution="light_cone",
         fl_psi=lambda k, s, d: s ** (-0.5 * d),
@@ -428,7 +478,7 @@ def _check_dim(pair: PairDescriptor, d: int) -> None:
 
 def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
                    r: float, t: float) -> float:
-    """pair.st_value(r, t, d, f) on support, over q for a light_cone row.
+    """pair.st_profile(t, d, f)(r) on support, over q for a light_cone row.
 
     Zero before t = 0 and outside radial_range(t).  Refuses points on the
     light-cone edge (|t - r| below a small margin) of rows singular there;
@@ -445,9 +495,10 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
     lo, hi = pair.radial_range(t)
     if not lo <= r < hi:
         return 0.0
+    value = pair.st_profile(t, d, f.f.eval)(r)
     if pair.substitution == "light_cone":
-        return pair.st_value(r, t, d, f.f.eval) / edge_distance(r, hi)
-    return pair.st_value(r, t, d, f.f.eval)
+        return value / edge_distance(r, hi)
+    return value
 
 
 def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,

@@ -138,10 +138,7 @@ def spacetime_transform(pair: PairDescriptor, d: int, f: TestOriginal,
     if not 0.0 < t < math.inf:  # also refuses NaN
         raise DomainError(f"time must be finite and positive, got {t}")
     lo, hi = pair.radial_range(t)
-    # a lambda over names bound once: functools.partial with t bound by
-    # keyword builds a kwargs dict per call and costs about 0.5 us more
-    value, original = pair.st_value, f.f.eval
-    res = radial_quadrature(d, lambda r: value(r, t, d, original), k,
+    res = radial_quadrature(d, pair.st_profile(t, d, f.f.eval), k,
                             lo, hi, pair.substitution, spec)
     if not res.converged:
         raise QuadratureError(
@@ -157,9 +154,12 @@ def fl_inversion(pair: PairDescriptor, d: int, f: TestOriginal,
     The image is eval_fl's psi(k, s, d) fhat(phi(k, s)) without its
     validity check, with the dimension checked once per inversion rather
     than at every node.  The contour is raised above both the sqrt branch
-    segment (height k) and the image poles of the original.
+    segment (height k) and the image poles of the original.  The
+    wavenumber k must be finite and >= 0.
     """
     _check_dim(pair, d)
+    if not 0.0 <= k < math.inf:  # also refuses NaN
+        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
     phi, psi, fhat = pair.fl_phi, pair.fl_psi, f.fhat
 
     def image(s: complex) -> complex:

@@ -2,12 +2,15 @@
 
 import cmath
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 
 from fltrans.laplace import (
     TimeOriginal,
+    _talbot_contour,
     forward_laplace,
     inverse_laplace,
     roundtrip_check,
@@ -221,6 +224,37 @@ def test_inverse_rejects_bad_nodes_and_time():
         inverse_laplace(lambda s: 1.0 / s, 1.0, 2)
 
 
+@pytest.mark.parametrize("height", [0.0, 1.0])
+def test_inverse_refuses_an_infinite_time(height):
+    # returned nan at height 0 and raised a bare ValueError at height 1
+    with pytest.raises(DomainError, match="finite and positive"):
+        inverse_laplace(lambda s: 1.0 / s, math.inf, 32, branch_height=height)
+
+
+def test_inverse_refuses_a_time_too_small_for_a_finite_radius():
+    # the radius 0.3 * 2N/(5t) overflowed and the image was blamed at s = inf
+    with pytest.raises(DomainError, match="contour radius overflows"):
+        inverse_laplace(lambda s: 1.0 / (s + 1.0), 1e-310, 48)
+
+
+def test_inverse_refuses_a_nan_branch_height():
+    # max() used to drop the nan and invert as if the height were 0
+    with pytest.raises(DomainError, match="branch height"):
+        inverse_laplace(lambda s: 1.0 / s, 1.0, 32, branch_height=math.nan)
+
+
+def test_inverse_refuses_an_infinite_branch_height():
+    # used to raise LaplaceError, blaming the image for an infinite radius
+    with pytest.raises(DomainError, match="branch height"):
+        inverse_laplace(lambda s: 1.0 / s, 1.0, 32, branch_height=math.inf)
+
+
+def test_inverse_refuses_a_fractional_node_count():
+    # used to raise TypeError from range()
+    with pytest.raises(DomainError, match="must be an integer"):
+        inverse_laplace(lambda s: 1.0 / s, 1.0, 48.5)
+
+
 def test_inverse_aborts_on_non_finite_image():
     from fltrans.laplace import LaplaceError
     with pytest.raises(LaplaceError):
@@ -297,7 +331,50 @@ def _talbot_reference(image, t, nodes, branch_height):
 def test_inverse_laplace_node_table_is_bit_identical(nodes, t, height):
     # height 0: the radius comes from t; height 40: from the branch height,
     # at every node count, with the deep nodes under the exponent floor
+    # each case twice, first building its contour table and then reading
+    # it back, with inversions at other times in between
     for image in (lambda s: 1.0 / (s + 1.0),
                   lambda s: 1.0 / sqrt_s2k2(s, 40.0)):
         want = _talbot_reference(image, t, nodes, height)
+        _talbot_contour.cache_clear()
         assert inverse_laplace(image, t, nodes, branch_height=height) == want
+        for other in (0.4, 2.5, 6.0):
+            inverse_laplace(image, other, nodes, branch_height=height)
+        assert _talbot_contour.cache_info()[:2] == (0, 4)  # (hits, misses)
+        assert inverse_laplace(image, t, nodes, branch_height=height) == want
+        assert _talbot_contour.cache_info()[:2] == (1, 4)
+
+
+def test_contour_table_is_shared_safely_between_threads():
+    # 4 threads invert 40 times each, in rotated orders, through a table
+    # that holds 16; each result must equal the single-threaded reference
+    times = [0.5 + 0.25 * j for j in range(40)]
+    image = lambda s: 1.0 / (s + 1.0)
+    want = {t: _talbot_reference(image, t, 24, 0.0) for t in times}
+    got, errors = [], []
+
+    def work(shift):
+        try:
+            for t in times[shift:] + times[:shift]:
+                got.append(inverse_laplace(image, t, 24) == want[t])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(7 * i,)) for i in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors and len(got) == 160 and all(got)
+
+
+def test_contour_table_is_bounded():
+    for j in range(100):
+        inverse_laplace(lambda s: 1.0 / (s + 1.0), 0.5 + 0.01 * j, 24)
+    assert _talbot_contour.cache_info().currsize <= 16

@@ -40,8 +40,8 @@ def test_lookup_and_alias():
     assert lookup("2D-SDT").id == "2.1"
     # row 1.4's argument t - r^2, read through the identity original
     row = lookup("1.4")
-    assert row.st_value(2.0, 7.0, 2, lambda u: u) == pytest.approx(
-        3.0 * row.st_value(2.0, 7.0, 2, lambda u: 1.0))
+    assert row.st_profile(7.0, 2, lambda u: u)(2.0) == pytest.approx(
+        3.0 * row.st_profile(7.0, 2, lambda u: 1.0)(2.0))
 
 
 def test_lookup_unknown_id():
@@ -83,8 +83,8 @@ def test_pair_15_with_a_zero_degenerates_to_12():
         for r, t in ((0.5, 2.0), (1.0, 3.0)):
             # f = 1 compares the prefactors, f(u) = u then the arguments
             for f in (lambda u: 1.0, lambda u: u):
-                assert p15.st_value(r, t, d, f) == pytest.approx(
-                    p12.st_value(r, t, d, f), rel=1e-12)
+                assert p15.st_profile(t, d, f)(r) == pytest.approx(
+                    p12.st_profile(t, d, f)(r), rel=1e-12)
         for k, s in ((0.5, 1.0), (2.0, 0.7)):
             assert p15.fl_psi(k, complex(s), d) == pytest.approx(
                 p12.fl_psi(k, complex(s), d), rel=1e-12)
@@ -185,7 +185,7 @@ def test_row_24_minus_root_near_the_origin():
     row = lookup("2.4")
     for r in (1e-9, 1e-8, 1e-6):
         want = _light_cone_reference(mpmath, "2.4", 3, r, 1.0)
-        got = row.st_value(r, 1.0, 3, EXP1.f.eval)
+        got = row.st_profile(1.0, 3, EXP1.f.eval)(r)
         assert abs(got - want) <= 1e-15 * abs(want), r
 
 
@@ -198,7 +198,7 @@ def test_light_cone_rows_near_the_edge():
             for t in (0.5, 1.0, 3.0):
                 r = t * (1.0 - 1e-8)
                 want = _light_cone_reference(mpmath, row_id, d, r, t)
-                got = lookup(row_id).st_value(r, t, d, EXP1.f.eval)
+                got = lookup(row_id).st_profile(t, d, EXP1.f.eval)(r)
                 assert abs(got - want) <= 1e-14 * abs(want), (row_id, d, t)
 
 

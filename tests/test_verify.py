@@ -235,6 +235,13 @@ def test_spacetime_transform_refuses_a_time_not_finite_and_positive(t):
         spacetime_transform(lookup("1.2"), 2, EXP1, 1.0, t, SPEC)
 
 
+@pytest.mark.parametrize("k", [-1.0, math.nan, math.inf])
+def test_fl_inversion_refuses_a_wavenumber_not_finite_and_nonnegative(k):
+    # k = -1 used to invert to 0.5687; nan and inf raised LaplaceError
+    with pytest.raises(DomainError, match="wavenumber must be finite"):
+        fl_inversion(lookup("1.2"), 2, EXP1, k, 1.0, 48)
+
+
 def _decaying(image, scale=1.0):
     # scale * e^{-u} with the given image; the closed-form check samples real s
     return pairs.TestOriginal(
