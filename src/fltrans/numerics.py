@@ -477,8 +477,9 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralR
     Non-convergence is reported through converged=False, never by a
     silently wrong value.
     """
-    if not a <= b:
-        raise DomainError(f"integrate_adaptive requires a <= b, got ({a}, {b})")
+    if not -math.inf < a <= b < math.inf:  # also refuses NaN
+        raise DomainError(f"integrate_adaptive requires finite a <= b, "
+                          f"got ({a}, {b})")
     if a == b:
         return IntegralResult(0.0, 0.0, True, 0)
     val, err = _gk21(f, a, b)
@@ -598,8 +599,12 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult
     """Integral of a decaying f over (a, inf) by geometric cells.
 
     The cells end at a + 1, 3, 7, ..., 63 and then every 64; a tail that
-    does not decay is reported through converged=False.
+    does not decay is reported through converged=False.  a must be finite.
     """
+    if not -math.inf < a < math.inf:  # also refuses NaN
+        raise DomainError(f"integrate_semi_infinite requires a finite a, "
+                          f"got {a}")
+
     def edge(n: int) -> float:
         x = a  # widths 1, 2, 4, ..., 64, 64, ... added in order
         for m in range(n):

@@ -11,8 +11,9 @@ the base Laplace pair J0(k sqrt(t^2 - u^2)) Theta(t - u) <->
 exp(-u sqrt(s^2 + k^2)) / sqrt(s^2 + k^2), integrated against f(u) du;
 verify.verify_base_pair checks that pair, verify.verify_all the row.
 
-Type-1 rows multiply fhat(s) by a function of (k, s); type-2 rows hand
-fhat a genuinely k-dependent argument.  All square roots and fractional
+Type-1 rows keep phi's default s and multiply fhat(s) by a function of
+(k, s); type-2 rows hand fhat a genuinely k-dependent argument.  A row's
+fl_profile binds its image.  All square roots and fractional
 powers take principal branches through sqrt_s2k2, so the images evaluate
 correctly on an inversion contour that encloses the branch segment.
 
@@ -65,6 +66,10 @@ class ValidityError(ValueError):
 _EDGE_MARGIN = 1e-3
 
 
+def _time_argument(k: float, s: complex) -> complex:
+    return complex(s)
+
+
 @dataclass(frozen=True)
 class PairDescriptor:
     """One registry row in reduced form.
@@ -76,10 +81,10 @@ class PairDescriptor:
     sums both argument roots in it; a light_cone row's profile omits
     1/sqrt(t^2 - r^2).
     substitution steers the radial quadrature (see the module docstring).
-    fl_psi/fl_phi describe the Fourier-Laplace side
-    psi(k, s, d) * fhat(phi(k, s)); type_one is False for type-2 rows,
-    whose argument phi(k, s) depends on k.  min_dim and admits(d, f)
-    state the row's dimensions and the originals it is verified with.
+    fl_psi/fl_phi give the image psi(k, s, d) * fhat(phi(k, s)) that
+    fl_profile binds; fl_phi defaults to s and type_one, derived from it,
+    is False for type-2 rows.  min_dim and admits(d, f) state the row's
+    dimensions and the originals it is verified with.
     """
 
     id: str
@@ -87,18 +92,38 @@ class PairDescriptor:
                          Callable[[float], float]]
     radial_range: Callable[[float], tuple[float, float]]
     fl_psi: Callable[[float, complex, int], complex]
-    fl_phi: Callable[[float, complex], complex]
     st_text: str
     fl_text: str
     note: str
+    fl_phi: Callable[[float, complex], complex] = _time_argument
     substitution: str = "none"
     min_dim: int = 1
-    type_one: bool = True
 
     def __post_init__(self) -> None:
         if self.substitution not in SUBSTITUTIONS:
             raise ValueError(f"pair {self.id}: unknown substitution "
                              f"{self.substitution!r}")
+
+    @property
+    def type_one(self) -> bool:
+        """Whether fhat sees the time argument s alone (fl_phi's default)."""
+        return self.fl_phi is _time_argument
+
+    def fl_profile(self, k: float, d: int, fhat: Callable[[complex], complex]
+                   ) -> Callable[[complex], complex]:
+        """s -> psi(k, s, d) * fhat(phi(k, s)), with d and k checked once.
+
+        Allows Re phi <= sigma0 (eval_fl does not): inversion contours
+        evaluate fhat's closed-form continuation there."""
+        _check_dim(self, d)
+        if not 0.0 <= k < math.inf:  # also refuses NaN
+            raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
+        phi, psi = self.fl_phi, self.fl_psi
+
+        def image(s: complex) -> complex:
+            arg = phi(k, s)
+            return psi(k, s, d) * fhat(arg)
+        return image
 
     def dim_constraint(self, d: float) -> bool:
         """Whether d is an integer >= min_dim (refuses NaN and inf)."""
@@ -157,7 +182,6 @@ def _pair_11() -> PairDescriptor:
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         fl_psi=lambda k, s, d: sqrt_s2k2(s, k) ** (1 - d),
-        fl_phi=lambda k, s: complex(s),
         st_text="pi*S_(d-1)/(2*pi)^d * f(t-r)/r * Theta(t-r)",
         fl_text="(s^2+k^2)^((1-d)/2) * F(s)",
         note="wave shell against f(t-r)",
@@ -178,7 +202,6 @@ def _pair_12() -> PairDescriptor:
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         fl_psi=_retarded_psi,
-        fl_phi=lambda k, s: complex(s),
         st_text="(2*pi*r)^(-d/2) * f(t-r) * Theta(t-r)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2)/sqrt(s^2+k^2) * F(s)",
         note="retarded kernel, half-power radial weight",
@@ -200,7 +223,6 @@ def _pair_13() -> PairDescriptor:
         radial_range=lambda t: (0.0, t),
         substitution="origin",
         fl_psi=lambda k, s, d: (s + sqrt_s2k2(s, k)) ** (1 - 0.5 * d),
-        fl_phi=lambda k, s: complex(s),
         st_text="(d/2-1)/(2*pi)^(d/2) * f(t-r)/r^(d/2+1) * Theta(t-r)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2) * F(s)",
         note="d=1 space-time side is not radially integrable",
@@ -220,7 +242,6 @@ def _pair_14() -> PairDescriptor:
         st_profile=profile,
         radial_range=lambda t: (0.0, math.sqrt(t)),
         fl_psi=lambda k, s, d: s ** (-0.5 * d) * cmath.exp(-k * k / (4.0 * s)),
-        fl_phi=lambda k, s: complex(s),
         st_text="pi^(-d/2) * f(t-r^2) * Theta(t-r^2)",
         fl_text="s^(-d/2) * exp(-k^2/(4s)) * F(s)",
         note="diffusive-front argument t - r^2",
@@ -228,9 +249,9 @@ def _pair_14() -> PairDescriptor:
 
 
 def make_pair_15(a: float) -> PairDescriptor:
-    """Entry 1.5 with its positive shift parameter (a = 0 degenerates to 1.2)."""
-    if a < 0.0:
-        raise ValueError("entry 1.5 requires a >= 0")
+    """Entry 1.5 with its shift parameter, finite and >= 0 (a = 0 is 1.2)."""
+    if not 0.0 <= a < math.inf:  # also refuses NaN
+        raise DomainError(f"entry 1.5 requires a finite a >= 0, got {a}")
 
     def profile(t, d, f):
         c, p = (2.0 * math.pi) ** (-0.5 * d), 1 - 0.5 * d
@@ -250,7 +271,6 @@ def make_pair_15(a: float) -> PairDescriptor:
         st_profile=profile,
         radial_range=lambda t: (0.0, math.sqrt(t * t + 2.0 * a * t)),
         fl_psi=psi,
-        fl_phi=lambda k, s: complex(s),
         st_text="(2*pi)^(-d/2)*(a+sqrt(r^2+a^2))^(1-d/2)/sqrt(r^2+a^2)"
                 " * f(t+a-sqrt(r^2+a^2)) * Theta(...)",
         fl_text="exp(-a*(sqrt(s^2+k^2)-s)) * (s+sqrt(s^2+k^2))^(1-d/2)"
@@ -279,7 +299,6 @@ def _pair_21() -> PairDescriptor:
                 " * f(sqrt(t^2-r^2)) * Theta(t-r)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2)/sqrt(s^2+k^2) * F(sqrt(s^2+k^2))",
         note="proper-time argument; d=2 member is the symmetric special form",
-        type_one=False,
     )
 
 
@@ -301,7 +320,6 @@ def _pair_22() -> PairDescriptor:
         st_text="(2*pi)^(-d/2) * r^(2-d)/(2t)^(2-d/2) * f(r^2/(4t))",
         fl_text="s^(-d/2) * F(k^2/s)",
         note="self-similar diffusion argument; support is all t > 0",
-        type_one=False,
     )
 
 
@@ -324,7 +342,6 @@ def _pair_23() -> PairDescriptor:
                 " * Theta(r-t)",
         fl_text="(s+sqrt(s^2+k^2))^(1-d/2)/sqrt(s^2+k^2) * F(sqrt(s^2+k^2)-s)",
         note="support outside the light cone; needs a decaying f",
-        type_one=False,
     )
 
 
@@ -357,7 +374,6 @@ def _pair_24() -> PairDescriptor:
                 " summed over both roots, Theta(t-r)",
         fl_text="s^(-d/2) * F((s^2+k^2)/(2s))",
         note="two argument roots inside the cone (corrected two-branch row)",
-        type_one=False,
     )
 
 
@@ -442,8 +458,9 @@ def catalog_lookup(original_id: str) -> TestOriginal:
     """Resolve a "name" or "name:param1,param2" tag into a catalog entry.
 
     Raises UnknownPairError for an unknown name, a parameter that is not a
-    finite number, more parameters than the original takes, or a poly_exp
-    order that is not an integer >= 0.
+    finite number, more parameters than the original takes, or an integer
+    parameter (one whose default is an int, as poly_exp's order) that is
+    not an integer >= 0.
     """
     name, _, params = original_id.partition(":")
     if name not in _CATALOG:
@@ -453,17 +470,16 @@ def catalog_lookup(original_id: str) -> TestOriginal:
         args = [float(p) for p in params.split(",")] if params else []
     except ValueError:  # fails the finiteness test below
         args = [math.nan]
-    if (len(args) > len(defaults) or not all(map(math.isfinite, args))
-            or (name == "poly_exp" and args
-                and not (args[0] >= 0.0 and args[0].is_integer()))):
+    if len(args) > len(defaults) or not all(
+            math.isfinite(x) and (not isinstance(default, int)
+                                  or (x >= 0.0 and x.is_integer()))
+            for x, default in zip(args, defaults)):
         raise UnknownPairError(
             f"bad parameters in catalog original {original_id!r}; ids are "
             "exp_decay:a, poly_exp:n,a (integer n >= 0), sine:a and unit, "
             "with finite numbers a, each optional")
-    args += defaults[len(args):]
-    if name == "poly_exp":
-        args[0] = int(args[0])
-    return make(*args)
+    return make(*(type(default)(x) for x, default in zip(args, defaults)),
+                *defaults[len(args):])
 
 
 # --------------------------------------------------------------------------
@@ -480,12 +496,15 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
                    r: float, t: float) -> float:
     """pair.st_profile(t, d, f)(r) on support, over q for a light_cone row.
 
-    Zero before t = 0 and outside radial_range(t).  Refuses points on the
-    light-cone edge (|t - r| below a small margin) of rows singular there;
-    quadrature callers integrate across such edges under the weight of
-    the substitution instead.
+    Zero at a finite t <= 0 and outside radial_range(t).  Refuses, with
+    DomainError, a t that is not finite and an r that is not finite and
+    >= 0; refuses points on the light-cone edge (|t - r| below a small
+    margin) of rows singular there; quadrature callers integrate across
+    such edges under the weight of the substitution instead.
     """
     _check_dim(pair, d)
+    if not (-math.inf < t < math.inf and 0.0 <= r < math.inf):  # and NaN
+        raise DomainError(f"need finite t and r >= 0, got ({r}, {t})")
     if (pair.substitution == "light_cone"
             and abs(t - r) <= _EDGE_MARGIN * max(1.0, abs(t))):
         raise EdgeError(
@@ -502,24 +521,17 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
 
 
 def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,
-            s: complex, check_validity: bool = True) -> complex:
-    """Fourier-Laplace side psi(k, s, d) * fhat(phi(k, s)).
-
-    check_validity enforces Re phi > sigma0, the condition under which
-    fhat(phi) is literally the Laplace integral of f; inversion contours
-    evaluate the closed-form continuation instead and disable the check.
-    The wavenumber k must be finite and >= 0.
-    """
-    _check_dim(pair, d)
-    if not 0.0 <= k < math.inf:  # also refuses NaN
-        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
+            s: complex) -> complex:
+    """pair.fl_profile(k, d, f.fhat)(s) where fhat(phi) is f's Laplace
+    integral: refuses Re phi(k, s) <= sigma0 with ValidityError."""
+    image = pair.fl_profile(k, d, f.fhat)
     s = complex(s)
     phi = pair.fl_phi(k, s)
-    if check_validity and not phi.real > f.f.sigma0:
+    if not phi.real > f.f.sigma0:
         raise ValidityError(
             f"Re phi = {phi.real:.6g} does not exceed sigma0 = "
             f"{f.f.sigma0:.6g} for pair {pair.id}")
-    return pair.fl_psi(k, s, d) * f.fhat(phi)
+    return image(s)
 
 
 def registry_rows() -> Sequence[PairDescriptor]:

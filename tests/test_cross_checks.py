@@ -13,7 +13,7 @@ import pytest
 from fltrans.laplace import inverse_laplace
 from fltrans.numerics import QuadratureSpec, integrate_adaptive, \
     integrate_semi_infinite
-from fltrans.pairs import catalog_lookup, eval_fl, lookup, make_pair_15
+from fltrans.pairs import catalog_lookup, lookup, make_pair_15
 from fltrans.rte2d import TransportParams, fl_intensity
 from fltrans.verify import fl_inversion, spacetime_transform, \
     verify_pair_mixed
@@ -135,8 +135,8 @@ def test_eval_fl_complex_s_branch_consistency():
     for pid in ("1.2", "2.1", "2.3", "2.4"):
         pair = lookup(pid)
         s = complex(0.8, 1.3)
-        up = eval_fl(pair, 2, f, 1.0, s, check_validity=False)
-        dn = eval_fl(pair, 2, f, 1.0, s.conjugate(), check_validity=False)
+        up = pair.fl_profile(1.0, 2, f.fhat)(s)
+        dn = pair.fl_profile(1.0, 2, f.fhat)(s.conjugate())
         assert up == pytest.approx(dn.conjugate(), rel=1e-12)
 
 

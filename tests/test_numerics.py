@@ -318,6 +318,15 @@ def test_adaptive_rejects_reversed_interval():
         integrate_adaptive(lambda x: x, 1.0, 0.0, SPEC)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                  (-math.inf, math.inf), (math.nan, 1.0),
+                                  (0.0, math.nan)])
+def test_adaptive_rejects_an_endpoint_not_finite(a, b):
+    # an infinite endpoint gave NaN: the panel nodes reached inf
+    with pytest.raises(DomainError):
+        integrate_adaptive(lambda x: math.exp(-x * x), a, b, SPEC)
+
+
 # --- integrate_semi_infinite ------------------------------------------------
 
 def test_semi_infinite_exponential():
@@ -347,6 +356,13 @@ def test_semi_infinite_integrand_that_peaks_late():
     assert res.converged
     assert res.value == pytest.approx(math.factorial(30) / 1.1 ** 31,
                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [-math.inf, math.inf, math.nan])
+def test_semi_infinite_rejects_a_start_not_finite(a):
+    # a = -inf returned the value 0 of an empty sum as converged
+    with pytest.raises(DomainError):
+        integrate_semi_infinite(lambda x: math.exp(-x * x), a, SPEC)
 
 
 def test_semi_infinite_flags_non_decay():

@@ -223,6 +223,8 @@ def test_non_integral_or_nonpositive_dimension_refused(d):
         with pytest.raises(ConstraintError, match=r"requires an integer d"):
             eval_fl(row, d, EXP1, 1.0, 1.0)
         with pytest.raises(ConstraintError):
+            row.fl_profile(1.0, d, EXP1.fhat)
+        with pytest.raises(ConstraintError):
             eval_spacetime(row, d, EXP1, 0.5, 2.0)
 
 
@@ -231,6 +233,8 @@ def test_eval_fl_refuses_a_wavenumber_not_finite_and_nonnegative(k):
     for row in registry_rows():
         with pytest.raises(DomainError, match="wavenumber"):
             eval_fl(row, 3, EXP1, k, 1.0)
+        with pytest.raises(DomainError, match="wavenumber"):
+            row.fl_profile(k, 3, EXP1.fhat)
 
 
 def test_eval_spacetime_edge_refused():
@@ -238,6 +242,23 @@ def test_eval_spacetime_edge_refused():
         eval_spacetime(lookup("2.1"), 2, EXP1, 2.0, 2.0)
     with pytest.raises(EdgeError):
         eval_spacetime(lookup("2.4"), 2, EXP1, 2.0, 2.0000001)
+
+
+@pytest.mark.parametrize("pid", ["1.2", "2.1", "2.2"])
+@pytest.mark.parametrize("r, t", [(math.nan, 1.0), (0.5, math.nan),
+                                  (-0.5, 1.0), (0.5, math.inf),
+                                  (math.inf, 1.0), (0.5, -math.inf)])
+def test_eval_spacetime_refuses_a_point_not_finite(pid, r, t):
+    # these returned 0.0 (rows 1.2 and 2.2) or, on row 2.1 at t = inf, an
+    # EdgeError that blamed the light cone
+    with pytest.raises(DomainError):
+        eval_spacetime(lookup(pid), 2, EXP1, r, t)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_eval_spacetime_is_zero_before_time_zero(t):
+    for row in registry_rows():
+        assert eval_spacetime(row, 3, EXP1, 0.5, t) == 0.0, row.id
 
 
 def test_eval_spacetime_23_reversed_support():
@@ -275,18 +296,54 @@ def test_eval_fl_11():
 
 def test_eval_fl_validity_error():
     # left of the abscissa, Re phi < sigma0: the literal Laplace-integral
-    # reading breaks down and eval_fl refuses unless asked to continue
+    # reading breaks down and eval_fl refuses; the row's bound image
+    # evaluates the closed-form continuation there
     s = complex(-3.0, 0.5)
     with pytest.raises(ValidityError):
         eval_fl(lookup("2.1"), 2, EXP1, 1.0, s)
-    val = eval_fl(lookup("2.1"), 2, EXP1, 1.0, s, check_validity=False)
+    val = lookup("2.1").fl_profile(1.0, 2, EXP1.fhat)(s)
     assert abs(val) > 0.0
+
+
+def test_eval_fl_is_the_bound_image_inside_the_abscissa():
+    # eval_fl evaluates fl_profile, bit for bit, where Re phi > sigma0
+    for row in registry_rows():
+        d = max(row.min_dim, 2)
+        for k, s in ((0.0, 1.5), (1.0, complex(2.0, 0.7)), (2.5, 3.0)):
+            want = row.fl_profile(k, d, EXP1.fhat)(complex(s))
+            assert eval_fl(row, d, EXP1, k, s) == want, (row.id, k, s)
+
+
+def test_type_one_is_derived_from_the_time_argument():
+    assert [row.id for row in registry_rows() if row.type_one] == [
+        "1.1", "1.2", "1.3", "1.4", "1.5"]
+    for row in registry_rows():
+        assert row.type_one == (row.fl_phi(2.0, 1.7) == 1.7), row.id
+    retyped = dataclasses.replace(lookup("1.2"), fl_phi=lambda k, s: s + k)
+    assert not retyped.type_one
+    with pytest.raises(AttributeError):
+        lookup("1.2").type_one = False
 
 
 def test_registry_text_lists_all_rows():
     text = registry_text()
     for pid in PAIR_IDS:
         assert pid in text
+
+
+@pytest.mark.parametrize("a", [-1.0, math.nan, math.inf])
+def test_pair_15_refuses_a_shift_not_finite_and_nonnegative(a):
+    # nan gave eval_spacetime 0.0 and inf gave NaN
+    with pytest.raises(DomainError):
+        make_pair_15(a)
+
+
+def test_catalog_ids_resolve_to_themselves():
+    for original in catalog_list():
+        assert catalog_lookup(original.id).id == original.id
+    assert catalog_lookup("poly_exp").id == "poly_exp:1,1"
+    assert catalog_lookup("poly_exp:3").id == "poly_exp:3,1"
+    assert catalog_lookup("poly_exp:2.0,0.5").id == "poly_exp:2,0.5"
 
 
 def test_unknown_substitution_rejected():

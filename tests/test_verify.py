@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import time
 
 import pytest
 
@@ -159,6 +160,18 @@ def test_verify_all_skips_growing_originals_for_type2():
     # (like an inadmissible d), so nothing is compared and nothing reported
     unit = catalog_lookup("unit")
     assert verify_all([2], 1e-6, originals=[unit], pair_ids=["2.3"]) == []
+
+
+def test_verify_all_wall_time_includes_the_sample_grid(monkeypatch):
+    # the clock used to start after build_sample_grid, which runs every
+    # inversion of the report
+    def slow_grid(*args):
+        time.sleep(0.05)
+        return {}, []
+
+    monkeypatch.setattr(verify, "build_sample_grid", slow_grid)
+    (report,) = verify_all([2], originals=[EXP1], pair_ids=["1.2"])
+    assert report.wall_time >= 0.05
 
 
 def test_reports_to_text_contains_failures():
