@@ -239,7 +239,10 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     Refuses with DomainError a time t that is not finite and positive, a
     branch_height that is not finite and >= 0, and a node count that is
     not an integer >= 4.  Non-finite image values on the contour abort
-    with LaplaceError.
+    with LaplaceError naming the first such node, as does a contour sum
+    that overflows.  The sum is checked once, after the last node; only a
+    non-finite sum evaluates the image again, node by node, to find the
+    culprit.
     """
     if not 0.0 < t < math.inf:  # also refuses NaN
         raise DomainError(f"inversion time must be finite and positive, got {t}")
@@ -257,10 +260,14 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     half, contour = _talbot_contour(nodes, r, t)
     total = half * f0
     for s, e, weight in contour:
-        fs = complex(image(s))
-        if not (math.isfinite(fs.real) and math.isfinite(fs.imag)):
-            raise LaplaceError(f"image not finite at contour node s={s}")
-        total += (e * fs * weight).real
+        total += (e * image(s) * weight).real
+    if not math.isfinite(total.real):
+        # a non-finite image value poisons the sum; name the first one
+        for s, _, _ in contour:
+            fs = complex(image(s))
+            if not (math.isfinite(fs.real) and math.isfinite(fs.imag)):
+                raise LaplaceError(f"image not finite at contour node s={s}")
+        raise LaplaceError(f"contour sum not finite at t={t}")
     return (r / nodes) * total.real
 
 

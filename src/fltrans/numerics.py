@@ -13,10 +13,11 @@ Scalar, pure-Python kernels used by every other module:
   order <= 8 costs more than a fixed number of operations, whatever x.
 * Gamma function wrapper with a strict positive-real domain.
 * Adaptive Gauss-Kronrod (G10/K21, as in QUADPACK's QAGS) quadrature on
-  finite intervals.
-* Semi-infinite quadrature by one cell loop: geometric cells for decaying
-  integrands, cells between the zeros of the oscillating factor for
-  oscillatory ones, with Wynn epsilon acceleration while cells alternate.
+  finite intervals; one panel routine serves this rule and G7/K15.
+* Semi-infinite quadrature by one cell loop: geometric cells (G10/K21) for
+  decaying integrands, half-period cells (G7/K15) between the zeros of the
+  oscillating factor for oscillatory ones, with Wynn epsilon acceleration
+  while cells alternate.  The zeros of J_nu (bessel_j_zero) are cached.
 
 All functions are pure and reentrant; the dataclasses are frozen, so
 values may be shared freely across threads.
@@ -24,6 +25,7 @@ values may be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -219,6 +221,9 @@ _MODULUS_PHASE = (
     (tuple(zip(_pairs(_P1), _pairs(_Q1))),
      math.cos(0.75 * math.pi), math.sin(0.75 * math.pi)),
 )
+# the J0 and J1 tables side by side, for the start pair's one-pass sums
+_START_CHEBYSHEV = tuple(zip(_J0_STEPS, _J1X_STEPS))
+_START_MODULUS_PHASE = tuple(zip(_MODULUS_PHASE[0][0], _MODULUS_PHASE[1][0]))
 
 
 def _chebyshev(steps, x: float) -> float:
@@ -266,19 +271,44 @@ def _bessel_j1(x: float) -> float:
 
 
 def _start_pair(nu: float, x: float) -> tuple:
-    # (nu0, J_nu0(x), J_{nu0+1}(x)) for the order family of nu: the table J0
-    # and J1 for integer orders, the closed forms J_{-1/2} = c cos x and
-    # J_{1/2} = c sin x, c = sqrt(2/(pi x)) (A&S 10.1.11), for half-integer
-    # ones; above x = 8 the table values share cos x, sin x and sqrt(x)
+    # (nu0, J_nu0(x), J_{nu0+1}(x)) at x > 0 for the order family of nu: the
+    # table J0 and J1 for integer orders, the closed forms J_{-1/2} = c cos x
+    # and J_{1/2} = c sin x, c = sqrt(2/(pi x)) (A&S 10.1.11), for
+    # half-integer ones.  The two tables are summed in one loop that shares
+    # u (x <= 8) or y, cos x, sin x and the square root (x > 8); each sum
+    # keeps the operations of _chebyshev or _modulus_phase in their order,
+    # so the pair equals (_bessel_j0(x), _bessel_j1(x)) bit for bit.
     if nu % 1.0:
         c = math.sqrt(2.0 / (math.pi * x))
         return -0.5, c * math.cos(x), c * math.sin(x)
     if x <= 8.0:
-        return 0.0, _bessel_j0(x), _bessel_j1(x)
+        u = x * x / 32.0 - 1.0
+        u2 = u + u
+        b0 = b1 = d0 = d1 = 0.0  # Clenshaw pairs of J0 and of J1(x)/x
+        for (a0, c0), (a1, c1) in _START_CHEBYSHEV:
+            b1 = u2 * b0 - b1 + a0
+            b0 = u2 * b1 - b0 + c0
+            d1 = u2 * d0 - d1 + a1
+            d0 = u2 * d1 - d0 + c1
+        return 0.0, b0 - u * b1, x * (d0 - u * d1)
+    y = 64.0 / (x * x)
+    p0 = q0 = p1 = q1 = 0.0
+    for ((pa, pb), (qa, qb)), ((ra, rb), (sa, sb)) in _START_MODULUS_PHASE:
+        p0 = (p0 * y + pa) * y + pb
+        q0 = (q0 * y + qa) * y + qb
+        p1 = (p1 * y + ra) * y + rb
+        q1 = (q1 * y + sa) * y + sb
+    q0 *= 8.0 / x
+    q1 *= 8.0 / x
     cos_x, sin_x = math.cos(x), math.sin(x)
     amp = math.sqrt(2.0 / (math.pi * x))
-    return (0.0, amp * _modulus_phase(0, x, cos_x, sin_x),
-            amp * _modulus_phase(1, x, cos_x, sin_x))
+    (_, cos_c0, sin_c0), (_, cos_c1, sin_c1) = _MODULUS_PHASE
+    cos_chi = cos_x * cos_c0 + sin_x * sin_c0
+    sin_chi = sin_x * cos_c0 - cos_x * sin_c0
+    j0 = p0 * cos_chi - q0 * sin_chi
+    cos_chi = cos_x * cos_c1 + sin_x * sin_c1
+    sin_chi = sin_x * cos_c1 - cos_x * sin_c1
+    return 0.0, amp * j0, amp * (p1 * cos_chi - q1 * sin_chi)
 
 
 def _bessel_upward(nu: float, x: float) -> float:
@@ -350,13 +380,19 @@ def bessel_j(order: float, x: float) -> float:
     return _bessel_miller(nu, x)
 
 
+@functools.lru_cache(maxsize=1024)
 def bessel_j_zero(order: float, n: int) -> float:
     """n-th positive zero of J_order (n >= 1), McMahon expansion + Newton.
 
-    Exact trigonometric zeros are returned for order +-1/2.
+    Exact trigonometric zeros are returned for order +-1/2.  n must be an
+    integral number >= 1 (3.0 counts as 3); anything else, NaN and inf
+    included, is refused with DomainError.  The zeros are pure in
+    (order, n), so the 1024 most recent are cached: the oscillatory
+    transforms of one order ask for the same j_{nu,n} at every wavenumber.
     """
-    if n < 1:
-        raise DomainError("zero index must be >= 1")
+    if not (n >= 1 and n % 1 == 0):  # also refuses NaN and inf
+        raise DomainError(f"zero index must be an integer >= 1, got {n}")
+    n = int(n)
     if order == 0.5:
         return n * math.pi
     if order == -0.5:
@@ -425,65 +461,118 @@ _WG = (
 _GAUSS_NODES = tuple((_XGK[i], _WGK[i], _WG[i // 2]) for i in range(1, 10, 2))
 _KRONROD_NODES = tuple((_XGK[i], _WGK[i]) for i in range(0, 10, 2))
 
+# G7/K15 nodes and weights (QUADPACK dqk15): the nodes _XGK15[1], _XGK15[3]
+# and _XGK15[5] and the center _XGK15[7] are shared with G7
+_XGK15 = (
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144838258730,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+)
+_WGK15 = (
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+)
+_WG7 = (
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+)
+
 _EPS = 2.220446049250313e-16
 
 
-def _gk21(f, a: float, b: float):
-    """One G10/K21 panel: returns (K21 value, error estimate)."""
-    center = 0.5 * (a + b)
-    halflen = 0.5 * (b - a)
-    fc = f(center)
-    resg = 0.0
-    resk = _WGK[10] * fc
-    resabs = _WGK[10] * abs(fc)
-    sides = []  # (K21 weight, f(center - dx), f(center + dx))
-    for x, wk, wg in _GAUSS_NODES:
-        dx = halflen * x
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        sides.append((wk, f1, f2))
-        pair = f1 + f2
-        resg += wg * pair
-        resk += wk * pair
-        resabs += wk * (abs(f1) + abs(f2))
-    for x, wk in _KRONROD_NODES:
-        dx = halflen * x
-        f1 = f(center - dx)
-        f2 = f(center + dx)
-        sides.append((wk, f1, f2))
-        resk += wk * (f1 + f2)
-        resabs += wk * (abs(f1) + abs(f2))
-    mean = 0.5 * resk
-    resasc = _WGK[10] * abs(fc - mean)
-    for wk, f1, f2 in sides:
-        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
-    resk *= halflen
-    resg *= halflen
-    resabs *= abs(halflen)
-    resasc *= abs(halflen)
-    err = abs(resk - resg)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > 1e-290:
-        err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
+@dataclass(frozen=True)
+class _GaussKronrod:
+    """A Gauss-Kronrod panel rule; a call (f, a, b) returns (value, error).
 
-
-def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
-    """Adaptive G10/K21 bisection of f over the open interval (a, b).
-
-    Each panel costs 21 evaluations of f, so each bisection costs 42.
-    f may return real or complex values; endpoints are never evaluated.
-    Non-convergence is reported through converged=False, never by a
-    silently wrong value.
+    gauss holds (node, Kronrod weight, Gauss weight) of the nodes the two
+    rules share and kronrod (node, Kronrod weight) of the others, each node
+    on one side of the center; center_gauss is 0.0 where the center is a
+    Kronrod node only.  The value is the Kronrod sum and the error
+    estimate QUADPACK's, from |Kronrod - Gauss| scaled by the spread of f.
     """
+
+    center_kronrod: float
+    center_gauss: float
+    gauss: tuple
+    kronrod: tuple
+
+    @property
+    def points(self) -> int:
+        return 1 + 2 * (len(self.gauss) + len(self.kronrod))
+
+    def __call__(self, f, a: float, b: float):
+        center = 0.5 * (a + b)
+        halflen = 0.5 * (b - a)
+        fc = f(center)
+        wkc = self.center_kronrod
+        resg = self.center_gauss * fc if self.center_gauss else 0.0
+        resk = wkc * fc
+        resabs = wkc * abs(fc)
+        sides = []  # (Kronrod weight, f(center - dx), f(center + dx))
+        for x, wk, wg in self.gauss:
+            dx = halflen * x
+            f1 = f(center - dx)
+            f2 = f(center + dx)
+            sides.append((wk, f1, f2))
+            pair = f1 + f2
+            resg += wg * pair
+            resk += wk * pair
+            resabs += wk * (abs(f1) + abs(f2))
+        for x, wk in self.kronrod:
+            dx = halflen * x
+            f1 = f(center - dx)
+            f2 = f(center + dx)
+            sides.append((wk, f1, f2))
+            resk += wk * (f1 + f2)
+            resabs += wk * (abs(f1) + abs(f2))
+        mean = 0.5 * resk
+        resasc = wkc * abs(fc - mean)
+        for wk, f1, f2 in sides:
+            resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
+        resk *= halflen
+        resg *= halflen
+        resabs *= abs(halflen)
+        resasc *= abs(halflen)
+        err = abs(resk - resg)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        if resabs > 1e-290:
+            err = max(err, 50.0 * _EPS * resabs)
+        return resk, err
+
+
+# QUADPACK's dqk21, the panel of QAGS, and dqk15, the panel of a half-period
+# cell of integrate_oscillatory
+_gk21 = _GaussKronrod(_WGK[10], 0.0, _GAUSS_NODES, _KRONROD_NODES)
+_gk15 = _GaussKronrod(
+    _WGK15[7], _WG7[3],
+    tuple((_XGK15[i], _WGK15[i], _WG7[i // 2]) for i in range(1, 7, 2)),
+    tuple((_XGK15[i], _WGK15[i]) for i in range(0, 7, 2)))
+
+
+def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
+              panel: _GaussKronrod) -> IntegralResult:
+    # integrate_adaptive with the panel rule as an argument
     if not -math.inf < a <= b < math.inf:  # also refuses NaN
         raise DomainError(f"integrate_adaptive requires finite a <= b, "
                           f"got ({a}, {b})")
     if a == b:
         return IntegralResult(0.0, 0.0, True, 0)
-    val, err = _gk21(f, a, b)
-    evals = 21
+    val, err = panel(f, a, b)
+    evals = points = panel.points
     # heap entries: (-error, counter, a, b, value, error); counter breaks ties
     count = 0
     cells = [(-err, count, a, b, val, err)]
@@ -501,15 +590,31 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralR
             # the worst cell is exhausted at machine resolution (QUADPACK's
             # ier = 3); a NaN integrand ends here too
             return IntegralResult(total, total_err, False, evals)
-        lval, lerr = _gk21(f, ca, mid)
-        rval, rerr = _gk21(f, mid, cb)
-        evals += 42
+        lval, lerr = panel(f, ca, mid)
+        rval, rerr = panel(f, mid, cb)
+        evals += 2 * points
         total += lval + rval - cval
         total_err += lerr + rerr - cerr
         count += 1
         heapq.heappush(cells, (-lerr, count, ca, mid, lval, lerr))
         count += 1
         heapq.heappush(cells, (-rerr, count, mid, cb, rval, rerr))
+
+
+def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
+    """Adaptive G10/K21 bisection of f over the open interval (a, b).
+
+    Each panel costs 21 evaluations of f, so each bisection costs 42.
+    f may return real or complex values; endpoints are never evaluated.
+    Non-convergence is reported through converged=False, never by a
+    silently wrong value.
+    """
+    return _adaptive(f, a, b, spec, _gk21)
+
+
+def _integrate_k15(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
+    # integrate_adaptive on G7/K15 panels: 15 evaluations per panel
+    return _adaptive(f, a, b, spec, _gk15)
 
 
 # ---------------------------------------------------------------------------
@@ -550,19 +655,21 @@ def _wynn_epsilon(sums):
 _OSCILLATION_CELLS = 200
 
 
-def _integrate_cells(f, a: float, edge, spec: QuadratureSpec) -> IntegralResult:
-    """Sum of integrate_adaptive over the cells (a, edge(1)), (edge(1), edge(2)), ...
+def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
+                     integrate) -> IntegralResult:
+    """Sum of integrate(f, lo, hi, spec) over the cells (a, edge(1)), (edge(1), edge(2)), ...
 
-    The error estimate sums the cell estimates (QUADPACK's convention).  The
-    sum stops on two consecutive negligible cells, on one cell below the
-    roundoff of the total, or when two successive Wynn epsilon extrapolations
-    of the partial sums agree.  Extrapolation is tried only while the two
-    newest cells alternate in sign, the sequences it is made for; on a
-    same-sign tail that has not yet peaked, two equal extrapolations prove
-    nothing.
+    integrate is integrate_adaptive (G10/K21 panels) or _integrate_k15
+    (G7/K15 panels), whichever rule fits the cells.  The error estimate
+    sums the cell estimates (QUADPACK's convention).  The sum stops on two
+    consecutive negligible cells, on one cell below the roundoff of the
+    total, or when two successive Wynn epsilon extrapolations of the partial
+    sums agree.  Extrapolation is tried only while the two newest cells
+    alternate in sign, the sequences it is made for; on a same-sign tail
+    that has not yet peaked, two equal extrapolations prove nothing.
     """
     hi = edge(1)  # a cell's upper edge is the next cell's lower one
-    first = integrate_adaptive(f, a, hi, spec)
+    first = integrate(f, a, hi, spec)
     evals = first.evaluations
     total = part = first.value
     cell_err = first.error_estimate
@@ -571,7 +678,7 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec) -> IntegralResult:
     for c in range(_OSCILLATION_CELLS):
         prev = part
         lo, hi = hi, edge(c + 2)
-        res = integrate_adaptive(f, lo, hi, spec)
+        res = integrate(f, lo, hi, spec)
         part = res.value
         evals += res.evaluations
         total += part
@@ -611,7 +718,7 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult
             x += min(2.0 ** m, 64.0)
         return x
 
-    return _integrate_cells(f, a, edge, spec)
+    return _integrate_cells(f, a, edge, spec, integrate_adaptive)
 
 
 def integrate_oscillatory(f, zero, spec: QuadratureSpec) -> IntegralResult:
@@ -619,5 +726,11 @@ def integrate_oscillatory(f, zero, spec: QuadratureSpec) -> IntegralResult:
 
     zero(n) is the n-th positive zero (n >= 1, increasing in n) of the
     oscillating factor of f; the cells alternate, so Wynn's epsilon applies.
+    A cell spans half a period, on which f is smooth and close to one arch,
+    so each cell is integrated adaptively on QUADPACK's G7/K15 panel (dqk15,
+    15 evaluations per panel and 30 per bisection): there 15 nodes meet the
+    tolerance that a G10/K21 panel would spend 21 on.  The wide geometric
+    cells of integrate_semi_infinite keep G10/K21, on which K15 needs more
+    bisections than it saves.
     """
-    return _integrate_cells(f, 0.0, zero, spec)
+    return _integrate_cells(f, 0.0, zero, spec, _integrate_k15)

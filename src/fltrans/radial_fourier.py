@@ -23,6 +23,7 @@ the checked pointwise form of the same kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +33,8 @@ from .numerics import (
     IntegralResult,
     QuadratureSpec,
     _bessel_j0,
+    _bessel_j1,
+    _bessel_upward,
     bessel_j,
     bessel_j_zero,
     bessel_series,
@@ -112,7 +115,12 @@ def _kernel(d: int) -> Callable[[float], float]:
     The dispatch on d happens here, once per integral, not at every
     quadrature node: cos, the table J0 and sinc in one, two and three
     dimensions, otherwise Gamma(d/2) (z/2)^{1-d/2} J_{d/2-1}(z) with nu and
-    Gamma(d/2) computed once.  The argument is not checked.
+    Gamma(d/2) computed once.  For d >= 4, nu = d/2 - 1 >= 1, and each node
+    takes bessel_j's path without its checks and dispatch: the normalized
+    series S_nu(z) itself for z < nu, z <= 8; the table J1 (d = 4) or the
+    upward recurrence from the start pair for z >= nu; bessel_j, which runs
+    Miller's recurrence, for 8 < z < nu.  The values equal those through
+    bessel_j bit for bit.  The argument is not checked.
     """
     if d == 1:
         return math.cos
@@ -122,10 +130,12 @@ def _kernel(d: int) -> Callable[[float], float]:
         return _sinc
     nu = 0.5 * d - 1.0
     scale = gamma_fn(0.5 * d)
+    upward = _bessel_j1 if nu == 1.0 else functools.partial(_bessel_upward, nu)
 
     def general(z: float) -> float:
-        # the normalized series S_{d/2-1}(z) itself where bessel_j would sum it
-        if z < nu and z <= 8.0:
+        if z >= nu:
+            return scale * (0.5 * z) ** -nu * upward(z)
+        if z <= 8.0:
             return bessel_series(nu, z)
         return scale * (0.5 * z) ** -nu * bessel_j(nu, z)
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -259,6 +260,34 @@ def test_inverse_aborts_on_non_finite_image():
     from fltrans.laplace import LaplaceError
     with pytest.raises(LaplaceError):
         inverse_laplace(lambda s: float("nan"), 1.0, 16)
+
+
+def test_inverse_names_the_first_node_where_the_image_is_not_finite():
+    # the sum is checked once at the end; the error must still name the
+    # node, here the only one with Im s in (1.0, 1.5)
+    from fltrans.laplace import LaplaceError
+    _, contour = _talbot_contour(16, 0.3 * 2.0 * 16 / 5.0, 1.0)
+    (bad,) = [s for s, _, _ in contour if 1.0 < s.imag < 1.5]
+
+    def image(s):
+        return math.nan if s == bad else 1.0 / (s + 1.0)
+
+    with pytest.raises(LaplaceError, match=re.escape(f"s={bad}")):
+        inverse_laplace(image, 1.0, 16)
+
+
+def test_inverse_raises_on_a_contour_sum_that_overflows():
+    # every image value is finite, but e^{st} F(s) overflows at some node
+    from fltrans.laplace import LaplaceError
+    with pytest.raises(LaplaceError, match="contour sum not finite"):
+        inverse_laplace(lambda s: 1e308 * (1.0 + 1.0j), 1.0, 16)
+
+
+def test_inverse_of_a_float_image_equals_that_of_its_complex_twin():
+    # an image may return Python floats, as 1/s does at real s
+    for t in (0.3, 1.0, 4.0):
+        assert (inverse_laplace(lambda s: (s * s.conjugate()).real, t, 24)
+                == inverse_laplace(lambda s: complex((s * s.conjugate()).real), t, 24))
 
 
 def test_talbot_geometric_convergence():

@@ -1,6 +1,7 @@
 """Tests for the special-function and quadrature engines."""
 
 import math
+import random
 import threading
 from fractions import Fraction
 
@@ -119,6 +120,44 @@ def test_bessel_zeros():
     for n in (1, 2, 5, 20):
         z = bessel_j_zero(1.0, n)
         assert abs(bessel_j(1, z)) < 1e-12
+
+
+@pytest.mark.parametrize("order, n", [(0.5, 2.5), (-0.5, 1.5), (0.0, 1.5),
+                                      (0.0, 0), (1.0, -2), (0.0, math.nan),
+                                      (0.0, math.inf), (1.0, -math.inf)])
+def test_bessel_zero_refuses_an_index_that_is_not_an_integer_from_one(order, n):
+    # (0.5, 2.5) returned 2.5 pi, (0, 1.5) returned j_{0,4}, and NaN or
+    # inf failed inside bessel_j with "requires finite x"
+    with pytest.raises(DomainError, match="zero index"):
+        bessel_j_zero(order, n)
+
+
+def test_bessel_zero_takes_an_integral_float_index():
+    assert bessel_j_zero(0.0, 3.0) == bessel_j_zero(0.0, 3)
+    assert bessel_j_zero(0.5, 2.0) == 2.0 * math.pi
+
+
+def test_bessel_zeros_are_cached_and_the_cache_is_bounded():
+    cases = [(order, n) for order in (0.0, 0.5, 1.0, 1.5, 2.0) for n in (1, 2, 7, 40)]
+    before = [bessel_j_zero(order, n) for order, n in cases]
+    bessel_j_zero.cache_clear()
+    assert [bessel_j_zero(order, n) for order, n in cases] == before
+    assert bessel_j_zero.cache_info().hits == 0
+    for n in range(1, 1200):
+        bessel_j_zero(2.0, n)
+    info = bessel_j_zero.cache_info()
+    assert info.maxsize == 1024 and info.currsize == 1024
+
+
+def test_start_pair_equals_the_table_j0_and_j1_bit_for_bit():
+    # the one-pass sums of the start pair against _bessel_j0 and _bessel_j1
+    rng = random.Random(11)
+    xs = ([rng.uniform(0.0, 8.0) for _ in range(3000)]
+          + [math.exp(rng.uniform(math.log(8.0), math.log(1e4))) for _ in range(3000)]
+          + [8.0, math.nextafter(8.0, 9.0), 1e-300, 1e4])
+    for x in xs:
+        assert numerics._start_pair(2.0, x) == (
+            0.0, numerics._bessel_j0(x), numerics._bessel_j1(x)), x
 
 
 # orders for the large-argument checks: every order the transforms use
@@ -371,6 +410,41 @@ def test_semi_infinite_flags_non_decay():
 
 
 # --- integrate_oscillatory ----------------------------------------------------
+
+def test_k15_panel_degrees_on_a_shifted_interval():
+    # K15 is exact for degree <= 22 and its embedded G7 (center included)
+    # for degree <= 13; a mistyped node or weight breaks one of these moments.
+    # The K15 weights are larger than K21's, and the float sums of x^j lose
+    # up to 1.4e-15 here, so the bound is 4e-15 rather than 1e-15.
+    a, b = -0.5, 1.5
+    center, halflen = 0.5 * (a + b), 0.5 * (b - a)
+    panel = numerics._gk15
+    assert panel.points == 15 and numerics._gk21.points == 21
+    for j in range(23):
+        exact = float((Fraction(b) ** (j + 1) - Fraction(a) ** (j + 1)) / (j + 1))
+        kronrod, _ = panel(lambda x: x**j, a, b)
+        assert abs(kronrod - exact) <= 4e-15 * abs(exact), j
+        if j <= 13:
+            gauss = halflen * (panel.center_gauss * center ** j + sum(
+                wg * ((center - halflen * x) ** j + (center + halflen * x) ** j)
+                for x, _, wg in panel.gauss))
+            assert abs(gauss - exact) <= 4e-15 * abs(exact), j
+
+
+def test_half_period_cells_take_k15_and_geometric_cells_k21():
+    # on smooth cells one panel each meets the tolerance: 15 evaluations
+    # per half-period cell, 21 per geometric cell
+    edges = []
+
+    def zero(n):
+        edges.append(n)
+        return (n - 0.5) * math.pi
+
+    osc = integrate_oscillatory(lambda x: math.exp(-x) * math.cos(x), zero, SPEC)
+    assert osc.converged and osc.evaluations == 15 * len(edges)
+    geo = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC)
+    assert geo.converged and geo.evaluations % 21 == 0 and geo.evaluations % 15 != 0
+
 
 def test_oscillatory_laplace_cos_grid():
     # spec invariant: int_0^inf e^{-a x} cos(w x) dx = a/(a^2+w^2) to 1e-9

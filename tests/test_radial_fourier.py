@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from fltrans.numerics import DomainError, QuadratureSpec
+from fltrans import radial_fourier
+from fltrans.numerics import DomainError, QuadratureSpec, bessel_j, bessel_series
 from fltrans.radial_fourier import (
     Dimension,
     RadialProfile,
@@ -275,7 +276,47 @@ def test_exponential_seeded_sweep_on_the_oscillatory_path():
     assert misses == []
 
 
+def test_yukawa_image_seeded_sweep_on_the_oscillatory_path():
+    # inverse hops of the Yukawa image in d = 2, 3, whose algebraic tails
+    # run on half-period cells, against e^{-r}/r to 100 rel_tol; the
+    # forward hops of e^{-r} on the same cells are swept above
+    rng = random.Random(7)
+    misses = []
+    for _ in range(24):
+        d, r = rng.randint(2, 3), rng.uniform(0.3, 6.0)
+        image = RadialProfile(  # the transform of e^{-r}/r in d = 2, 3
+            (lambda k: 2.0 * math.pi / math.sqrt(1.0 + k * k)) if d == 2
+            else (lambda k: 4.0 * math.pi / (1.0 + k * k)),
+            decay_class="algebraic")
+        res = inverse_result(Dimension(d), image, r, SPEC)
+        want = math.exp(-r) / r
+        if not (res.converged
+                and abs(res.value - want) <= 100.0 * SPEC.rel_tol * want):
+            misses.append((d, r))
+    assert misses == []
+
+
 # --- the kernel resolved once per integral ----------------------------------------
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8, 9, 21, 24, 25])
+def test_general_kernel_equals_the_bessel_j_path_bit_for_bit(d):
+    # the d >= 4 kernel skips bessel_j's checks and dispatch but must give
+    # the same bits as the normalized series below nu (z <= 8) and
+    # Gamma(d/2) (z/2)^{-nu} bessel_j(nu, z) elsewhere
+    nu = 0.5 * d - 1.0
+    scale = math.gamma(0.5 * d)
+    kern = radial_fourier._kernel(d)
+    rng = random.Random(d)
+    zs = [rng.uniform(0.0, 300.0) for _ in range(2000)]
+    zs += [nu, math.nextafter(nu, 0.0), 8.0, math.nextafter(8.0, 9.0),
+           20.0 + nu * nu, 1.0, 1e-9, 300.0]
+    for z in zs:
+        if z < nu and z <= 8.0:
+            want = bessel_series(nu, z)
+        else:
+            want = scale * (0.5 * z) ** -nu * bessel_j(nu, z)
+        assert kern(z) == want, (d, z)
+
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("k, x", [(math.nan, 1.0), (1.0, math.nan),
