@@ -84,8 +84,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     dimensions = _numbers(args.dim, int)
     if any(d < 1 for d in dimensions):
         raise ConfigError("dimensions must be >= 1")
-    if not args.tol > 0:
-        raise ConfigError("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:  # also refuses NaN
+        raise ConfigError("--tol must be finite and positive")
     if args.originals == "all":
         originals = catalog_list()
     else:

@@ -22,7 +22,9 @@ depend on the node count alone and are tabulated once per count; the
 contour itself, each node s with its factor e^{s t}, depends on
 (nodes, radius, t) and is tabulated for the 16 most recent triples, so
 the inversions of one verification grid, which share a few times t
-across its wavenumbers, evaluate only their images.
+across its wavenumbers, evaluate only their images.  The theta = 0 node
+s = r is the first entry of that table, weighted 1/2, so the inversion
+is one sum over the table.
 
 Branch convention: sqrt_s2k2(s, k) continues sqrt(s^2 + k^2) from the
 positive real axis into the plane cut along the segment [-ik, +ik], which
@@ -194,13 +196,14 @@ def _talbot_nodes(nodes: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _talbot_contour(nodes: int, r: float, t: float) -> tuple:
-    """(0.5 e^{r t}, contour) for the contour of radius r at time t.
+    """(s, e^{s t}, weight) for each node of the contour of radius r at time t.
 
-    contour holds (s, e^{s t}, 1 + i sigma(theta)) for each node of
-    _talbot_nodes(nodes) whose exponent Re(s t) clears _NODE_EXPONENT_FLOOR.
-    The table depends on (nodes, r, t) alone, not on the image.
+    First the theta = 0 node (r, e^{r t} / 2, 1), then (s, e^{s t},
+    1 + i sigma(theta)) for each node of _talbot_nodes(nodes) whose exponent
+    Re(s t) clears _NODE_EXPONENT_FLOOR.  The table depends on
+    (nodes, r, t) alone, not on the image.
     """
-    contour = []
+    contour = [(complex(r, 0.0), 0.5 * cmath.exp(r * t), 1.0)]
     for theta, cot, weight in _talbot_nodes(nodes):
         # s = r theta (cot theta + i), formed without a complex product
         r_theta = r * theta
@@ -209,7 +212,7 @@ def _talbot_contour(nodes: int, r: float, t: float) -> tuple:
         if st.real < _NODE_EXPONENT_FLOOR:
             continue
         contour.append((s, cmath.exp(st), weight))
-    return 0.5 * cmath.exp(r * t), tuple(contour)
+    return tuple(contour)
 
 
 def _check_nodes(nodes: int) -> None:
@@ -254,21 +257,18 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     if r == math.inf:
         raise DomainError(f"contour radius overflows at t = {t}, "
                           f"branch_height = {branch_height}")
-    f0 = complex(image(complex(r, 0.0)))
-    if not (math.isfinite(f0.real) and math.isfinite(f0.imag)):
-        raise LaplaceError(f"image not finite at contour base s={r}")
-    half, contour = _talbot_contour(nodes, r, t)
-    total = half * f0
+    contour = _talbot_contour(nodes, r, t)
+    total = 0.0
     for s, e, weight in contour:
         total += (e * image(s) * weight).real
-    if not math.isfinite(total.real):
+    if not math.isfinite(total):
         # a non-finite image value poisons the sum; name the first one
         for s, _, _ in contour:
             fs = complex(image(s))
             if not (math.isfinite(fs.real) and math.isfinite(fs.imag)):
                 raise LaplaceError(f"image not finite at contour node s={s}")
         raise LaplaceError(f"contour sum not finite at t={t}")
-    return (r / nodes) * total.real
+    return (r / nodes) * total
 
 
 def roundtrip_check(f: TimeOriginal, t_grid: Sequence[float], nodes: int,

@@ -6,14 +6,15 @@ Scalar, pure-Python kernels used by every other module:
   Abramowitz & Stegun ch. 9).  J0 and J1 come from fixed coefficient
   tables (Chebyshev series for x <= 8, modulus-phase polynomials above;
   within 1.5e-15 of scipy.special.jv).  Both order families then share
-  one path from a start pair, (J0, J1) or the closed forms
+  one path from a start pair, the table J0 and J1 or the closed forms
   (J_{-1/2}, J_{1/2}): upward recurrence (x >= max(nu, 1)), the
   normalized ascending series (smaller x <= 8) or Miller's downward
   recurrence normalized against the start pair (8 < x < nu).  No call of
   order <= 8 costs more than a fixed number of operations, whatever x.
 * Gamma function wrapper with a strict positive-real domain.
 * Adaptive Gauss-Kronrod (G10/K21, as in QUADPACK's QAGS) quadrature on
-  finite intervals; one panel routine serves this rule and G7/K15.
+  finite intervals; one panel routine, one loop over its nodes, serves
+  this rule and G7/K15.
 * Semi-infinite quadrature by one cell loop: geometric cells (G10/K21) for
   decaying integrands, half-period cells (G7/K15) between the zeros of the
   oscillating factor for oscillatory ones, with Wynn epsilon acceleration
@@ -221,9 +222,6 @@ _MODULUS_PHASE = (
     (tuple(zip(_pairs(_P1), _pairs(_Q1))),
      math.cos(0.75 * math.pi), math.sin(0.75 * math.pi)),
 )
-# the J0 and J1 tables side by side, for the start pair's one-pass sums
-_START_CHEBYSHEV = tuple(zip(_J0_STEPS, _J1X_STEPS))
-_START_MODULUS_PHASE = tuple(zip(_MODULUS_PHASE[0][0], _MODULUS_PHASE[1][0]))
 
 
 def _chebyshev(steps, x: float) -> float:
@@ -238,10 +236,10 @@ def _chebyshev(steps, x: float) -> float:
     return b0 - u * b1
 
 
-def _modulus_phase(n: int, x: float, cos_x: float, sin_x: float) -> float:
-    # sqrt(pi x / 2) J_n(x) for n in {0, 1} and x > 8, with P and Q summed
-    # by Horner's rule.  The phase chi is expanded by the angle-sum
-    # formulas, so cos and sin reduce x exactly.
+def _modulus_phase(n: int, x: float) -> float:
+    # J_n(x) for n in {0, 1} and x > 8, with P and Q summed by Horner's
+    # rule.  The phase chi is expanded by the angle-sum formulas, so cos
+    # and sin reduce x exactly.
     steps, cos_c, sin_c = _MODULUS_PHASE[n]
     y = 64.0 / (x * x)
     p = q = 0.0
@@ -249,15 +247,15 @@ def _modulus_phase(n: int, x: float, cos_x: float, sin_x: float) -> float:
         p = (p * y + pa) * y + pb
         q = (q * y + qa) * y + qb
     q *= 8.0 / x
+    cos_x, sin_x = math.cos(x), math.sin(x)
     cos_chi = cos_x * cos_c + sin_x * sin_c
     sin_chi = sin_x * cos_c - cos_x * sin_c
-    return p * cos_chi - q * sin_chi
+    return math.sqrt(2.0 / (math.pi * x)) * (p * cos_chi - q * sin_chi)
 
 
 def _bessel_j0(x: float) -> float:
     if x > 8.0:
-        return (math.sqrt(2.0 / (math.pi * x))
-                * _modulus_phase(0, x, math.cos(x), math.sin(x)))
+        return _modulus_phase(0, x)
     if x == 0.0:
         return 1.0
     return _chebyshev(_J0_STEPS, x)
@@ -265,8 +263,7 @@ def _bessel_j0(x: float) -> float:
 
 def _bessel_j1(x: float) -> float:
     if x > 8.0:
-        return (math.sqrt(2.0 / (math.pi * x))
-                * _modulus_phase(1, x, math.cos(x), math.sin(x)))
+        return _modulus_phase(1, x)
     return x * _chebyshev(_J1X_STEPS, x)
 
 
@@ -274,41 +271,11 @@ def _start_pair(nu: float, x: float) -> tuple:
     # (nu0, J_nu0(x), J_{nu0+1}(x)) at x > 0 for the order family of nu: the
     # table J0 and J1 for integer orders, the closed forms J_{-1/2} = c cos x
     # and J_{1/2} = c sin x, c = sqrt(2/(pi x)) (A&S 10.1.11), for
-    # half-integer ones.  The two tables are summed in one loop that shares
-    # u (x <= 8) or y, cos x, sin x and the square root (x > 8); each sum
-    # keeps the operations of _chebyshev or _modulus_phase in their order,
-    # so the pair equals (_bessel_j0(x), _bessel_j1(x)) bit for bit.
+    # half-integer ones
     if nu % 1.0:
         c = math.sqrt(2.0 / (math.pi * x))
         return -0.5, c * math.cos(x), c * math.sin(x)
-    if x <= 8.0:
-        u = x * x / 32.0 - 1.0
-        u2 = u + u
-        b0 = b1 = d0 = d1 = 0.0  # Clenshaw pairs of J0 and of J1(x)/x
-        for (a0, c0), (a1, c1) in _START_CHEBYSHEV:
-            b1 = u2 * b0 - b1 + a0
-            b0 = u2 * b1 - b0 + c0
-            d1 = u2 * d0 - d1 + a1
-            d0 = u2 * d1 - d0 + c1
-        return 0.0, b0 - u * b1, x * (d0 - u * d1)
-    y = 64.0 / (x * x)
-    p0 = q0 = p1 = q1 = 0.0
-    for ((pa, pb), (qa, qb)), ((ra, rb), (sa, sb)) in _START_MODULUS_PHASE:
-        p0 = (p0 * y + pa) * y + pb
-        q0 = (q0 * y + qa) * y + qb
-        p1 = (p1 * y + ra) * y + rb
-        q1 = (q1 * y + sa) * y + sb
-    q0 *= 8.0 / x
-    q1 *= 8.0 / x
-    cos_x, sin_x = math.cos(x), math.sin(x)
-    amp = math.sqrt(2.0 / (math.pi * x))
-    (_, cos_c0, sin_c0), (_, cos_c1, sin_c1) = _MODULUS_PHASE
-    cos_chi = cos_x * cos_c0 + sin_x * sin_c0
-    sin_chi = sin_x * cos_c0 - cos_x * sin_c0
-    j0 = p0 * cos_chi - q0 * sin_chi
-    cos_chi = cos_x * cos_c1 + sin_x * sin_c1
-    sin_chi = sin_x * cos_c1 - cos_x * sin_c1
-    return 0.0, amp * j0, amp * (p1 * cos_chi - q1 * sin_chi)
+    return 0.0, _bessel_j0(x), _bessel_j1(x)
 
 
 def _bessel_upward(nu: float, x: float) -> float:
@@ -456,10 +423,8 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# (node, K21 weight, G10 weight) of the shared nodes and (node, K21
-# weight) of the Kronrod-only ones, so the panel loops skip zero weights
+# (node, K21 weight, G10 weight) of the nodes shared with G10
 _GAUSS_NODES = tuple((_XGK[i], _WGK[i], _WG[i // 2]) for i in range(1, 10, 2))
-_KRONROD_NODES = tuple((_XGK[i], _WGK[i]) for i in range(0, 10, 2))
 
 # G7/K15 nodes and weights (QUADPACK dqk15): the nodes _XGK15[1], _XGK15[3]
 # and _XGK15[5] and the center _XGK15[7] are shared with G7
@@ -497,21 +462,20 @@ _EPS = 2.220446049250313e-16
 class _GaussKronrod:
     """A Gauss-Kronrod panel rule; a call (f, a, b) returns (value, error).
 
-    gauss holds (node, Kronrod weight, Gauss weight) of the nodes the two
-    rules share and kronrod (node, Kronrod weight) of the others, each node
-    on one side of the center; center_gauss is 0.0 where the center is a
+    nodes holds (node, Kronrod weight, Gauss weight) of each node on one
+    side of the center, shared nodes first, then the Kronrod-only ones
+    with Gauss weight 0.0; center_gauss is 0.0 where the center is a
     Kronrod node only.  The value is the Kronrod sum and the error
     estimate QUADPACK's, from |Kronrod - Gauss| scaled by the spread of f.
     """
 
     center_kronrod: float
     center_gauss: float
-    gauss: tuple
-    kronrod: tuple
+    nodes: tuple
 
     @property
     def points(self) -> int:
-        return 1 + 2 * (len(self.gauss) + len(self.kronrod))
+        return 1 + 2 * len(self.nodes)
 
     def __call__(self, f, a: float, b: float):
         center = 0.5 * (a + b)
@@ -522,21 +486,15 @@ class _GaussKronrod:
         resk = wkc * fc
         resabs = wkc * abs(fc)
         sides = []  # (Kronrod weight, f(center - dx), f(center + dx))
-        for x, wk, wg in self.gauss:
+        for x, wk, wg in self.nodes:
             dx = halflen * x
             f1 = f(center - dx)
             f2 = f(center + dx)
             sides.append((wk, f1, f2))
             pair = f1 + f2
-            resg += wg * pair
+            if wg:
+                resg += wg * pair
             resk += wk * pair
-            resabs += wk * (abs(f1) + abs(f2))
-        for x, wk in self.kronrod:
-            dx = halflen * x
-            f1 = f(center - dx)
-            f2 = f(center + dx)
-            sides.append((wk, f1, f2))
-            resk += wk * (f1 + f2)
             resabs += wk * (abs(f1) + abs(f2))
         mean = 0.5 * resk
         resasc = wkc * abs(fc - mean)
@@ -556,11 +514,12 @@ class _GaussKronrod:
 
 # QUADPACK's dqk21, the panel of QAGS, and dqk15, the panel of a half-period
 # cell of integrate_oscillatory
-_gk21 = _GaussKronrod(_WGK[10], 0.0, _GAUSS_NODES, _KRONROD_NODES)
+_gk21 = _GaussKronrod(_WGK[10], 0.0, _GAUSS_NODES + tuple(
+    (_XGK[i], _WGK[i], 0.0) for i in range(0, 10, 2)))
 _gk15 = _GaussKronrod(
     _WGK15[7], _WG7[3],
-    tuple((_XGK15[i], _WGK15[i], _WG7[i // 2]) for i in range(1, 7, 2)),
-    tuple((_XGK15[i], _WGK15[i]) for i in range(0, 7, 2)))
+    tuple((_XGK15[i], _WGK15[i], _WG7[i // 2]) for i in range(1, 7, 2))
+    + tuple((_XGK15[i], _WGK15[i], 0.0) for i in range(0, 7, 2)))
 
 
 def _adaptive(f, a: float, b: float, spec: QuadratureSpec,

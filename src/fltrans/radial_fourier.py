@@ -192,29 +192,19 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
             f"radial range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
     if substitution != "none" and math.isinf(hi):
         raise DomainError(f"substitution {substitution!r} needs a finite hi")
-    d = _dimension(d)
-    if substitution == "none":
-        plain = _integrand(d, g, k)
-        if math.isinf(hi):
-            return integrate_semi_infinite(plain, lo, spec)
-        return integrate_adaptive(plain, lo, hi, spec)
-    # one closure per substitution, with r(w) or r(theta) folded in; the
-    # product keeps the order of _integrand's, so values match it bit for bit
-    sd, kern, e = sphere_measure(d), _kernel(d), d - 1
+    plain = _integrand(_dimension(d), g, k)
     if substitution == "origin":
         # r = w^2 turns fractional powers of r at the origin polynomial
-        def origin(w: float) -> float:
-            r = w * w
-            return sd * g(r) * r ** e * kern(k * r) * 2.0 * w
-
-        return integrate_adaptive(origin, math.sqrt(lo), math.sqrt(hi), spec)
-    width = hi - lo
-
-    def light_cone(theta: float) -> float:
-        r = lo + width * math.sin(theta)
-        return sd * g(r) * r ** e * kern(k * r)
-
-    return integrate_adaptive(light_cone, 0.0, 0.5 * math.pi, spec)
+        return integrate_adaptive(lambda w: plain(w * w) * 2.0 * w,
+                                  math.sqrt(lo), math.sqrt(hi), spec)
+    if substitution == "light_cone":
+        width = hi - lo
+        return integrate_adaptive(
+            lambda theta: plain(lo + width * math.sin(theta)),
+            0.0, 0.5 * math.pi, spec)
+    if math.isinf(hi):
+        return integrate_semi_infinite(plain, lo, spec)
+    return integrate_adaptive(plain, lo, hi, spec)
 
 
 def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,

@@ -97,8 +97,12 @@ def _compare(pair_id: str, dimension: int, test_original: str,
 
     An exception of a type in _HOP_ERRORS is recorded as a failure of its
     point and fails the report; points are never silently skipped.  A
-    report that compared nothing fails.
+    report that compared nothing fails, and a tolerance that is not
+    finite and positive is refused before the first point.
     """
+    if not 0.0 < tolerance < math.inf:  # also refuses NaN
+        raise DomainError(
+            f"tolerance must be finite and positive, got {tolerance}")
     start = time.perf_counter()
     points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
     for point in map(tuple, samples):
@@ -170,7 +174,7 @@ def _assert_catalog_image(f: TestOriginal, spec: QuadratureSpec) -> None:
     for s in (f.f.sigma0 + 1.1, f.f.sigma0 + 2.6):
         try:
             got = forward_laplace(f.f, s, spec)
-        except LaplaceError as exc:
+        except (LaplaceError, ArithmeticError) as exc:
             raise DomainError(
                 f"catalog original {f.id}: numeric transform failed at "
                 f"s={s}: {exc}") from exc
@@ -283,8 +287,10 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
     the grid of build_sample_grid.  A triple is admissible when
     pair.admits(d, f): d is an integer >= the row's min_dim and, for a
     type-2 row, the original decays (sigma0 < 0).  Inadmissible triples
-    are dropped, so a request that admits none returns no report.
+    are dropped, so a request that admits none returns no report.  A
+    node count that is not an integer >= 4 is refused before any hop.
     """
+    _check_nodes(nodes)
     spec = QuadratureSpec()
     if originals is None:
         originals = catalog_list()

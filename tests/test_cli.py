@@ -95,10 +95,12 @@ def test_verify_bad_catalog_parameters_are_config_errors(capsys, original):
     assert "bad parameters" in err
 
 
-@pytest.mark.parametrize("original", ["exp_decay:50"])
+@pytest.mark.parametrize("original",
+                         ["exp_decay:50", "poly_exp:400,1", "exp_decay:-800"])
 def test_verify_catalog_original_whose_image_check_fails(capsys, original):
     # a well-formed id whose closed-form image cannot be confirmed by the
-    # numeric transform is a configuration error, not a crash
+    # numeric transform is a configuration error, not a crash; the last two
+    # overflow inside the original itself
     code, out, err = run(capsys, "verify", "--pair", "1.2", "--dim", "2",
                          "--f", original)
     assert code == 2
@@ -123,6 +125,15 @@ def test_verify_unachievable_tolerance_fails(capsys):
     code, out, _ = run(capsys, "verify", "--pair", "1.4", "--dim", "2",
                        "--f", "exp_decay:1", "--tol", "1e-15")
     assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_verify_tolerance_not_finite_and_positive_is_a_config_error(capsys, tol):
+    code, out, err = run(capsys, "verify", "--pair", "2.1", "--dim", "2",
+                         "--f", "exp_decay:1", "--tol", tol)
+    assert code == 2
+    assert "--tol must be finite and positive" in err
+    assert out == ""
 
 
 def test_verify_too_few_nodes_is_a_config_error(capsys):

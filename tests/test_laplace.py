@@ -266,13 +266,27 @@ def test_inverse_names_the_first_node_where_the_image_is_not_finite():
     # the sum is checked once at the end; the error must still name the
     # node, here the only one with Im s in (1.0, 1.5)
     from fltrans.laplace import LaplaceError
-    _, contour = _talbot_contour(16, 0.3 * 2.0 * 16 / 5.0, 1.0)
+    contour = _talbot_contour(16, 0.3 * 2.0 * 16 / 5.0, 1.0)
     (bad,) = [s for s, _, _ in contour if 1.0 < s.imag < 1.5]
 
     def image(s):
         return math.nan if s == bad else 1.0 / (s + 1.0)
 
     with pytest.raises(LaplaceError, match=re.escape(f"s={bad}")):
+        inverse_laplace(image, 1.0, 16)
+
+
+def test_inverse_names_the_base_node_where_only_it_is_not_finite():
+    # the base node s = r is the first node of the contour table and is
+    # found by the same rescan as every other node
+    from fltrans.laplace import LaplaceError
+    base = complex(0.3 * 2.0 * 16 / 5.0, 0.0)
+
+    def image(s):
+        return math.nan if s == base else 1.0 / (s + 1.0)
+
+    with pytest.raises(LaplaceError,
+                       match=re.escape(f"contour node s={base}")):
         inverse_laplace(image, 1.0, 16)
 
 

@@ -414,6 +414,7 @@ def test_semi_infinite_flags_non_decay():
 def test_k15_panel_degrees_on_a_shifted_interval():
     # K15 is exact for degree <= 22 and its embedded G7 (center included)
     # for degree <= 13; a mistyped node or weight breaks one of these moments.
+    # The Kronrod-only nodes carry Gauss weight 0.0 and add nothing to G7.
     # The K15 weights are larger than K21's, and the float sums of x^j lose
     # up to 1.4e-15 here, so the bound is 4e-15 rather than 1e-15.
     a, b = -0.5, 1.5
@@ -427,7 +428,7 @@ def test_k15_panel_degrees_on_a_shifted_interval():
         if j <= 13:
             gauss = halflen * (panel.center_gauss * center ** j + sum(
                 wg * ((center - halflen * x) ** j + (center + halflen * x) ** j)
-                for x, _, wg in panel.gauss))
+                for x, _, wg in panel.nodes))
             assert abs(gauss - exact) <= 4e-15 * abs(exact), j
 
 

@@ -292,6 +292,32 @@ def test_verify_pair_mixed_refuses_too_few_nodes_before_any_hop(monkeypatch):
                           nodes=2)
 
 
+def test_verify_all_refuses_too_few_nodes_before_any_hop(monkeypatch):
+    calls = []
+    original = verify.forward_laplace
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, "forward_laplace", counted)
+    with pytest.raises(DomainError, match="at least 4 Talbot nodes"):
+        verify_all([2], nodes=3)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1.0])
+def test_compare_refuses_a_tolerance_not_finite_and_positive(tolerance):
+    def no_point(point):
+        raise AssertionError("a point was compared")
+
+    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+        verify._compare("2.1", 2, "exp_decay:1", [(1.0, 1.0)], no_point,
+                        tolerance, {})
+    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+        verify_base_pair(1.0, 0.5, [1.0, 2.0], SPEC, tolerance=tolerance)
+
+
 def test_hard_points_fail_instead_of_being_skipped():
     # finite on the real axis, so the closed-form check passes; NaN on
     # every off-axis contour node, so every inversion raises
