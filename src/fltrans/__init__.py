@@ -9,7 +9,7 @@ to verify every pair numerically and the closed-form solution of the
 Modules
 -------
 numerics
-    Bessel/Gamma special functions and the quadrature engines.
+    Bessel functions and the quadrature engines.
 radial_fourier
     d-dimensional isotropic Fourier transforms.
 laplace
@@ -30,7 +30,6 @@ from .numerics import (
     QuadratureSpec,
     bessel_j,
     bessel_j_zero,
-    gamma_fn,
     integrate_adaptive,
     integrate_oscillatory,
     integrate_semi_infinite,

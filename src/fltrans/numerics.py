@@ -11,7 +11,6 @@ Scalar, pure-Python kernels used by every other module:
   normalized ascending series (smaller x <= 8) or Miller's downward
   recurrence normalized against the start pair (8 < x < nu).  No call of
   order <= 8 costs more than a fixed number of operations, whatever x.
-* Gamma function wrapper with a strict positive-real domain.
 * Adaptive Gauss-Kronrod (G10/K21, as in QUADPACK's QAGS) quadrature on
   finite intervals; one panel routine, one loop over its nodes, serves
   this rule and G7/K15.
@@ -41,7 +40,9 @@ class QuadratureSpec:
     """Accuracy/effort budget shared by the quadrature engines.
 
     abs_tol / rel_tol control the convergence target, max_subdivisions
-    bounds adaptive bisection.
+    bounds adaptive bisection.  Tolerances must be finite and positive
+    and max_subdivisions an integer >= 1: an infinite tolerance would
+    mark any single panel converged, and a NaN bound no bisection.
     """
 
     abs_tol: float = 1e-12
@@ -49,10 +50,15 @@ class QuadratureSpec:
     max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
+        if not (0.0 < self.abs_tol < math.inf
+                and 0.0 < self.rel_tol < math.inf):  # also refuses NaN
+            raise DomainError(
+                "tolerances must be finite and positive, got "
+                f"abs_tol={self.abs_tol}, rel_tol={self.rel_tol}")
+        if not (self.max_subdivisions >= 1
+                and self.max_subdivisions % 1 == 0):  # and NaN, inf
+            raise DomainError("max_subdivisions must be an integer >= 1, "
+                              f"got {self.max_subdivisions}")
 
 
 @dataclass(frozen=True)
@@ -73,13 +79,6 @@ class IntegralResult:
 # ---------------------------------------------------------------------------
 # Bessel J of integer and half-integer order
 # ---------------------------------------------------------------------------
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 (relative accuracy ~1e-15 up to x = 50)."""
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
-
 
 def bessel_series(nu: float, x: float) -> float:
     """Normalized ascending series S_nu(x) = Gamma(nu + 1) (x/2)^{-nu} J_nu(x).

@@ -33,6 +33,12 @@ side is radially integrable, in every integer d >= min_dim.  admits(d, f)
 states which (dimension, original) pairs the row is verified with.  The
 verifier reads only these fields, so adding a row touches only this
 module.
+
+The catalog of test originals pairs each f with its closed-form image.
+catalog_lookup parses the id grammar "name:param1,param2" and is the one
+way to build an original; catalog_list names its seven by id.  One
+constructor states u^n e^{-a u} <-> n!/(s + a)^(n + 1): poly_exp:n,a,
+exp_decay:a (n = 0) and unit (n = 0, a = 0); sine:a is the other.
 """
 
 from __future__ import annotations
@@ -398,20 +404,12 @@ def lookup(pair_id: str) -> PairDescriptor:
 # catalog of test originals with closed-form images
 # --------------------------------------------------------------------------
 
-def _exp_decay(a: float) -> TestOriginal:
-    return TestOriginal(
-        id=f"exp_decay:{a:g}",
-        f=TimeOriginal(lambda u: math.exp(-a * u), sigma0=-a,
-                       eval_complex=lambda z: cmath.exp(-a * z)),
-        fhat=lambda s: 1.0 / (s + a),
-    )
-
-
-def _poly_exp(n: int, a: float) -> TestOriginal:
+def _exp_poly(original_id: str, n: int, a: float) -> TestOriginal:
+    # sigma0 is 0.0 - a, not -a, so that unit's stays +0.0
     fact = math.factorial(n)
     return TestOriginal(
-        id=f"poly_exp:{n},{a:g}",
-        f=TimeOriginal(lambda u: u ** n * math.exp(-a * u), sigma0=-a,
+        id=original_id,
+        f=TimeOriginal(lambda u: u ** n * math.exp(-a * u), sigma0=0.0 - a,
                        eval_complex=lambda z: z ** n * cmath.exp(-a * z)),
         fhat=lambda s: fact / (s + a) ** (n + 1),
     )
@@ -427,31 +425,21 @@ def _sine(a: float) -> TestOriginal:
     )
 
 
-def _unit() -> TestOriginal:
-    return TestOriginal(
-        id="unit",
-        f=TimeOriginal(lambda u: 1.0, sigma0=0.0,
-                       eval_complex=lambda z: 1.0 + 0.0j),
-        fhat=lambda s: 1.0 / s,
-    )
+# catalog originals by name: constructor and default parameters
+_CATALOG = {
+    "exp_decay": (lambda a: _exp_poly(f"exp_decay:{a:g}", 0, a), (1.0,)),
+    "poly_exp": (lambda n, a: _exp_poly(f"poly_exp:{n},{a:g}", n, a),
+                 (1, 1.0)),
+    "sine": (_sine, (1.0,)),
+    "unit": (lambda: _exp_poly("unit", 0, 0.0), ()),
+}
 
 
 def catalog_list() -> list[TestOriginal]:
     """Built-in test originals (decaying exponentials first)."""
-    return [
-        _exp_decay(0.5), _exp_decay(1.0), _exp_decay(2.0),
-        _poly_exp(1, 1.0), _poly_exp(2, 1.0),
-        _sine(1.0), _unit(),
-    ]
-
-
-# catalog originals by name: constructor and default parameters
-_CATALOG = {
-    "exp_decay": (_exp_decay, (1.0,)),
-    "poly_exp": (_poly_exp, (1, 1.0)),
-    "sine": (_sine, (1.0,)),
-    "unit": (_unit, ()),
-}
+    return [catalog_lookup(original_id) for original_id in (
+        "exp_decay:0.5", "exp_decay:1", "exp_decay:2", "poly_exp:1,1",
+        "poly_exp:2,1", "sine:1", "unit")]
 
 
 def catalog_lookup(original_id: str) -> TestOriginal:

@@ -18,7 +18,11 @@ only the regular part (QUADPACK's QAWS convention), or, for tails that
 oscillate many times, the oscillatory engine with cells between the
 zeros of ghat_d.  Each integral resolves its kernel once, to a function
 of kx alone, so the quadrature nodes pay no dispatch on d; kernel_ghat is
-the checked pointwise form of the same kernel.
+the checked pointwise form of the same kernel.  forward_result is the
+one transform body over (0, inf); inverse_result scales it.  Every radial
+hop that returns a bare value (forward, inverse, the verifier's
+space-time side, the radiative transfer transform) takes it through
+_value, which raises QuadratureError on an unconverged integral.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .numerics import (
     bessel_j,
     bessel_j_zero,
     bessel_series,
-    gamma_fn,
     integrate_adaptive,
     integrate_oscillatory,
     integrate_semi_infinite,
@@ -99,7 +102,7 @@ def _dimension(dim: Dimension | int) -> int:
 def sphere_measure(dim: Dimension | int) -> float:
     """Measure S_d = 2 pi^{d/2} / Gamma(d/2) of the unit sphere in R^d."""
     d = _dimension(dim)
-    return 2.0 * math.pi ** (0.5 * d) / gamma_fn(0.5 * d)
+    return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
 
 
 def _sinc(z: float) -> float:
@@ -129,7 +132,7 @@ def _kernel(d: int) -> Callable[[float], float]:
     if d == 3:
         return _sinc
     nu = 0.5 * d - 1.0
-    scale = gamma_fn(0.5 * d)
+    scale = math.gamma(0.5 * d)
     upward = _bessel_j1 if nu == 1.0 else functools.partial(_bessel_upward, nu)
 
     def general(z: float) -> float:
@@ -207,9 +210,12 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
     return integrate_adaptive(plain, lo, hi, spec)
 
 
-def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
-                     spec: QuadratureSpec) -> IntegralResult:
-    """S_d * integral of profile(r) r^{d-1} ghat_d(k, r) over (0, inf)."""
+def forward_result(dim: Dimension, profile: RadialProfile, k: float,
+                   spec: QuadratureSpec) -> IntegralResult:
+    """S_d * integral of profile(r) r^{d-1} ghat_d(k, r) over (0, inf), with
+    the full IntegralResult (no raise on failure)."""
+    if not 0.0 <= k < math.inf:  # also refuses NaN
+        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
     d = dim.d
     if k > 0.0 and (profile.decay_class == "algebraic" or (
             profile.decay_class == "exponential" and k >= _OSC_WAVENUMBER)):
@@ -222,29 +228,22 @@ def _radial_integral(dim: Dimension, profile: RadialProfile, k: float,
     return radial_quadrature(d, profile.eval, k, 0.0, math.inf, "none", spec)
 
 
-def forward_result(dim: Dimension, profile: RadialProfile, k: float,
-                   spec: QuadratureSpec) -> IntegralResult:
-    """Forward transform with the full IntegralResult (no raise on failure)."""
-    if not 0.0 <= k < math.inf:  # also refuses NaN
-        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
-    return _radial_integral(dim, profile, k, spec)
-
-
 def inverse_result(dim: Dimension, image: RadialProfile, r: float,
                    spec: QuadratureSpec) -> IntegralResult:
     """Inverse transform with the full IntegralResult (no raise on failure)."""
     if not 0.0 <= r < math.inf:  # also refuses NaN
         raise DomainError(f"radius must be finite and >= 0, got {r}")
-    res = _radial_integral(dim, image, r, spec)
+    res = forward_result(dim, image, r, spec)
     scale = (2.0 * math.pi) ** (-dim.d)
     return IntegralResult(res.value * scale, res.error_estimate * scale,
                           res.converged, res.evaluations)
 
 
-def _value(res: IntegralResult, direction: str, point: str) -> float:
+def _value(res: IntegralResult, hop: str, point: str) -> float:
+    # the value of a radial hop's integral, which must have converged
     if not res.converged:
         raise QuadratureError(
-            f"{direction} radial transform did not converge at {point} "
+            f"{hop} did not converge at {point} "
             f"(error estimate {res.error_estimate:.3e})")
     return float(res.value.real if isinstance(res.value, complex) else res.value)
 
@@ -255,10 +254,12 @@ def forward(dim: Dimension, profile: RadialProfile, k: float,
 
     Raises QuadratureError if the underlying engine does not converge.
     """
-    return _value(forward_result(dim, profile, k, spec), "forward", f"k={k}")
+    return _value(forward_result(dim, profile, k, spec),
+                  "forward radial transform", f"k={k}")
 
 
 def inverse(dim: Dimension, image: RadialProfile, r: float,
             spec: QuadratureSpec) -> float:
     """Inverse transform: the same integral over k with a (2 pi)^{-d} factor."""
-    return _value(inverse_result(dim, image, r, spec), "inverse", f"r={r}")
+    return _value(inverse_result(dim, image, r, spec),
+                  "inverse radial transform", f"r={r}")

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .laplace import _check_nodes, inverse_laplace, sqrt_s2k2
 from .numerics import DomainError, QuadratureSpec
-from .radial_fourier import QuadratureError, edge_distance, kernel_ghat, \
+from .radial_fourier import _value, edge_distance, kernel_ghat, \
     radial_quadrature
 from .verify import VerificationReport, _compare, _settings
 
@@ -115,11 +115,8 @@ def _transform(p: TransportParams, k: float, t: float,
     else:
         res = radial_quadrature(2, lambda r: _smooth(p, ct, r), k, 0.0, ct,
                                 "light_cone", spec)
-    if not res.converged:
-        raise QuadratureError(
-            f"smooth-part transform did not converge at (k,t)=({k},{t})")
-    return (p.A0 * kernel_ghat(2, k, ct) * math.exp(-ct / p.ell)
-            + float(res.value))
+    smooth = _value(res, "smooth-part transform", f"(k, t) = ({k}, {t})")
+    return p.A0 * kernel_ghat(2, k, ct) * math.exp(-ct / p.ell) + smooth
 
 
 def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
@@ -167,15 +164,13 @@ def check_energy(p: TransportParams, t: float, spec: QuadratureSpec) -> float:
 
 
 def verify_rte_mixed(p: TransportParams, samples: Sequence[tuple],
-                     spec: Optional[QuadratureSpec] = None, nodes: int = 48,
+                     spec: QuadratureSpec = QuadratureSpec(), nodes: int = 48,
                      tolerance: float = 1e-5) -> VerificationReport:
     """Mixed-domain check of the closed form against the FL resolvent.
 
     LHS'(k, t): the d = 2 radial transform of the closed form (_transform);
     RHS'(k, t): Talbot inversion of fl_intensity.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     _check_nodes(nodes)
 
     def sides(point: tuple) -> tuple:

@@ -34,7 +34,7 @@ from .laplace import LaplaceError, TimeOriginal, _check_nodes, \
 from .numerics import DomainError, QuadratureSpec, bessel_j
 from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, _check_dim, \
     catalog_list, lookup, registry_rows
-from .radial_fourier import QuadratureError, radial_quadrature
+from .radial_fourier import QuadratureError, _value, radial_quadrature
 
 REL_FLOOR = 1e-12
 # what one hop of either side may raise at a hard point; such an error
@@ -90,6 +90,12 @@ def _rel_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), REL_FLOOR)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not 0.0 < tolerance < math.inf:  # also refuses NaN
+        raise DomainError(
+            f"tolerance must be finite and positive, got {tolerance}")
+
+
 def _compare(pair_id: str, dimension: int, test_original: str,
              samples: Iterable[tuple], sides, tolerance: float,
              settings: dict) -> VerificationReport:
@@ -100,9 +106,7 @@ def _compare(pair_id: str, dimension: int, test_original: str,
     report that compared nothing fails, and a tolerance that is not
     finite and positive is refused before the first point.
     """
-    if not 0.0 < tolerance < math.inf:  # also refuses NaN
-        raise DomainError(
-            f"tolerance must be finite and positive, got {tolerance}")
+    _check_tolerance(tolerance)
     start = time.perf_counter()
     points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
     for point in map(tuple, samples):
@@ -144,11 +148,8 @@ def spacetime_transform(pair: PairDescriptor, d: int, f: TestOriginal,
     lo, hi = pair.radial_range(t)
     res = radial_quadrature(d, pair.st_profile(t, d, f.f.eval), k,
                             lo, hi, pair.substitution, spec)
-    if not res.converged:
-        raise QuadratureError(
-            f"space-time transform of pair {pair.id} (d={d}, f={f.id}) "
-            f"did not converge at (k, t) = ({k}, {t})")
-    return float(res.value)
+    return _value(res, f"space-time transform of pair {pair.id} "
+                       f"(d={d}, f={f.id})", f"(k, t) = ({k}, {t})")
 
 
 def fl_inversion(pair: PairDescriptor, d: int, f: TestOriginal,
@@ -192,11 +193,13 @@ def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
     """Verify one registry row at explicit (k, t) sample points.
 
     Engine failures are recorded per point and fail the report; they are
-    never silently skipped.
+    never silently skipped.  A bad row, d, node count or tolerance is
+    refused before any hop.
     """
     pair = lookup(pair_id)
     _check_dim(pair, d)
     _check_nodes(nodes)
+    _check_tolerance(tolerance)
     _assert_catalog_image(f, spec)
     return _compare(
         pair.id, d, f.id, samples,
@@ -206,7 +209,7 @@ def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
 
 
 def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
-                     spec: Optional[QuadratureSpec] = None,
+                     spec: QuadratureSpec = QuadratureSpec(),
                      tolerance: float = 1e-8) -> VerificationReport:
     """Check the base identity behind the proper-time family.
 
@@ -215,8 +218,6 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
     t > u; a point with s <= 0.1 fails with forward_laplace's DomainError.
     RHS: the closed form exp(-u sqrt(s^2 + k^2))/sqrt(s^2 + k^2).
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not (0.0 <= k < math.inf and 0.0 <= u < math.inf):  # also refuses NaN
         raise DomainError("k and u must be finite and nonnegative")
     if not all(s > 0.0 for s in s_grid):
@@ -288,9 +289,11 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
     pair.admits(d, f): d is an integer >= the row's min_dim and, for a
     type-2 row, the original decays (sigma0 < 0).  Inadmissible triples
     are dropped, so a request that admits none returns no report.  A
-    node count that is not an integer >= 4 is refused before any hop.
+    node count that is not an integer >= 4, and a tolerance that is not
+    finite and positive, are refused before any hop.
     """
     _check_nodes(nodes)
+    _check_tolerance(tolerance)
     spec = QuadratureSpec()
     if originals is None:
         originals = catalog_list()

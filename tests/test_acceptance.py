@@ -12,7 +12,7 @@ import time
 import pytest
 
 from fltrans.laplace import roundtrip_check
-from fltrans.numerics import QuadratureSpec, bessel_j, gamma_fn
+from fltrans.numerics import QuadratureSpec, bessel_j
 from fltrans.pairs import catalog_list, catalog_lookup, eval_fl, \
     eval_spacetime, lookup
 from fltrans.radial_fourier import Dimension, RadialProfile, forward, \
@@ -39,7 +39,7 @@ def test_criterion_1_kernel_consistency():
         # independent route: Gamma(d/2) (z/2)^(1-d/2) J_(d/2-1)(z)
         if z == 0.0:
             return 1.0
-        return gamma_fn(0.5 * d) * (0.5 * z) ** (1.0 - 0.5 * d) \
+        return math.gamma(0.5 * d) * (0.5 * z) ** (1.0 - 0.5 * d) \
             * bessel_j(0.5 * d - 1.0, z)
 
     closed = {1: math.cos,

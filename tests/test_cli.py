@@ -143,6 +143,29 @@ def test_verify_too_few_nodes_is_a_config_error(capsys):
     assert "at least 4 Talbot nodes are required" in err
 
 
+# --- refused configurations -------------------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--dim", "0"), "dimensions must be >= 1"),
+    (("rte", "--t", "1,x", "--r", "0.5"), "comma-separated float list"),
+    (("rte", "--t", "1"), "rte requires --r (or --energy)"),
+    (("transform", "--profile", "gaussian"), "transform requires --grid"),
+])
+def test_incomplete_or_malformed_requests_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_transform_infinite_tolerance_exits_2(capsys):
+    # --tol inf marked single-panel values converged (estimates up to 0.07)
+    # and exited 0
+    code, out, err = run(capsys, "transform", "--dim", "2", "--profile",
+                         "gaussian", "--grid", "0,1,3", "--tol", "inf")
+    assert code == 2 and out == ""
+    assert "tolerances must be finite and positive" in err
+
+
 # --- rte -------------------------------------------------------------------------
 
 def test_rte_point_value(capsys):

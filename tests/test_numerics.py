@@ -14,7 +14,6 @@ from fltrans.numerics import (
     QuadratureSpec,
     bessel_j,
     bessel_j_zero,
-    gamma_fn,
     integrate_adaptive,
     integrate_oscillatory,
     integrate_semi_infinite,
@@ -249,29 +248,6 @@ def test_miller_starts_above_the_requested_order():
         1.342813628309903768e-43, rel=1e-12)
 
 
-# --- gamma_fn ---------------------------------------------------------------
-
-def test_gamma_values():
-    assert gamma_fn(1.0) == 1.0
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-
-def test_gamma_duplication_identity():
-    # Gamma(2x) = Gamma(x) Gamma(x + 1/2) 2^(2x-1) / sqrt(pi)
-    for x in (0.25, 0.75, 1.3, 7.5, 24.0):
-        lhs = gamma_fn(2 * x)
-        rhs = gamma_fn(x) * gamma_fn(x + 0.5) * 2 ** (2 * x - 1) / math.sqrt(math.pi)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_gamma_domain_error():
-    with pytest.raises(DomainError):
-        gamma_fn(0.0)
-    with pytest.raises(DomainError):
-        gamma_fn(-2.5)
-
-
 # --- integrate_adaptive ------------------------------------------------------
 
 def test_adaptive_constant():
@@ -497,6 +473,19 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"abs_tol": math.inf}, {"rel_tol": math.inf},
+    {"abs_tol": math.inf, "rel_tol": math.inf}, {"abs_tol": math.nan},
+    {"rel_tol": -1e-10}, {"max_subdivisions": math.nan},
+    {"max_subdivisions": math.inf}, {"max_subdivisions": 2.5},
+])
+def test_quadrature_spec_refuses_unbounded_budgets(kwargs):
+    # an infinite tolerance marks any single panel converged, and a NaN
+    # subdivision bound removes the bound
+    with pytest.raises(DomainError):
+        QuadratureSpec(**kwargs)
 
 
 def test_integral_result_is_frozen():

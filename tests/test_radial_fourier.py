@@ -9,6 +9,7 @@ from fltrans import radial_fourier
 from fltrans.numerics import DomainError, QuadratureSpec, bessel_j, bessel_series
 from fltrans.radial_fourier import (
     Dimension,
+    QuadratureError,
     RadialProfile,
     forward,
     forward_result,
@@ -57,8 +58,8 @@ def test_kernel_general_formula_matches_closed_forms():
         if z == 0.0:
             return 1.0
         nu = 0.5 * d - 1.0
-        from fltrans.numerics import bessel_j, gamma_fn
-        return gamma_fn(0.5 * d) * (0.5 * z) ** (1 - 0.5 * d) * bessel_j(nu, z)
+        from fltrans.numerics import bessel_j
+        return math.gamma(0.5 * d) * (0.5 * z) ** (1 - 0.5 * d) * bessel_j(nu, z)
 
     for d in (1, 2, 3):
         for i in range(501):
@@ -121,6 +122,13 @@ def test_dc_value_equals_plain_radial_integral():
         assert plain.converged
         want = sphere_measure(dim) * plain.value
         assert forward(dim, EXPONENTIAL, 0.0, SPEC) == pytest.approx(want, rel=1e-10)
+
+
+def test_forward_of_a_profile_without_decay_raises():
+    # a constant has no transform: its semi-infinite cells never converge
+    with pytest.raises(QuadratureError, match="forward radial transform "
+                       "did not converge at k=0.5"):
+        forward(Dimension(2), RadialProfile(lambda r: 1.0), 0.5, SPEC)
 
 
 def test_inverse_gaussian_round_trip_origin():

@@ -8,6 +8,7 @@ import pytest
 from fltrans import rte2d
 from fltrans.laplace import LaplaceError, sqrt_s2k2
 from fltrans.numerics import DomainError, QuadratureSpec
+from fltrans.radial_fourier import QuadratureError
 from fltrans.rte2d import (
     IntensityValue,
     PoleError,
@@ -259,6 +260,14 @@ def test_verify_rte_mixed_refuses_too_few_nodes_before_any_hop(monkeypatch):
     monkeypatch.setattr(rte2d, "_transform", no_hop)
     with pytest.raises(DomainError, match="at least 4 Talbot nodes"):
         verify_rte_mixed(UNIT, [(0.5, 1.0), (0.5, 2.0)], SPEC, nodes=2)
+
+
+def test_an_unconverged_smooth_part_raises():
+    starved = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300,
+                             max_subdivisions=1)
+    with pytest.raises(QuadratureError, match=r"smooth-part transform did "
+                       r"not converge at \(k, t\) = \(0\.0, 1\.0\)"):
+        check_energy(UNIT, 1.0, starved)
 
 
 def test_verify_rte_mixed_small_time_initial_condition():

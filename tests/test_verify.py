@@ -11,7 +11,7 @@ from fltrans import pairs, verify
 from fltrans.laplace import TimeOriginal
 from fltrans.numerics import DomainError, QuadratureSpec, integrate_adaptive
 from fltrans.pairs import catalog_lookup, lookup, registry_rows
-from fltrans.radial_fourier import kernel_ghat
+from fltrans.radial_fourier import QuadratureError, kernel_ghat
 from fltrans.verify import (
     build_sample_grid,
     fl_inversion,
@@ -181,6 +181,29 @@ def test_reports_to_text_contains_failures():
     assert "max_rel_error" in text
 
 
+def test_reports_to_text_names_skipped_and_failed_points(monkeypatch):
+    # row 2.2 at d = 2 drops (2, 5) below the magnitude floor; a point
+    # whose space-time hop raises is kept as a failure of its report
+    (skipping,) = verify_all([2], originals=[EXP1], pair_ids=["2.2"])
+    original = verify.spacetime_transform
+
+    def faulty(pair, d, f, k, t, spec):
+        if (k, t) == (1.0, 2.0):
+            raise QuadratureError("injected")
+        return original(pair, d, f, k, t, spec)
+
+    monkeypatch.setattr(verify, "spacetime_transform", faulty)
+    (failing,) = verify_all([2], originals=[EXP1], pair_ids=["1.2"])
+    lines = reports_to_text([skipping, failing]).splitlines()
+    (skipped,) = [line for line in lines if line.startswith("# skipped")]
+    assert skipped.startswith(
+        "# skipped 2.2 d=2 f=exp_decay:1 point=(2.0, 5.0): identity value ")
+    assert skipped.endswith(" below magnitude floor 1e-07")
+    assert [line for line in lines if line.startswith("# FAILED")] == [
+        "# FAILED 1.2 d=2 f=exp_decay:1 point=(1.0, 2.0): injected"]
+    assert lines[-1].startswith("# reports=2 passed=1 failed=1 ")
+
+
 def test_rows_are_integrated_from_their_data_alone():
     # renaming a row must not change how its space-time side is integrated
     for row in registry_rows():
@@ -306,6 +329,30 @@ def test_verify_all_refuses_too_few_nodes_before_any_hop(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0])
+def test_a_bad_tolerance_is_refused_before_any_hop(monkeypatch, tolerance):
+    # at a NaN tolerance verify_all ran 14 forward and 20 inverse Laplace
+    # hops, and verify_pair_mixed 2 forward ones, before refusing it
+    calls = []
+
+    def counted(name):
+        original = getattr(verify, name)
+
+        def hop(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return hop
+
+    for name in ("forward_laplace", "inverse_laplace", "radial_quadrature"):
+        monkeypatch.setattr(verify, name, counted(name))
+    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+        verify_all([2], tolerance=tolerance, pair_ids=["2.1"])
+    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+        verify_pair_mixed("2.1", 2, EXP1, [(1.0, 1.0)], SPEC,
+                          tolerance=tolerance)
+    assert calls == []
+
+
 @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1.0])
 def test_compare_refuses_a_tolerance_not_finite_and_positive(tolerance):
     def no_point(point):
@@ -327,6 +374,24 @@ def test_hard_points_fail_instead_of_being_skipped():
     assert rep.sample_points == () and rep.skipped == ()
     assert len(rep.failures) == 20
     assert all("not finite" in reason for _, reason in rep.failures)
+
+
+def test_a_wrong_closed_form_image_is_refused_before_any_point():
+    # the catalog invariant: fhat must match the numeric Laplace transform
+    doubled = _decaying(lambda s: 2.0 / (s + 1.0))
+    with pytest.raises(DomainError, match="closed-form image disagrees"):
+        verify_all([2], originals=[doubled], pair_ids=["1.2"])
+    with pytest.raises(DomainError, match="closed-form image disagrees"):
+        verify_pair_mixed("1.2", 2, doubled, [(1.0, 1.0)], SPEC)
+
+
+def test_an_unconverged_space_time_hop_raises():
+    starved = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300,
+                             max_subdivisions=1)
+    with pytest.raises(QuadratureError,
+                       match=r"pair 1\.2 \(d=2, f=exp_decay:1\) did not "
+                             r"converge at \(k, t\) = \(0\.5, 1\.0\)"):
+        spacetime_transform(lookup("1.2"), 2, EXP1, 0.5, 1.0, starved)
 
 
 def test_report_with_every_point_below_the_floor_fails():
