@@ -42,11 +42,8 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .numerics import (
-    DomainError,
-    QuadratureSpec,
-    integrate_semi_infinite,
-)
+from .numerics import DomainError, QuadratureSpec, _nonnegative, _positive, \
+    integrate_semi_infinite
 
 
 class LaplaceError(RuntimeError):
@@ -61,13 +58,19 @@ class TimeOriginal:
     integrated over the whole half-line t >= 0.  For evaluation left of
     sigma0 (deep inversion-contour nodes) an entire original may supply
     eval_complex, valid on the sector swept by ray rotation, with
-    |f(z)| <= C(|z|) exp(sigma0 Re z + imag_growth |Im z|).
+    |f(z)| <= C(|z|) exp(sigma0 Re z + imag_growth |Im z|).  Refuses a
+    non-finite sigma0, and an imag_growth not finite and >= 0, when built.
     """
 
     eval: Callable[[float], float]
     sigma0: float = 0.0
     eval_complex: Optional[Callable[[complex], complex]] = None
     imag_growth: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.sigma0):
+            raise DomainError(f"sigma0 must be finite, got {self.sigma0}")
+        _nonnegative("imag_growth", self.imag_growth)
 
 
 def sqrt_s2k2(s: complex, k: float) -> complex:
@@ -247,11 +250,8 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     non-finite sum evaluates the image again, node by node, to find the
     culprit.
     """
-    if not 0.0 < t < math.inf:  # also refuses NaN
-        raise DomainError(f"inversion time must be finite and positive, got {t}")
-    if not 0.0 <= branch_height < math.inf:  # also refuses NaN
-        raise DomainError(
-            f"branch height must be finite and >= 0, got {branch_height}")
+    _positive("inversion time", t)
+    _nonnegative("branch height", branch_height)
     _check_nodes(nodes)
     r = max(_RADIUS_FACTOR * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
     if r == math.inf:

@@ -35,6 +35,16 @@ class DomainError(ValueError):
     """Argument outside the contract of a numerics operation."""
 
 
+def _nonnegative(name: str, x: float) -> None:
+    if not 0.0 <= x < math.inf:  # the single-value range rules refuse NaN
+        raise DomainError(f"{name} must be finite and >= 0, got {x}")
+
+
+def _positive(name: str, x: float) -> None:
+    if not 0.0 < x < math.inf:  # also refuses NaN
+        raise DomainError(f"{name} must be finite and positive, got {x}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Accuracy/effort budget shared by the quadrature engines.
@@ -326,8 +336,7 @@ def bessel_j(order: float, x: float) -> float:
     normalized against the start pair, for 8 < x < nu.  Against scipy
     orders 2 to 60 and 1.5 to 59.5 agree to 1e-14 absolute on (0, 60].
     """
-    if not 0.0 <= x < math.inf:  # also refuses NaN
-        raise DomainError(f"bessel_j requires finite x >= 0, got {x}")
+    _nonnegative("bessel_j argument x", x)
     if not math.isfinite(order):  # round() refuses NaN and inf
         raise DomainError(f"unsupported Bessel order {order}")
     nu = 0.5 * round(2.0 * order)
@@ -541,7 +550,7 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
         if total_err <= tol:
             return IntegralResult(total, total_err, True, evals)
         if len(cells) >= spec.max_subdivisions or total_err < 1e3 * _EPS * abs(total):
-            return IntegralResult(total, total_err, total_err <= tol, evals)
+            return IntegralResult(total, total_err, False, evals)
         _, _, ca, cb, cval, cerr = heapq.heappop(cells)
         mid = 0.5 * (ca + cb)
         if mid <= ca or mid >= cb:

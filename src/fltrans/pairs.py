@@ -34,7 +34,8 @@ states which (dimension, original) pairs the row is verified with.  The
 verifier reads only these fields, so adding a row touches only this
 module.
 
-The catalog of test originals pairs each f with its closed-form image.
+The catalog of test originals pairs each f with its closed-form image,
+which a TestOriginal confirms numerically once, when it is built.
 catalog_lookup parses the id grammar "name:param1,param2" and is the one
 way to build an original; catalog_list names its seven by id.  One
 constructor states u^n e^{-a u} <-> n!/(s + a)^(n + 1): poly_exp:n,a,
@@ -44,12 +45,13 @@ exp_decay:a (n = 0) and unit (n = 0, a = 0); sine:a is the other.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .laplace import TimeOriginal, sqrt_s2k2
-from .numerics import DomainError
+from .laplace import LaplaceError, TimeOriginal, forward_laplace, sqrt_s2k2
+from .numerics import DomainError, QuadratureSpec, _nonnegative
 from .radial_fourier import SUBSTITUTIONS, edge_distance, sphere_measure
 
 
@@ -122,8 +124,7 @@ class PairDescriptor:
         Allows Re phi <= sigma0 (eval_fl does not): inversion contours
         evaluate fhat's closed-form continuation there."""
         _check_dim(self, d)
-        if not 0.0 <= k < math.inf:  # also refuses NaN
-            raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
+        _nonnegative("wavenumber", k)
         phi, psi = self.fl_phi, self.fl_psi
 
         def image(s: complex) -> complex:
@@ -145,11 +146,27 @@ class PairDescriptor:
 
 @dataclass(frozen=True)
 class TestOriginal:
-    """Analytic test function f with its closed-form Laplace image fhat."""
+    """Analytic test function f with its closed-form Laplace image fhat.
+
+    Built only if fhat matches forward_laplace of f to 1e-9 at sigma0 + 1.1
+    and sigma0 + 2.6; a mismatch or a failed transform is a DomainError."""
 
     id: str
     f: TimeOriginal
     fhat: Callable[[complex], complex]
+
+    def __post_init__(self) -> None:
+        for s in (self.f.sigma0 + 1.1, self.f.sigma0 + 2.6):
+            try:
+                got = forward_laplace(self.f, s, QuadratureSpec())
+            except (LaplaceError, ArithmeticError) as exc:
+                raise DomainError(f"catalog original {self.id}: numeric "
+                                  f"transform failed at s={s}: {exc}") from exc
+            want = self.fhat(s)
+            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+                raise DomainError(
+                    f"catalog original {self.id}: closed-form image disagrees "
+                    f"with the numeric transform at s={s} ({got} vs {want})")
 
     @property
     def image_pole_height(self) -> float:
@@ -256,8 +273,7 @@ def _pair_14() -> PairDescriptor:
 
 def make_pair_15(a: float) -> PairDescriptor:
     """Entry 1.5 with its shift parameter, finite and >= 0 (a = 0 is 1.2)."""
-    if not 0.0 <= a < math.inf:  # also refuses NaN
-        raise DomainError(f"entry 1.5 requires a finite a >= 0, got {a}")
+    _nonnegative("entry 1.5 shift a", a)
 
     def profile(t, d, f):
         c, p = (2.0 * math.pi) ** (-0.5 * d), 1 - 0.5 * d
@@ -442,13 +458,15 @@ def catalog_list() -> list[TestOriginal]:
         "poly_exp:2,1", "sine:1", "unit")]
 
 
+@functools.lru_cache
 def catalog_lookup(original_id: str) -> TestOriginal:
     """Resolve a "name" or "name:param1,param2" tag into a catalog entry.
 
     Raises UnknownPairError for an unknown name, a parameter that is not a
     finite number, more parameters than the original takes, or an integer
     parameter (one whose default is an int, as poly_exp's order) that is
-    not an integer >= 0.
+    not an integer >= 0; DomainError if the image check fails (TestOriginal).
+    Memoized, so each of the 128 most recent ids is built and checked once.
     """
     name, _, params = original_id.partition(":")
     if name not in _CATALOG:

@@ -39,6 +39,7 @@ from .numerics import (
     _bessel_j0,
     _bessel_j1,
     _bessel_upward,
+    _nonnegative,
     bessel_j,
     bessel_j_zero,
     bessel_series,
@@ -154,8 +155,7 @@ def kernel_ghat(dim: Dimension | int, k: float, x: float) -> float:
     """
     d = _dimension(dim)
     z = k * x
-    if not 0.0 <= z < math.inf:  # also refuses NaN
-        raise DomainError(f"kernel argument must be finite and >= 0, got {z}")
+    _nonnegative("kernel argument", z)
     return _kernel(d)(z)
 
 
@@ -188,8 +188,7 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
     """
     if substitution not in SUBSTITUTIONS:
         raise DomainError(f"unknown substitution {substitution!r}")
-    if not 0.0 <= k < math.inf:  # also refuses NaN
-        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
+    _nonnegative("wavenumber", k)
     if not 0.0 <= lo <= hi:  # also refuses NaN
         raise DomainError(
             f"radial range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
@@ -214,8 +213,7 @@ def forward_result(dim: Dimension, profile: RadialProfile, k: float,
                    spec: QuadratureSpec) -> IntegralResult:
     """S_d * integral of profile(r) r^{d-1} ghat_d(k, r) over (0, inf), with
     the full IntegralResult (no raise on failure)."""
-    if not 0.0 <= k < math.inf:  # also refuses NaN
-        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
+    _nonnegative("wavenumber", k)
     d = dim.d
     if k > 0.0 and (profile.decay_class == "algebraic" or (
             profile.decay_class == "exponential" and k >= _OSC_WAVENUMBER)):
@@ -231,8 +229,7 @@ def forward_result(dim: Dimension, profile: RadialProfile, k: float,
 def inverse_result(dim: Dimension, image: RadialProfile, r: float,
                    spec: QuadratureSpec) -> IntegralResult:
     """Inverse transform with the full IntegralResult (no raise on failure)."""
-    if not 0.0 <= r < math.inf:  # also refuses NaN
-        raise DomainError(f"radius must be finite and >= 0, got {r}")
+    _nonnegative("radius", r)
     res = forward_result(dim, image, r, spec)
     scale = (2.0 * math.pi) ** (-dim.d)
     return IntegralResult(res.value * scale, res.error_estimate * scale,

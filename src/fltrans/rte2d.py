@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .laplace import _check_nodes, inverse_laplace, sqrt_s2k2
-from .numerics import DomainError, QuadratureSpec
+from .numerics import DomainError, QuadratureSpec, _nonnegative
 from .radial_fourier import _value, edge_distance, kernel_ghat, \
     radial_quadrature
 from .verify import VerificationReport, _compare, _settings
@@ -122,8 +122,7 @@ def _transform(p: TransportParams, k: float, t: float,
 def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
     """Closed-form i(r, t) away from the shell r = c t."""
     ct = _light_cone_radius(p, t)
-    if not 0.0 <= r < math.inf:  # also refuses NaN
-        raise DomainError(f"radius must be finite and nonnegative, got {r}")
+    _nonnegative("radius", r)
     if abs(r - ct) <= 1e-9 * max(1.0, ct):
         raise DomainError(
             f"r = c t = {ct:.6g} sits on the ballistic shell; the pointwise "
@@ -136,8 +135,7 @@ def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
 
 def fl_greens_avg(p: TransportParams, k: float, s: complex) -> complex:
     """Directionally averaged free propagator 1/sqrt(s^2 + c^2 k^2)."""
-    if not 0.0 <= k < math.inf:  # also refuses NaN
-        raise DomainError(f"wavenumber must be finite and >= 0, got {k}")
+    _nonnegative("wavenumber", k)
     s = complex(s)
     value = sqrt_s2k2(s, p.c * k)
     if value == 0.0:

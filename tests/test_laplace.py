@@ -43,6 +43,7 @@ CATALOG = [
 def test_sqrt_branch_positive_real_axis():
     assert sqrt_s2k2(2.0, 1.0) == pytest.approx(math.sqrt(5.0), rel=1e-15)
     assert sqrt_s2k2(1.0, 0.0) == 1.0 + 0j
+    assert sqrt_s2k2(0.0, 2.0) == 0.0  # the branch point itself
 
 
 def test_sqrt_branch_deep_left_follows_s():
@@ -118,9 +119,10 @@ def test_forward_refuses_an_original_that_underflows_too_early(a):
     # still above 1e-14; the dropped tail made the value wrong (0.5087 for
     # 1/(s + a) = 0.9091 at a = 1000), so the transform must raise instead
     from fltrans.laplace import LaplaceError
-    entry = catalog_lookup(f"exp_decay:{a:g}")
+    f = TimeOriginal(lambda t: math.exp(-a * t), sigma0=-a,
+                     eval_complex=lambda z: cmath.exp(-a * z))
     with pytest.raises(LaplaceError, match="underflows"):
-        forward_laplace(entry.f, entry.f.sigma0 + 1.1, SPEC)
+        forward_laplace(f, f.sigma0 + 1.1, SPEC)
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])
@@ -158,6 +160,31 @@ def test_forward_domain_error_without_continuation():
     plain = TimeOriginal(lambda t: math.exp(-t), sigma0=-1.0)
     with pytest.raises(DomainError):
         forward_laplace(plain, complex(-4.0, 6.0), SPEC)
+
+
+@pytest.mark.parametrize("s", [-3.0, complex(-3.0, 0.5)])
+def test_forward_refuses_a_point_no_ray_reaches(s):
+    # e^{-u}: every ray of the fan decays at a rate below 0.25 here
+    f = catalog_lookup("exp_decay:1").f
+    with pytest.raises(DomainError, match="no convergent integration ray"):
+        forward_laplace(f, s, SPEC)
+
+
+@pytest.mark.parametrize("sigma0", [-math.inf, math.inf, math.nan])
+def test_an_original_refuses_a_growth_abscissa_not_finite(sigma0):
+    # sigma0 = -inf made forward_laplace(sin) return 0.4715-0.1528j at
+    # s = -0.5+3j, where 1/(s^2+1) = -0.1122+0.0434j; NaN and +inf
+    # failed later with "no convergent integration ray"
+    with pytest.raises(DomainError, match="sigma0 must be finite"):
+        TimeOriginal(math.sin, sigma0=sigma0, eval_complex=cmath.sin)
+
+
+@pytest.mark.parametrize("growth", [-1.0, math.nan, math.inf])
+def test_an_original_refuses_an_imag_growth_not_finite_and_nonnegative(growth):
+    # imag_growth = -1 used to fail only inside an inversion, on its
+    # branch height
+    with pytest.raises(DomainError, match="imag_growth must be finite and >= 0"):
+        TimeOriginal(math.sin, imag_growth=growth, eval_complex=cmath.sin)
 
 
 def test_forward_linearity():

@@ -333,6 +333,14 @@ def test_adaptive_rejects_reversed_interval():
         integrate_adaptive(lambda x: x, 1.0, 0.0, SPEC)
 
 
+def test_adaptive_empty_interval_evaluates_nothing():
+    def never(x):
+        raise AssertionError("the integrand was evaluated")
+
+    res = integrate_adaptive(never, 1.0, 1.0, SPEC)
+    assert res == IntegralResult(0.0, 0.0, True, 0)
+
+
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
                                   (-math.inf, math.inf), (math.nan, 1.0),
                                   (0.0, math.nan)])

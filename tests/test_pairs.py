@@ -134,6 +134,18 @@ def test_catalog_unknown():
         catalog_lookup("nope:1")
 
 
+def test_catalog_refuses_an_original_whose_image_check_fails():
+    # e^{-50 u} underflows where the damped integrand at sigma0 + 1.1 is
+    # not negligible, so its image cannot be confirmed
+    with pytest.raises(DomainError, match="catalog original exp_decay:50: "
+                                          "numeric transform failed"):
+        catalog_lookup("exp_decay:50")
+
+
+def test_catalog_builds_each_id_once():
+    assert catalog_lookup("exp_decay:1") is catalog_lookup("exp_decay:1")
+
+
 # --- eval_spacetime -------------------------------------------------------------
 
 def test_eval_spacetime_21_value():

@@ -34,6 +34,11 @@ def test_sphere_measures():
     assert sphere_measure(Dimension(1)) == pytest.approx(2.0, rel=1e-14)
 
 
+def test_a_profile_refuses_an_unknown_decay_class():
+    with pytest.raises(DomainError, match="unknown decay_class 'bogus'"):
+        RadialProfile(lambda r: math.exp(-r), decay_class="bogus")
+
+
 @pytest.mark.parametrize("d", [2.5, 3.9, 0, -1, math.nan, math.inf])
 def test_non_integral_dimensions_are_refused(d):
     # int(d) used to truncate: kernel_ghat(2.5, 1, 1) was ghat_2, and

@@ -86,6 +86,11 @@ def test_fl_greens_avg_refuses_a_wavenumber_not_finite_and_nonnegative(k):
         fl_greens_avg(UNIT, k, 1.0)
 
 
+def test_fl_greens_avg_pole_at_the_origin():
+    with pytest.raises(PoleError, match="propagator singular"):
+        fl_greens_avg(TransportParams(), 0.0, 0.0)
+
+
 @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, -1.0])
 def test_fl_intensity_refuses_a_wavenumber_not_finite_and_nonnegative(k):
     with pytest.raises(DomainError, match="wavenumber"):

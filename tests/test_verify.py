@@ -52,6 +52,16 @@ def test_base_pair_full_grid():
             assert rep.passed, (k, u, rep.rel_errors)
 
 
+@pytest.mark.parametrize("k, u, s_grid, message", [
+    (-1.0, 0.5, (1.0,), "wavenumber must be finite and >= 0, got -1.0"),
+    (math.nan, 0.5, (1.0,), "wavenumber must be finite and >= 0, got nan"),
+    (1.0, math.inf, (1.0,), "shift u must be finite and >= 0, got inf"),
+    (1.0, 0.5, (1.0, 0.0), "s grid must be positive")])
+def test_base_pair_refuses_bad_input(k, u, s_grid, message):
+    with pytest.raises(DomainError, match=message):
+        verify_base_pair(k, u, s_grid)
+
+
 # --- single-point mixed checks ---------------------------------------------------
 
 def test_mixed_21_d2_matches_u_integral_oracle():
@@ -377,12 +387,28 @@ def test_hard_points_fail_instead_of_being_skipped():
 
 
 def test_a_wrong_closed_form_image_is_refused_before_any_point():
-    # the catalog invariant: fhat must match the numeric Laplace transform
-    doubled = _decaying(lambda s: 2.0 / (s + 1.0))
+    # the TestOriginal invariant: fhat must match the numeric Laplace
+    # transform, so an original with a wrong image is never built
     with pytest.raises(DomainError, match="closed-form image disagrees"):
-        verify_all([2], originals=[doubled], pair_ids=["1.2"])
-    with pytest.raises(DomainError, match="closed-form image disagrees"):
-        verify_pair_mixed("1.2", 2, doubled, [(1.0, 1.0)], SPEC)
+        _decaying(lambda s: 2.0 / (s + 1.0))
+
+
+def test_verify_runs_no_forward_laplace_transform(monkeypatch):
+    # the image check belongs to the original, not to each verify run
+    calls = []
+
+    def counted(module):
+        original = module.forward_laplace
+
+        def hop(*args):
+            calls.append(module.__name__)
+            return original(*args)
+        return hop
+
+    for module in (pairs, verify):
+        monkeypatch.setattr(module, "forward_laplace", counted(module))
+    (rep,) = verify_all([2], pair_ids=["1.2"], originals=[EXP1])
+    assert rep.passed and calls == []
 
 
 def test_an_unconverged_space_time_hop_raises():
