@@ -163,7 +163,7 @@ class TestOriginal:
                 raise DomainError(f"catalog original {self.id}: numeric "
                                   f"transform failed at s={s}: {exc}") from exc
             want = self.fhat(s)
-            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+            if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):
                 raise DomainError(
                     f"catalog original {self.id}: closed-form image disagrees "
                     f"with the numeric transform at s={s} ({got} vs {want})")

@@ -16,17 +16,17 @@ integrated under the row's substitution in radial_fourier.radial_quadrature
 1/sqrt(t^2 - r^2)); the inversion contour is raised above the branch
 segment |Im s| <= k.
 
-verify_all compares at the first 20 grid points (default grid, then the
-extension grid) whose inverted image side clears MAGNITUDE_FLOOR, reusing
-that inversion as the right-hand side.  Only points below the floor are
-skipped; a point where either hop raises is kept and fails its report.
+One loop, _compare, decides each point: compared, skipped (its inverted
+image side is below the floor, MAGNITUDE_FLOOR in verify_all) or failed
+(a hop raised).  verify_all stops after 20 compared or failed points of
+the default grid, then the extension grid, inverting each point once.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .laplace import LaplaceError, TimeOriginal, _check_nodes, \
@@ -91,22 +91,34 @@ def _rel_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), REL_FLOOR)
 
 
+class _BelowFloor(Exception):
+    """Raised by a sides function to skip its point; the message says why."""
+
+
 def _compare(pair_id: str, dimension: int, test_original: str,
              samples: Iterable[tuple], sides, tolerance: float,
-             settings: dict) -> VerificationReport:
-    """Evaluate sides(point) -> (lhs, rhs) at every sample and report.
+             settings: dict, keep: float = math.inf) -> VerificationReport:
+    """Decide each sample point in turn with sides(point) -> (lhs, rhs).
 
-    An exception of a type in _HOP_ERRORS is recorded as a failure of its
-    point and fails the report; points are never silently skipped.  A
+    A point is compared when sides returns, skipped when it raises
+    _BelowFloor, and failed (failing the report) when it raises a type in
+    _HOP_ERRORS; hard points are never skipped.  The walk stops once keep
+    points were compared or failed, and wall_time covers all of it.  A
     report that compared nothing fails, and a tolerance that is not
     finite and positive is refused before the first point.
     """
     _positive("tolerance", tolerance)
     start = time.perf_counter()
-    points, lhs, rhs, aerr, rerr, failures = [], [], [], [], [], []
+    points, lhs, rhs, aerr, rerr = [], [], [], [], []
+    failures, skipped = [], []
     for point in map(tuple, samples):
+        if len(points) + len(failures) >= keep:
+            break
         try:
             lv, rv = sides(point)
+        except _BelowFloor as exc:
+            skipped.append((point, str(exc)))
+            continue
         except _HOP_ERRORS as exc:
             failures.append((point, str(exc)))
             continue
@@ -122,7 +134,7 @@ def _compare(pair_id: str, dimension: int, test_original: str,
         rhs_values=tuple(rhs), abs_errors=tuple(aerr),
         rel_errors=tuple(rerr), tolerance=tolerance, passed=passed,
         wall_time=time.perf_counter() - start, engine_settings=settings,
-        failures=tuple(failures))
+        failures=tuple(failures), skipped=tuple(skipped))
 
 
 # --------------------------------------------------------------------------
@@ -163,24 +175,36 @@ def fl_inversion(pair: PairDescriptor, d: int, f: TestOriginal,
 # report builders
 # --------------------------------------------------------------------------
 
+def _row_sides(pair: PairDescriptor, d: int, f: TestOriginal,
+               spec: QuadratureSpec, nodes: int, floor: float):
+    """sides of a row at (k, t): invert, skip below floor, space-time hop."""
+    def sides(point: tuple) -> tuple:
+        k, t = point
+        rhs = fl_inversion(pair, d, f, k, t, nodes)
+        if abs(rhs) < floor:
+            raise _BelowFloor(f"identity value {abs(rhs):.2e} below "
+                              f"magnitude floor {floor:.0e}")
+        return spacetime_transform(pair, d, f, k, t, spec), rhs
+
+    return sides
+
+
 def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
                       samples: Sequence[tuple], spec: QuadratureSpec,
                       nodes: int = 48,
                       tolerance: float = 1e-6) -> VerificationReport:
     """Verify one registry row at explicit (k, t) sample points.
 
-    Engine failures are recorded per point and fail the report; they are
-    never silently skipped.  A bad row, d, node count or tolerance is
-    refused before any hop.  f checked its image when built (TestOriginal).
+    No point is skipped (floor 0); a hop that raises fails its point and
+    the report.  A bad row, d, node count or tolerance is refused before
+    any hop.  f checked its image when built (TestOriginal).
     """
     pair = lookup(pair_id)
     _check_dim(pair, d)
     _check_nodes(nodes)
-    return _compare(
-        pair.id, d, f.id, samples,
-        lambda p: (spacetime_transform(pair, d, f, p[0], p[1], spec),
-                   fl_inversion(pair, d, f, p[0], p[1], nodes)),
-        tolerance, _settings(spec, nodes))
+    return _compare(pair.id, d, f.id, samples,
+                    _row_sides(pair, d, f, spec, nodes, 0.0), tolerance,
+                    _settings(spec, nodes))
 
 
 def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
@@ -219,36 +243,15 @@ def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
 D1_VERIFIABLE = tuple(row.id for row in registry_rows() if row.min_dim == 1)
 
 
-def build_sample_grid(pair: PairDescriptor, d: int, f: TestOriginal,
-                      nodes: int = 48) -> tuple[dict, list]:
-    """Image-side values at the first 20 grid points above the floor.
+def build_sample_grid() -> list:
+    """The candidate (k, t) points of verify_all, in the order tried.
 
-    Walks the default grid, then the extension grid, until as many points
-    as the default grid holds (20) are kept.  Points whose image-side value
-    is below MAGNITUDE_FLOOR cannot be compared at six relative digits in
-    double precision and are skipped; a point whose inversion raises
-    LaplaceError or ArithmeticError is kept with that error so that it
-    fails (DomainError propagates).  Returns (images, skipped): images
-    maps each kept (k, t) to its value or error, skipped pairs each
-    dropped point with why.
+    The default grid (20 points), then the extension grid.  verify_all
+    hands them to _compare, which stops once 20 were compared or failed;
+    a point below MAGNITUDE_FLOOR is skipped and the next one tried.
     """
-    candidates = [(k, t) for k in DEFAULT_K_GRID for t in DEFAULT_T_GRID]
-    extras = [(k, t) for k in EXTRA_K_GRID for t in EXTRA_T_GRID]
-    images, skipped = {}, []
-    for k, t in candidates + extras:
-        if len(images) == len(candidates):
-            break
-        try:
-            value = fl_inversion(pair, d, f, k, t, nodes)
-        except (LaplaceError, ArithmeticError) as exc:
-            images[k, t] = exc
-            continue
-        if abs(value) < MAGNITUDE_FLOOR:
-            skipped.append(((k, t), f"identity value {abs(value):.2e} below "
-                                    f"magnitude floor {MAGNITUDE_FLOOR:.0e}"))
-        else:
-            images[k, t] = value
-    return images, skipped
+    return ([(k, t) for k in DEFAULT_K_GRID for t in DEFAULT_T_GRID]
+            + [(k, t) for k in EXTRA_K_GRID for t in EXTRA_T_GRID])
 
 
 def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
@@ -259,13 +262,14 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
     """Run the mixed-domain protocol over the registry.
 
     Every admissible (row, d, original) triple of the requested rows,
-    dimensions and originals (default: the catalog) gets one report on
-    the grid of build_sample_grid.  A triple is admissible when
+    dimensions and originals (default: the catalog) gets one report from
+    _compare over build_sample_grid(): 20 points compared or failed, those
+    below MAGNITUDE_FLOOR skipped.  A triple is admissible when
     pair.admits(d, f): d is an integer >= the row's min_dim and, for a
     type-2 row, the original decays (sigma0 < 0).  Inadmissible triples
-    are dropped, so a request that admits none returns no report.  A
-    node count that is not an integer >= 4, and a tolerance that is not
-    finite and positive, are refused before any hop.
+    are dropped, so a request that admits none returns no report.  A node
+    count that is not an integer >= 4, and a tolerance that is not finite
+    and positive, are refused before any hop.
     """
     _check_nodes(nodes)
     _positive("tolerance", tolerance)
@@ -279,21 +283,11 @@ def verify_all(d_list: Sequence[int], tolerance: float = 1e-6,
         pair = lookup(pid)
         for d in d_list:
             for f in originals:
-                if not pair.admits(d, f):
-                    continue
-                start = time.perf_counter()
-                images, skipped = build_sample_grid(pair, d, f, nodes)
-
-                def sides(p):
-                    rhs = images[p]
-                    if isinstance(rhs, Exception):
-                        raise rhs
-                    return spacetime_transform(pair, d, f, *p, spec), rhs
-
-                reports.append(dc_replace(_compare(
-                    pair.id, d, f.id, images, sides, tolerance,
-                    _settings(spec, nodes)), skipped=tuple(skipped),
-                    wall_time=time.perf_counter() - start))
+                if pair.admits(d, f):
+                    reports.append(_compare(
+                        pair.id, d, f.id, build_sample_grid(),
+                        _row_sides(pair, d, f, spec, nodes, MAGNITUDE_FLOOR),
+                        tolerance, _settings(spec, nodes), keep=20))
     return reports
 
 
@@ -304,9 +298,9 @@ def reports_to_text(reports: Sequence[VerificationReport]) -> str:
         for (point, lv, rv, ae, re_) in zip(rep.sample_points, rep.lhs_values,
                                             rep.rhs_values, rep.abs_errors,
                                             rep.rel_errors):
-            k, t = point[0], point[1]
             lines.append(f"{rep.pair_id} {rep.dimension} {rep.test_original} "
-                         f"{k!r} {t!r} {lv!r} {rv!r} {ae!r} {re_!r}")
+                         f"{' '.join(map(repr, point))} "
+                         f"{lv!r} {rv!r} {ae!r} {re_!r}")
         for point, reason in rep.skipped:
             lines.append(f"# skipped {rep.pair_id} d={rep.dimension} "
                          f"f={rep.test_original} point={point}: {reason}")

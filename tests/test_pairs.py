@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fltrans import pairs
 from fltrans.pairs import (
     PAIR_IDS,
     ConstraintError,
@@ -20,7 +21,7 @@ from fltrans.pairs import (
     registry_rows,
     registry_text,
 )
-from fltrans.laplace import forward_laplace
+from fltrans.laplace import TimeOriginal, forward_laplace
 from fltrans.numerics import DomainError, QuadratureSpec
 
 SPEC = QuadratureSpec()
@@ -140,6 +141,14 @@ def test_catalog_refuses_an_original_whose_image_check_fails():
     with pytest.raises(DomainError, match="catalog original exp_decay:50: "
                                           "numeric transform failed"):
         catalog_lookup("exp_decay:50")
+
+
+def test_an_original_refuses_a_nan_closed_form_image():
+    # abs(got - nan) > tol is False, so a NaN image used to be accepted
+    with pytest.raises(DomainError, match="closed-form image disagrees"):
+        pairs.TestOriginal(
+            "x", TimeOriginal(lambda u: math.exp(-u), sigma0=-1.0),
+            lambda s: math.nan)
 
 
 def test_catalog_builds_each_id_once():

@@ -13,7 +13,6 @@ from fltrans.numerics import DomainError, QuadratureSpec, integrate_adaptive
 from fltrans.pairs import catalog_lookup, lookup, registry_rows
 from fltrans.radial_fourier import QuadratureError, kernel_ghat
 from fltrans.verify import (
-    build_sample_grid,
     fl_inversion,
     reports_to_text,
     spacetime_transform,
@@ -146,10 +145,19 @@ def test_paired_convergence_run():
 
 def test_build_sample_grid_filters_tiny_values():
     # row 2.2 at k=2, t=5 has identity value ~ e^{-20}: filtered, topped up
-    points, skipped = build_sample_grid(lookup("2.2"), 2, EXP1)
-    assert (2.0, 5.0) not in points
-    assert len(points) >= 20
-    assert any("magnitude floor" in reason for _, reason in skipped)
+    (rep,) = verify_all([2], originals=[EXP1], pair_ids=["2.2"])
+    assert (2.0, 5.0) not in rep.sample_points
+    assert len(rep.sample_points) == 20
+    (skipped,) = rep.skipped
+    assert skipped[0] == (2.0, 5.0) and "magnitude floor" in skipped[1]
+
+
+def test_pair_mixed_compares_a_point_below_the_floor():
+    # verify_pair_mixed has no magnitude floor: row 2.2's (2, 5) is compared
+    rep = verify_pair_mixed("2.2", 2, EXP1, [(2.0, 5.0)], SPEC)
+    assert rep.sample_points == ((2.0, 5.0),) and rep.skipped == ()
+    assert rep.lhs_values[0] == pytest.approx(2.0612e-9, rel=1e-4)
+    assert rep.rhs_values[0] == pytest.approx(2.0605e-9, rel=1e-4)
 
 
 def test_verify_all_empty_dimension_list():
@@ -173,15 +181,14 @@ def test_verify_all_skips_growing_originals_for_type2():
 
 
 def test_verify_all_wall_time_includes_the_sample_grid(monkeypatch):
-    # the clock used to start after build_sample_grid, which runs every
-    # inversion of the report
-    def slow_grid(*args):
-        time.sleep(0.05)
-        return {}, []
+    # the clock used to start after the inversions of the report
+    def slow_inversion(*args):
+        time.sleep(0.0025)
+        return fl_inversion(*args)
 
-    monkeypatch.setattr(verify, "build_sample_grid", slow_grid)
+    monkeypatch.setattr(verify, "fl_inversion", slow_inversion)
     (report,) = verify_all([2], originals=[EXP1], pair_ids=["1.2"])
-    assert report.wall_time >= 0.05
+    assert report.wall_time >= 20 * 0.0025
 
 
 def test_reports_to_text_contains_failures():
@@ -214,6 +221,15 @@ def test_reports_to_text_names_skipped_and_failed_points(monkeypatch):
     assert lines[-1].startswith("# reports=2 passed=1 failed=1 ")
 
 
+def test_reports_to_text_prints_every_coordinate_of_a_point():
+    # a base-pair point (k, u, s) used to print as "k u", dropping s
+    rep = verify_base_pair(2.0, 1.0, (0.7, 1.5, 3.0))
+    lines = reports_to_text([rep]).splitlines()[1:4]
+    assert [line.split()[:6] for line in lines] == [
+        ["base(J0)", "2", "delta-shell", "2.0", "1.0", repr(s)]
+        for s in (0.7, 1.5, 3.0)]
+
+
 def test_rows_are_integrated_from_their_data_alone():
     # renaming a row must not change how its space-time side is integrated
     for row in registry_rows():
@@ -231,7 +247,7 @@ def test_rows_are_integrated_from_their_data_alone():
 def test_admitted_triples_are_pinned(monkeypatch):
     # 1.1 from d = 2, 1.3 from d = 3, every other row from d = 1; type-2
     # rows only with the decaying originals (not sine:1 or unit)
-    monkeypatch.setattr(verify, "build_sample_grid", lambda *args: ({}, []))
+    monkeypatch.setattr(verify, "build_sample_grid", lambda: [])
     decaying = ("exp_decay:0.5", "exp_decay:1", "exp_decay:2",
                 "poly_exp:1,1", "poly_exp:2,1")
     every = decaying + ("sine:1", "unit")
@@ -429,7 +445,8 @@ def test_report_with_every_point_below_the_floor_fails():
 
 
 @pytest.mark.parametrize("hop, error", [("spacetime_transform", ZeroDivisionError),
-                                        ("fl_inversion", OverflowError)])
+                                        ("fl_inversion", OverflowError),
+                                        ("fl_inversion", DomainError)])
 def test_arithmetic_error_in_one_hop_fails_only_that_point(monkeypatch, hop, error):
     original = getattr(verify, hop)
 
