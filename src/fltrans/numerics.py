@@ -17,7 +17,10 @@ Scalar, pure-Python kernels used by every other module:
 * Semi-infinite quadrature by one cell loop: geometric cells (G10/K21) for
   decaying integrands, half-period cells (G7/K15) between the zeros of the
   oscillating factor for oscillatory ones, with Wynn epsilon acceleration
-  while cells alternate.  The zeros of J_nu (bessel_j_zero) are cached.
+  while cells alternate.  The epsilon table covers the newest 24 partial
+  sums and grows by one diagonal per cell, from the first alternation on,
+  so a loop whose cells never alternate does no epsilon work.  The zeros
+  of J_nu (bessel_j_zero) are cached.
 
 All functions are pure and reentrant; the dataclasses are frozen, so
 values may be shared freely across threads.
@@ -25,6 +28,7 @@ values may be shared freely across threads.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import math
@@ -588,34 +592,89 @@ def _integrate_k15(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResul
 # Semi-infinite integrals: one cell loop, Wynn epsilon on alternating sums
 # ---------------------------------------------------------------------------
 
-def _wynn_epsilon(sums):
-    """Best even-column Wynn epsilon estimate for a partial-sum sequence.
+# the epsilon table reads the newest 24 partial sums at most: columns 0..23
+_EPSILON_SUMS = 24
 
-    Wynn (1956).  Degenerate differences mean the sequence (or an even
-    transformed column) has already converged at machine level; the value
-    is returned directly rather than dividing by ~0.
+
+class _EpsilonTable:
+    """Wynn's epsilon table (Wynn 1956) of the newest 24 partial sums.
+
+    Only the newest anti-diagonal is kept, as in QUADPACK's dqelg: entry c
+    is the newest entry of column c, and add(s) extends it by the rhombus
+    rule new[0] = s, new[c + 1] = old[c - 1] + 1 / (new[c] - old[c]) with
+    old[-1] = 0, up to column 23, so each entry is computed once.
+
+    estimate() is what a scan of the whole table gives, column by column,
+    oldest entry first.  A difference that is zero, or in an even column
+    at most 1e-16 times the window's largest |sum|, means the sums (or an
+    even column) have converged at machine level: the scan returns the
+    newer entry of the pair, or in an odd column the best estimate so far,
+    the newest entry of the last even column scanned.  A column with a
+    non-finite entry returns the best estimate so far too; a full scan
+    returns the newest entry of the last even column.  Such events are
+    recorded as their diagonal is added and count while their sums stay
+    in the window; entries past a zero difference hold NaN, which no
+    estimate reads.  A new largest |sum| can make an old difference small
+    enough, so then the table is built again from the window.
     """
-    scale = max(abs(s) for s in sums) + 1e-300
-    cur = list(sums)
-    prev = [0.0] * (len(sums) + 1)
-    best = cur[-1]
-    col = 0
-    while len(cur) >= 2:
-        nxt = []
-        for j in range(len(cur) - 1):
-            diff = cur[j + 1] - cur[j]
-            if diff == 0.0 or (col % 2 == 0 and abs(diff) <= 1e-16 * scale):
-                # even columns hold sum estimates; odd columns hold
-                # reciprocal differences where a tie just ends the table
-                return cur[j + 1] if col % 2 == 0 else best
-            nxt.append(prev[j + 1] + 1.0 / diff)
-        if any(not math.isfinite(abs(v)) for v in nxt):
-            return best
-        prev, cur = cur, nxt
-        col += 1
-        if col % 2 == 0 and cur and math.isfinite(abs(cur[-1])):
-            best = cur[-1]
-    return best
+
+    def __init__(self, sums):
+        self._window = collections.deque(sums[-_EPSILON_SUMS:], _EPSILON_SUMS)
+        self._fold()
+
+    def _fold(self) -> None:
+        # the table of the window's sums, one diagonal per sum
+        self._scale = max(abs(s) for s in self._window) + 1e-300
+        self._diagonal = []
+        # (oldest sum, rank, value, |difference|): the scan meets column c's
+        # differences at rank 2c and column c + 1's entries at rank 2c + 1;
+        # value None is the best estimate; a nonzero difference counts while
+        # the window's scale admits it
+        self._events = []
+        self._count = 0
+        for s in self._window:
+            self._extend(s)
+
+    def add(self, s) -> None:
+        self._window.append(s)
+        scale = max(abs(x) for x in self._window) + 1e-300
+        if not scale <= self._scale:  # grown, or NaN at the window's start
+            self._fold()
+        else:
+            self._scale = scale
+            self._extend(s)
+
+    def _extend(self, s) -> None:
+        oldest = self._count - 1  # of the sums under column 0's difference
+        limit = 1e-16 * self._scale
+        new = [s]
+        above = 0.0  # old[c - 1]
+        for c, old in enumerate(self._diagonal[:_EPSILON_SUMS - 1]):
+            diff = new[c] - old
+            if diff == 0.0 or (c % 2 == 0 and abs(diff) <= limit):
+                self._events.append((oldest - c, 2 * c, None if c % 2 else new[c],
+                                     abs(diff) if diff else None))
+            entry = above + 1.0 / diff if diff != 0.0 else math.nan
+            if not math.isfinite(abs(entry)):  # the sums may be complex
+                self._events.append((oldest - c, 2 * c + 1, None, None))
+            new.append(entry)
+            above = old
+        self._diagonal = new
+        self._count += 1
+
+    def estimate(self):
+        start = self._count - len(self._window)
+        limit = 1e-16 * self._scale
+        self._events = [e for e in self._events if e[0] >= start]
+        live = [e for e in self._events if e[3] is None or e[3] <= limit]
+        if not live:
+            c = len(self._diagonal) - 1
+        else:
+            _, rank, value, _ = min(live, key=lambda e: e[1])
+            if value is not None:
+                return value
+            c = rank // 2
+        return self._diagonal[c - c % 2]
 
 
 # cells past the first before a semi-infinite integral is reported unconverged
@@ -633,7 +692,10 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
     total, or when two successive Wynn epsilon extrapolations of the partial
     sums agree.  Extrapolation is tried only while the two newest cells
     alternate in sign, the sequences it is made for; on a same-sign tail
-    that has not yet peaked, two equal extrapolations prove nothing.
+    that has not yet peaked, two equal extrapolations prove nothing.  The
+    epsilon table of the newest 24 sums is built when the cells first
+    alternate, from the sixth sum on, and then grows by one diagonal per
+    cell; a loop whose cells never alternate does no epsilon work.
     """
     hi = edge(1)  # a cell's upper edge is the next cell's lower one
     first = integrate(f, a, hi, spec)
@@ -641,6 +703,7 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
     total = part = first.value
     cell_err = first.error_estimate
     sums = [total]
+    table = None  # the epsilon table, from the first alternation on
     prev_accel = None
     for c in range(_OSCILLATION_CELLS):
         prev = part
@@ -655,10 +718,14 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
         if c >= 1 and (abs(part) <= 5e-16 * abs(total)
                        or abs(part) <= tol and abs(prev) <= tol):
             return IntegralResult(total, abs(part) + cell_err, True, evals)
+        if table is not None:
+            table.add(total)
         if (part * prev.conjugate()).real >= 0.0:  # not alternating
             prev_accel = None
         elif len(sums) >= 6:
-            accel = _wynn_epsilon(sums[-24:])
+            if table is None:
+                table = _EpsilonTable(sums)
+            accel = table.estimate()
             if math.isfinite(abs(accel)):  # the sums may be complex
                 if prev_accel is not None:
                     delta = abs(accel - prev_accel)

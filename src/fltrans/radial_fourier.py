@@ -53,11 +53,18 @@ class QuadratureError(RuntimeError):
     """A transform integral failed to converge within the budget."""
 
 
-# above this wavenumber an exponentially decaying tail still spans many
-# kernel oscillations, and Wynn-accelerated cells between the kernel's
-# zeros beat geometric cells; Gaussian tails stay on geometric cells,
-# because Wynn's epsilon stalls on their super-geometric partial sums
-_OSC_WAVENUMBER = 8.0
+# from this wavenumber on, Wynn-accelerated cells between the kernel's
+# zeros beat geometric cells on an exponentially decaying tail.  Measured as
+# evaluations and best-of-7 times, geometric / oscillatory, for e^{-r} in
+# d = 1..6 and e^{-r}/r in d = 2, 3 (CPython 3.11, shared 2-core Xeon): at
+# every k measured from 1 to 7 the oscillatory cells took fewer evaluations
+# and less time in all 8 (k = 1, e^{-r}: d = 3, 231/105 and 0.23/0.13 ms;
+# d = 6, 231/150 and 1.02/0.68 ms; k = 7, d = 6: 1155/240, 5.6/1.2 ms); at
+# k = 0.75 fewer evaluations in all 8, but d = 1 tied in time at 0.13 ms;
+# at k = 0.1 geometric cells took fewer evaluations in all 8.  Gaussian
+# tails stay on geometric cells, because Wynn's epsilon stalls on their
+# super-geometric partial sums
+_OSC_WAVENUMBER = 1.0
 
 # changes of variable radial_quadrature applies at an edge singularity
 SUBSTITUTIONS = ("none", "origin", "light_cone")
@@ -79,7 +86,7 @@ class RadialProfile:
 
     The transforms integrate eval over (0, inf).  decay_class in
     {"exponential", "gaussian", "algebraic"} selects the semi-infinite
-    strategy: algebraic tails, and exponential tails at k >= 8, go
+    strategy: algebraic tails, and exponential tails at k >= 1, go
     through the oscillatory engine, everything else through geometric
     cells (integrate_semi_infinite).
     """

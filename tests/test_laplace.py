@@ -129,7 +129,8 @@ def test_forward_refuses_an_original_that_underflows_too_early(a):
 @pytest.mark.parametrize("shift", [1.1, 2.6])
 def test_forward_transform_of_a_late_peaking_original(n, shift):
     # t^n e^{-t} e^{-s t} peaks at t = n/(s + 1), far past the first cells;
-    # the image check of every verify run transforms at sigma0 + 1.1, 2.6
+    # building the original checks its image by transforming at sigma0 + 1.1
+    # and sigma0 + 2.6, once
     entry = catalog_lookup(f"poly_exp:{n},1")
     s = entry.f.sigma0 + shift
     got = forward_laplace(entry.f, s, SPEC)

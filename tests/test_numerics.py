@@ -467,6 +467,110 @@ def test_oscillatory_slow_decay_needs_acceleration():
         assert res.value == pytest.approx(0.5 * math.pi * math.exp(-r), rel=1e-9)
 
 
+@pytest.mark.parametrize("cell, zero, value, evaluations", [
+    (lambda x: math.exp(-0.5 * x) * math.cos(0.5 * x),
+     lambda n: (n - 0.5) * math.pi / 0.5, 1.0, 105),
+    (lambda x: math.exp(-x) * math.cos(0.5 * x),
+     lambda n: (n - 0.5) * math.pi / 0.5, 0.8000000000000002, 135),
+    (lambda x: math.exp(-2.0 * x) * math.cos(x),
+     lambda n: (n - 0.5) * math.pi, 0.4000000000000001, 135),
+    (lambda x: math.exp(-2.0 * x) * math.cos(2.0 * x),
+     lambda n: (n - 0.5) * math.pi / 2.0, 0.25, 105),
+    (lambda x: math.exp(-x) * bessel_j(0, x),
+     lambda n: bessel_j_zero(0, n), 0.7071067811865759, 105),
+    (lambda k: k / (1.0 + k * k) * math.sin(0.5 * k),
+     lambda n: n * math.pi / 0.5, 0.9527361323707281, 315),
+    (lambda k: k / (1.0 + k * k) * math.sin(k),
+     lambda n: n * math.pi, 0.5778636748989622, 285),
+    (lambda k: k / (1.0 + k * k) * math.sin(2.0 * k),
+     lambda n: n * math.pi / 2.0, 0.21258416579283546, 270),
+])
+def test_oscillatory_values_and_work_are_pinned(cell, zero, value, evaluations):
+    # the epsilon table grown one diagonal per cell reproduces the values and
+    # evaluation counts of the table rebuilt from the window after every cell
+    res = integrate_oscillatory(cell, zero, SPEC)
+    assert res.converged
+    assert (res.value, res.evaluations) == (value, evaluations)
+
+
+def test_semi_infinite_exponential_value_and_work_are_pinned(monkeypatch):
+    # the geometric cells of e^{-x} never alternate: no epsilon table is built
+    def refused(sums):
+        raise AssertionError("epsilon table built")
+    monkeypatch.setattr(numerics, "_EpsilonTable", refused)
+    res = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC)
+    assert res.converged
+    assert (res.value, res.evaluations) == (1.0000000000000002, 147)
+
+
+def _epsilon_reference(sums):
+    # Wynn's epsilon table of sums built from scratch and scanned column by
+    # column, oldest entry first: the rules the diagonal table must reproduce
+    scale = max(abs(s) for s in sums) + 1e-300
+    cur = list(sums)
+    prev = [0.0] * (len(sums) + 1)
+    best = cur[-1]
+    col = 0
+    while len(cur) >= 2:
+        nxt = []
+        for j in range(len(cur) - 1):
+            diff = cur[j + 1] - cur[j]
+            if diff == 0.0 or (col % 2 == 0 and abs(diff) <= 1e-16 * scale):
+                return cur[j + 1] if col % 2 == 0 else best
+            nxt.append(prev[j + 1] + 1.0 / diff)
+        if any(not math.isfinite(abs(v)) for v in nxt):
+            return best
+        prev, cur = cur, nxt
+        col += 1
+        if col % 2 == 0 and cur and math.isfinite(abs(cur[-1])):
+            best = cur[-1]
+    return best
+
+
+def _same(a, b):
+    return a == b or (a != a and b != b)
+
+
+@pytest.mark.parametrize("terms", [
+    [(-1.0) ** n / (n + 1) for n in range(201)],  # log 2, slowly
+    [(-0.6 + 0.3j) ** n / (n + 1) for n in range(201)],  # complex
+    [(-1.0) ** n for n in range(201)],  # sums 1, 0, 1, ...: epsilon_2 = 1/2
+], ids=["alternating_harmonic", "complex", "two_valued"])
+def test_cell_loop_extrapolates_as_the_whole_table(monkeypatch, terms):
+    # every extrapolation of _integrate_cells equals the reference table of
+    # the newest 24 partial sums; the loop is handed a count in its place,
+    # which never repeats, so it runs on past 24 sums
+    seen, sums = [], []
+
+    class Recorded(numerics._EpsilonTable):
+        def estimate(self):
+            seen.append((sums[-24:], super().estimate()))
+            return len(seen)
+
+    def cell(f, lo, hi, spec):
+        sums.append(terms[len(sums)] + (sums[-1] if sums else 0.0))
+        return IntegralResult(terms[len(sums) - 1], 0.0, True, 1)
+
+    monkeypatch.setattr(numerics, "_EpsilonTable", Recorded)
+    numerics._integrate_cells(None, 0.0, lambda n: n, SPEC, cell)
+    assert len(seen) > 24
+    assert all(_same(got, _epsilon_reference(window)) for window, got in seen)
+
+
+@pytest.mark.parametrize("sums", [
+    [2.0 / 3.0 + (-0.5) ** n for n in range(40)],  # Aitken-exact: old ties
+    [1.0 + (0.1 ** n if n < 12 else 0.0) for n in range(40)],  # then constant
+    [float(min(n, 8)) + (-0.5) ** n for n in range(40)],  # a new largest sum
+    [1.0, -1.0, 2.0, math.nan, 1.5, 1.25, 1.4, 1.3, 1.35, 1.33] * 4,
+], ids=["geometric", "constant", "rising", "nan"])
+def test_epsilon_table_matches_the_whole_table_after_every_sum(sums):
+    table = numerics._EpsilonTable(sums[:6])
+    for n in range(6, len(sums) + 1):
+        if n > 6:
+            table.add(sums[n - 1])
+        assert _same(table.estimate(), _epsilon_reference(sums[:n][-24:])), n
+
+
 def test_oscillatory_stall_reported(monkeypatch):
     monkeypatch.setattr(numerics, "_OSCILLATION_CELLS", 4)
     res = integrate_oscillatory(lambda k: k / (1.0 + k * k) * math.sin(k),

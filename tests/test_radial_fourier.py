@@ -269,24 +269,62 @@ def test_gaussian_seeded_sweep_above_the_oscillatory_wavenumber():
 
 # --- exponential tails on the oscillatory path ------------------------------------
 
-def _exponential_miss(d, k):
+def _exponential_miss(d, k, profile=EXPONENTIAL):
     # |error| beyond the engine's own estimate (floor 1e-12), infinite when
     # not converged; the exact transform of e^{-r} is
-    # 2^d pi^((d-1)/2) Gamma((d+1)/2) / (1 + k^2)^((d+1)/2)
-    res = forward_result(Dimension(d), EXPONENTIAL, k, SPEC)
-    want = (2.0 ** d * math.pi ** (0.5 * (d - 1)) * math.gamma(0.5 * (d + 1))
-            / (1.0 + k * k) ** (0.5 * (d + 1)))
+    # 2^d pi^((d-1)/2) Gamma((d+1)/2) / (1 + k^2)^((d+1)/2), that of e^{-r}/r
+    # is 2 pi / sqrt(1 + k^2) in d = 2 and 4 pi / (1 + k^2) in d = 3
+    res = forward_result(Dimension(d), profile, k, SPEC)
+    if profile is YUKAWA:
+        want = (2.0 * math.pi / math.sqrt(1.0 + k * k) if d == 2
+                else 4.0 * math.pi / (1.0 + k * k))
+    else:
+        want = (2.0 ** d * math.pi ** (0.5 * (d - 1)) * math.gamma(0.5 * (d + 1))
+                / (1.0 + k * k) ** (0.5 * (d + 1)))
     if not res.converged:
         return math.inf
     return abs(res.value - want) - max(res.error_estimate, 1e-12)
 
 
 def test_exponential_seeded_sweep_on_the_oscillatory_path():
+    # e^{-r} in d = 1..6 up to k = 60, and from the switch at k = 1 to 8 also
+    # e^{-r}/r in d = 2, 3
     rng = random.Random(2)
-    draws = [(rng.randint(1, 6), rng.uniform(8.0, 60.0)) for _ in range(120)]
-    draws += [(d, k) for d in range(1, 7) for k in (8.0, 16.0, 38.0)]
-    misses = [(d, k) for d, k in draws if _exponential_miss(d, k) > 0.0]
+    draws = [(rng.randint(1, 6), rng.uniform(8.0, 60.0), EXPONENTIAL)
+             for _ in range(120)]
+    draws += [(d, k, EXPONENTIAL) for d in range(1, 7) for k in (8.0, 16.0, 38.0)]
+    draws += [(rng.randint(1, 6), rng.uniform(1.0, 8.0), EXPONENTIAL)
+              for _ in range(150)]
+    draws += [(rng.randint(2, 3), rng.uniform(1.0, 8.0), YUKAWA)
+              for _ in range(50)]
+    draws += [(d, 1.0, EXPONENTIAL) for d in range(1, 7)]
+    draws += [(d, 1.0, YUKAWA) for d in (2, 3)]
+    misses = [(d, k) for d, k, profile in draws
+              if _exponential_miss(d, k, profile) > 0.0]
     assert misses == []
+
+
+@pytest.mark.parametrize("k", [0.5, 0.999, 1.0, 3.5, 7.9])
+def test_exponential_tails_switch_engines_at_the_oscillatory_wavenumber(
+        monkeypatch, k):
+    # below the switch only geometric cells, from it on only the zeros' cells
+    calls = []
+
+    def counted(name):
+        engine = getattr(radial_fourier, name)
+
+        def hop(*args):
+            calls.append(name)
+            return engine(*args)
+        return hop
+
+    for name in ("integrate_oscillatory", "integrate_semi_infinite"):
+        monkeypatch.setattr(radial_fourier, name, counted(name))
+    for d in (1, 2, 3, 6):
+        assert forward_result(Dimension(d), EXPONENTIAL, k, SPEC).converged
+    want = ("integrate_oscillatory" if k >= radial_fourier._OSC_WAVENUMBER
+            else "integrate_semi_infinite")
+    assert calls == [want] * 4
 
 
 def test_yukawa_image_seeded_sweep_on_the_oscillatory_path():
