@@ -68,7 +68,6 @@ from .pairs import (
 from .verify import (
     VerificationReport,
     verify_all,
-    verify_base_pair,
     verify_pair_mixed,
 )
 from .rte2d import (

@@ -78,14 +78,24 @@ def sqrt_s2k2(s: complex, k: float) -> complex:
 
     Matches the positive root for real s > 0 and satisfies
     Re sqrt_s2k2 -> -inf together with Re s, which is the branch a Talbot
-    contour enclosing the segment requires.
+    contour enclosing the segment requires.  Where |s| is so small next
+    to k that (k/s)^2 overflows, returns the limit +-k sqrt(1 + (s/k)^2)
+    with the sign the root takes just outside that range: that of Re s,
+    or of -Im s on the imaginary axis.
     """
     if k == 0.0:
         return complex(s)
     s = complex(s)
     if s == 0.0:
         return complex(0.0)
-    return s * cmath.sqrt(1.0 + (k / s) ** 2)
+    try:
+        root = s * cmath.sqrt(1.0 + (k / s) ** 2)
+    except OverflowError:
+        root = complex(math.nan)
+    if cmath.isfinite(root) or not cmath.isfinite(s):
+        return root
+    sign = s.real if s.real != 0.0 else -s.imag
+    return math.copysign(k, sign) * cmath.sqrt(1.0 + (s / k) ** 2)
 
 
 _MARGIN = 0.1

@@ -8,8 +8,10 @@ one function st_profile(t, d, f) that binds the factors of (t, d) once and
 returns the radial profile r -> P f(A); its support is the separate
 radial_range.  Row 2.1 at d = 2 follows from
 the base Laplace pair J0(k sqrt(t^2 - u^2)) Theta(t - u) <->
-exp(-u sqrt(s^2 + k^2)) / sqrt(s^2 + k^2), integrated against f(u) du;
-verify.verify_base_pair checks that pair, verify.verify_all the row.
+exp(-u sqrt(s^2 + k^2)) / sqrt(s^2 + k^2), integrated against f(u) du.
+At f = delta(u - u0), fhat(p) = exp(-u0 p), the row's image is that
+pair's right side, which tests/test_pairs.py checks against a forward
+Laplace quadrature; verify.verify_all checks the row.
 
 Type-1 rows keep phi's default s and multiply fhat(s) by a function of
 (k, s); type-2 rows hand fhat a genuinely k-dependent argument.  A row's
@@ -502,21 +504,22 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
                    r: float, t: float) -> float:
     """pair.st_profile(t, d, f)(r) on support, over q for a light_cone row.
 
-    Zero at a finite t <= 0 and outside radial_range(t).  Refuses, with
-    DomainError, a t that is not finite and an r that is not finite and
-    >= 0; refuses points on the light-cone edge (|t - r| below a small
-    margin) of rows singular there; quadrature callers integrate across
-    such edges under the weight of the substitution instead.
+    Zero at a finite t <= 0, the light cone's apex included, and outside
+    radial_range(t).  Refuses, with DomainError, a t that is not finite
+    and an r that is not finite and >= 0; at t > 0 refuses points on the
+    light-cone edge (|t - r| below a small margin) of rows singular
+    there; quadrature callers integrate across such edges under the
+    weight of the substitution instead.
     """
     _check_dim(pair, d)
     if not (-math.inf < t < math.inf and 0.0 <= r < math.inf):  # and NaN
         raise DomainError(f"need finite t and r >= 0, got ({r}, {t})")
-    if (pair.substitution == "light_cone"
-            and abs(t - r) <= _EDGE_MARGIN * max(1.0, abs(t))):
-        raise EdgeError(
-            f"pair {pair.id} is singular on t = r; got (r, t) = ({r}, {t})")
     if not t > 0.0:
         return 0.0
+    if (pair.substitution == "light_cone"
+            and abs(t - r) <= _EDGE_MARGIN * max(1.0, t)):
+        raise EdgeError(
+            f"pair {pair.id} is singular on t = r; got (r, t) = ({r}, {t})")
     lo, hi = pair.radial_range(t)
     if not lo <= r < hi:
         return 0.0

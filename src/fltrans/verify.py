@@ -29,10 +29,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .laplace import LaplaceError, TimeOriginal, _check_nodes, \
-    forward_laplace, inverse_laplace
-from .numerics import DomainError, QuadratureSpec, _nonnegative, _positive, \
-    bessel_j
+from .laplace import LaplaceError, _check_nodes, inverse_laplace
+from .numerics import DomainError, QuadratureSpec, _positive
 from .pairs import PAIR_IDS, PairDescriptor, TestOriginal, _check_dim, \
     catalog_list, lookup, registry_rows
 from .radial_fourier import QuadratureError, _value, radial_quadrature
@@ -205,34 +203,6 @@ def verify_pair_mixed(pair_id: str, d: int, f: TestOriginal,
     return _compare(pair.id, d, f.id, samples,
                     _row_sides(pair, d, f, spec, nodes, 0.0), tolerance,
                     _settings(spec, nodes))
-
-
-def verify_base_pair(k: float, u: float, s_grid: Sequence[float],
-                     spec: QuadratureSpec = QuadratureSpec(),
-                     tolerance: float = 1e-8) -> VerificationReport:
-    """Check the base identity behind the proper-time family.
-
-    LHS: exp(-s u) forward_laplace(g)(s), the time shift of the smooth
-    g(tau) = J0(k sqrt(tau (tau + 2u))) onto J0(k sqrt(t^2 - u^2)) for
-    t > u; a point with s <= 0.1 fails with forward_laplace's DomainError.
-    RHS: the closed form exp(-u sqrt(s^2 + k^2))/sqrt(s^2 + k^2).
-    """
-    _nonnegative("wavenumber", k)
-    _nonnegative("shift u", u)
-    if not all(s > 0.0 for s in s_grid):
-        raise DomainError("base-pair s grid must be positive")
-    shifted = TimeOriginal(
-        lambda tau: bessel_j(0, k * math.sqrt(tau * (tau + 2.0 * u))))
-
-    def sides(point: tuple) -> tuple:
-        s = point[2]
-        root = math.sqrt(s * s + k * k)
-        return (math.exp(-s * u) * forward_laplace(shifted, s, spec).real,
-                math.exp(-u * root) / root)
-
-    return _compare("base(J0)", 2, "delta-shell",
-                    [(k, u, s) for s in s_grid], sides, tolerance,
-                    _settings(spec, 0))
 
 
 # --------------------------------------------------------------------------

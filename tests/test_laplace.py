@@ -17,7 +17,7 @@ from fltrans.laplace import (
     roundtrip_check,
     sqrt_s2k2,
 )
-from fltrans.numerics import DomainError, QuadratureSpec
+from fltrans.numerics import DomainError, QuadratureSpec, bessel_j
 from fltrans.pairs import catalog_lookup
 
 SPEC = QuadratureSpec()
@@ -64,6 +64,42 @@ def test_sqrt_branch_cut_on_segment():
     hi_r = sqrt_s2k2(complex(1e-12, 2.0), 1.0)
     hi_l = sqrt_s2k2(complex(-1e-12, 2.0), 1.0)
     assert abs(hi_r - hi_l) < 1e-9
+
+
+def test_sqrt_branch_where_k_over_s_squared_overflows():
+    # these raised OverflowError, or returned nan+nanj, from (k/s)^2
+    assert sqrt_s2k2(1e-200, 1.0) == 1.0
+    assert sqrt_s2k2(1e-5, 1e300) == 1e300
+    assert sqrt_s2k2(complex(1e-200, 1e-200), 1.0) == 1.0
+    # on the imaginary axis the sign is that of -Im s, as at larger |s|
+    assert sqrt_s2k2(1e-100j, 1.0) == -1.0
+    assert sqrt_s2k2(-1e-100j, 1.0) == 1.0
+    assert sqrt_s2k2(1e-200j, 1.0) == -1.0
+    assert sqrt_s2k2(-1e-200j, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("direction", [1.0, cmath.exp(0.3j), cmath.exp(1.2j),
+                                       1j, cmath.exp(2.0j), -1.0,
+                                       cmath.exp(-2.5j), -1j,
+                                       cmath.exp(-0.7j)])
+def test_sqrt_branch_is_finite_and_continuous_where_k_over_s_overflows(
+        direction):
+    # |s| from 1e-150 to 1e-160 crosses the switch near 7e-155; each value
+    # is within roundoff of the one before
+    radii = [10.0 ** (-150.0 - 0.05 * i) for i in range(201)]
+    values = [sqrt_s2k2(r * direction, 1.0) for r in radii]
+    assert all(cmath.isfinite(v) for v in values)
+    assert all(abs(b - a) <= 1e-15 for a, b in zip(values, values[1:]))
+    assert abs(abs(values[0]) - 1.0) <= 1e-15
+    # the sweep crosses the switch: (k/s)^2 is finite at the start only
+    def square_of_k_over_s(r):
+        try:
+            return (1.0 / complex(r * direction)) ** 2
+        except OverflowError:
+            return complex(math.inf)
+
+    assert cmath.isfinite(square_of_k_over_s(radii[0]))
+    assert not cmath.isfinite(square_of_k_over_s(radii[-1]))
 
 
 # --- forward transform -------------------------------------------------------
@@ -239,11 +275,34 @@ def test_inverse_sine_at_peak():
 
 def test_inverse_branch_image_with_enclosure():
     # J0(t) has image 1/sqrt(s^2+1): branch segment must stay enclosed
-    from fltrans.numerics import bessel_j
     img = lambda s: 1.0 / sqrt_s2k2(s, 1.0)
     for t in (0.5, 2.0, 5.0):
         got = inverse_laplace(img, t, 48, branch_height=1.0)
         assert got == pytest.approx(bessel_j(0, t), abs=1e-9)
+
+
+@pytest.mark.xfail(reason="ROADMAP item 14: the contour skips nodes with "
+                   "Re(s t) < -60, where a delayed image is not negligible")
+@pytest.mark.parametrize("a", [1.4, 1.6, 1.65])
+def test_inverse_of_a_delayed_image(a):
+    # exp(-a q)/q, q = sqrt(s^2 + k^2) <-> J0(k sqrt(t^2 - a^2)) Theta(t - a);
+    # off by 1.9e-7, 1.6e-3 and 9.7e-3
+    k, t = 2.0, 1.72
+    img = lambda s: cmath.exp(-a * sqrt_s2k2(s, k)) / sqrt_s2k2(s, k)
+    got = inverse_laplace(img, t, 48, branch_height=k)
+    assert abs(got - bessel_j(0, k * math.sqrt(t * t - a * a))) <= 1e-8
+
+
+@pytest.mark.xfail(reason="ROADMAP item 1: once 1.15 * branch height sets "
+                   "the contour radius, roundoff grows like e^{1.15 h t}")
+@pytest.mark.parametrize("image, original", [
+    (lambda s: 1.0 / (s + 1.0), lambda t: math.exp(-t)),
+    (lambda s: 1.0 / sqrt_s2k2(s, 40.0), lambda t: bessel_j(0, 40.0 * t))],
+    ids=["pole", "branch"])
+def test_inverse_at_branch_height_40(image, original):
+    # off by 3.6e-3 and 3.0e-3 at t = 0.7
+    got = inverse_laplace(image, 0.7, 48, branch_height=40.0)
+    assert abs(got - original(0.7)) <= 1e-8
 
 
 def test_inverse_rejects_bad_nodes_and_time():

@@ -1,5 +1,6 @@
 """Tests for the pair registry and the catalog of test originals."""
 
+import cmath
 import dataclasses
 import math
 
@@ -22,7 +23,7 @@ from fltrans.pairs import (
     registry_text,
 )
 from fltrans.laplace import TimeOriginal, forward_laplace
-from fltrans.numerics import DomainError, QuadratureSpec
+from fltrans.numerics import DomainError, QuadratureSpec, bessel_j
 
 SPEC = QuadratureSpec()
 EXP1 = catalog_lookup("exp_decay:1")
@@ -276,10 +277,13 @@ def test_eval_spacetime_refuses_a_point_not_finite(pid, r, t):
         eval_spacetime(lookup(pid), 2, EXP1, r, t)
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0])
+@pytest.mark.parametrize("t", [0.0, -1.0, -0.0005])
 def test_eval_spacetime_is_zero_before_time_zero(t):
+    # near the light cone's apex, r and t within 1e-3, rows 2.1 and 2.4
+    # raised EdgeError
     for row in registry_rows():
-        assert eval_spacetime(row, 3, EXP1, 0.5, t) == 0.0, row.id
+        for r in (0.5, 0.0, 0.0005):
+            assert eval_spacetime(row, 3, EXP1, r, t) == 0.0, (row.id, r)
 
 
 def test_eval_spacetime_23_reversed_support():
@@ -287,6 +291,41 @@ def test_eval_spacetime_23_reversed_support():
     pair = lookup("2.3")
     assert eval_spacetime(pair, 2, EXP1, 0.5, 2.0) == 0.0
     assert eval_spacetime(pair, 2, EXP1, 2.0, 0.5) > 0.0
+
+
+# --- the base pair through row 2.1 ---------------------------------------------
+
+def _row_21_base_image(k, u):
+    # row 2.1 at d = 2 for f = delta(. - u): exp(-u q)/q at q = sqrt(s^2 + k^2)
+    return lookup("2.1").fl_profile(k, 2, lambda p: cmath.exp(-u * p))
+
+
+def test_row_21_image_of_a_shell_is_the_base_pair_closed_form():
+    for k, u, want in ((1.0, 0.5, math.exp(-0.5 * math.sqrt(2.0)) / math.sqrt(2.0)),
+                       (0.0, 1.0, math.exp(-1.0)),
+                       (1.0, 0.0, 1.0 / math.sqrt(2.0))):
+        got = _row_21_base_image(k, u)(1.0)
+        assert abs(got - want) <= 1e-12 * want, (k, u)
+
+
+def row_21_base_identity_error(k, u, s):
+    """Relative gap of J0(k sqrt(t^2 - u^2)) Theta(t - u) <-> exp(-u q)/q at s.
+
+    The image is row 2.1's; the time side is exp(-s u) times the transform
+    of the time-shifted, smooth original J0(k sqrt(tau (tau + 2u))).
+    """
+    want = _row_21_base_image(k, u)(s)
+    shifted = TimeOriginal(
+        lambda tau: bessel_j(0, k * math.sqrt(tau * (tau + 2.0 * u))))
+    got = math.exp(-s * u) * forward_laplace(shifted, s, SPEC)
+    return abs(got - want) / abs(want)
+
+
+def test_row_21_image_of_a_shell_is_the_laplace_transform_of_its_original():
+    for k in (0.0, 0.5, 1.0, 2.0):
+        for u in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
+            for s in (0.5, 1.0, 2.0, 4.0):
+                assert row_21_base_identity_error(k, u, s) <= 1e-8, (k, u, s)
 
 
 # --- eval_fl ---------------------------------------------------------------------

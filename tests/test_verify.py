@@ -17,48 +17,31 @@ from fltrans.verify import (
     reports_to_text,
     spacetime_transform,
     verify_all,
-    verify_base_pair,
     verify_pair_mixed,
 )
 
 SPEC = QuadratureSpec()
 EXP1 = catalog_lookup("exp_decay:1")
 POLY11 = catalog_lookup("poly_exp:1,1")
+# the bindings through which a verify run reaches a numeric hop, and the
+# forward Laplace quadrature of an original's image check
+_HOPS = ((verify, "inverse_laplace"), (verify, "radial_quadrature"),
+         (pairs, "forward_laplace"))
 
 
-# --- base pair -----------------------------------------------------------------
+def _count_hops(monkeypatch) -> list:
+    """Record the name of each hop of _HOPS that runs, in call order."""
+    calls = []
 
-def test_base_pair_spec_points():
-    rep = verify_base_pair(1.0, 0.5, (1.0,))
-    assert rep.passed
-    assert rep.rhs_values[0] == pytest.approx(
-        math.exp(-0.5 * math.sqrt(2.0)) / math.sqrt(2.0), rel=1e-12)
+    def counted(name, original):
+        def hop(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return hop
 
-    rep = verify_base_pair(0.0, 1.0, (1.0,))
-    assert rep.passed
-    assert rep.rhs_values[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert rep.lhs_values[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
-
-    rep = verify_base_pair(1.0, 0.0, (1.0,))
-    assert rep.passed
-    assert rep.rhs_values[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-
-
-def test_base_pair_full_grid():
-    for k in (0.0, 0.5, 1.0, 2.0):
-        for u in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
-            rep = verify_base_pair(k, u, (0.5, 1.0, 2.0, 4.0))
-            assert rep.passed, (k, u, rep.rel_errors)
-
-
-@pytest.mark.parametrize("k, u, s_grid, message", [
-    (-1.0, 0.5, (1.0,), "wavenumber must be finite and >= 0, got -1.0"),
-    (math.nan, 0.5, (1.0,), "wavenumber must be finite and >= 0, got nan"),
-    (1.0, math.inf, (1.0,), "shift u must be finite and >= 0, got inf"),
-    (1.0, 0.5, (1.0, 0.0), "s grid must be positive")])
-def test_base_pair_refuses_bad_input(k, u, s_grid, message):
-    with pytest.raises(DomainError, match=message):
-        verify_base_pair(k, u, s_grid)
+    for module, name in _HOPS:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
 
 
 # --- single-point mixed checks ---------------------------------------------------
@@ -222,12 +205,14 @@ def test_reports_to_text_names_skipped_and_failed_points(monkeypatch):
 
 
 def test_reports_to_text_prints_every_coordinate_of_a_point():
-    # a base-pair point (k, u, s) used to print as "k u", dropping s
-    rep = verify_base_pair(2.0, 1.0, (0.7, 1.5, 3.0))
-    lines = reports_to_text([rep]).splitlines()[1:4]
-    assert [line.split()[:6] for line in lines] == [
-        ["base(J0)", "2", "delta-shell", "2.0", "1.0", repr(s)]
-        for s in (0.7, 1.5, 3.0)]
+    # each data line prints the point's (k, t) under the header's "k t"
+    samples = [(0.5, 1.0), (1.0, 2.5), (2.0, 3.0)]
+    rep = verify_pair_mixed("1.2", 2, EXP1, samples, SPEC)
+    header, *lines = reports_to_text([rep]).splitlines()[:4]
+    assert header.split()[3:5] == ["k", "t"]
+    assert [line.split()[:5] for line in lines] == [
+        ["1.2", "2", "exp_decay:1", repr(k), repr(t)] for k, t in samples]
+    assert all(len(line.split()) == len(header.split()) for line in lines)
 
 
 def test_rows_are_integrated_from_their_data_alone():
@@ -331,25 +316,19 @@ def test_too_few_nodes_raises():
 
 
 def test_verify_pair_mixed_refuses_too_few_nodes_before_any_hop(monkeypatch):
-    def no_hop(*args):
+    def no_hop(*args, **kwargs):
         raise AssertionError("a hop ran")
 
     monkeypatch.setattr(verify, "spacetime_transform", no_hop)
-    monkeypatch.setattr(verify, "forward_laplace", no_hop)
+    for module, name in _HOPS:
+        monkeypatch.setattr(module, name, no_hop)
     with pytest.raises(DomainError, match="at least 4 Talbot nodes"):
         verify_pair_mixed("2.1", 2, EXP1, [(1.0, 1.0), (0.5, 2.0)], SPEC,
                           nodes=2)
 
 
 def test_verify_all_refuses_too_few_nodes_before_any_hop(monkeypatch):
-    calls = []
-    original = verify.forward_laplace
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(verify, "forward_laplace", counted)
+    calls = _count_hops(monkeypatch)
     with pytest.raises(DomainError, match="at least 4 Talbot nodes"):
         verify_all([2], nodes=3)
     assert calls == []
@@ -359,18 +338,7 @@ def test_verify_all_refuses_too_few_nodes_before_any_hop(monkeypatch):
 def test_a_bad_tolerance_is_refused_before_any_hop(monkeypatch, tolerance):
     # at a NaN tolerance verify_all ran 14 forward and 20 inverse Laplace
     # hops, and verify_pair_mixed 2 forward ones, before refusing it
-    calls = []
-
-    def counted(name):
-        original = getattr(verify, name)
-
-        def hop(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return hop
-
-    for name in ("forward_laplace", "inverse_laplace", "radial_quadrature"):
-        monkeypatch.setattr(verify, name, counted(name))
+    calls = _count_hops(monkeypatch)
     with pytest.raises(DomainError, match="tolerance must be finite and positive"):
         verify_all([2], tolerance=tolerance, pair_ids=["2.1"])
     with pytest.raises(DomainError, match="tolerance must be finite and positive"):
@@ -387,8 +355,6 @@ def test_compare_refuses_a_tolerance_not_finite_and_positive(tolerance):
     with pytest.raises(DomainError, match="tolerance must be finite and positive"):
         verify._compare("2.1", 2, "exp_decay:1", [(1.0, 1.0)], no_point,
                         tolerance, {})
-    with pytest.raises(DomainError, match="tolerance must be finite and positive"):
-        verify_base_pair(1.0, 0.5, [1.0, 2.0], SPEC, tolerance=tolerance)
 
 
 def test_hard_points_fail_instead_of_being_skipped():
@@ -411,20 +377,27 @@ def test_a_wrong_closed_form_image_is_refused_before_any_point():
 
 def test_verify_runs_no_forward_laplace_transform(monkeypatch):
     # the image check belongs to the original, not to each verify run
-    calls = []
-
-    def counted(module):
-        original = module.forward_laplace
-
-        def hop(*args):
-            calls.append(module.__name__)
-            return original(*args)
-        return hop
-
-    for module in (pairs, verify):
-        monkeypatch.setattr(module, "forward_laplace", counted(module))
+    calls = _count_hops(monkeypatch)
     (rep,) = verify_all([2], pair_ids=["1.2"], originals=[EXP1])
-    assert rep.passed and calls == []
+    assert rep.passed and "forward_laplace" not in calls
+    assert {"inverse_laplace", "radial_quadrature"} <= set(calls)
+
+
+@pytest.mark.xfail(reason="FOUND in CHANGES.md: inverse_laplace at 48 nodes "
+                   "loses about 5e-6 on the 31-fold pole of poly_exp:30,1")
+def test_an_original_with_a_31_fold_pole_verifies():
+    # worst relative error 6.24e-6, at (k, t) = (0, 1)
+    (rep,) = verify_all([2], pair_ids=["1.2"],
+                        originals=[catalog_lookup("poly_exp:30,1")])
+    assert rep.passed, rep.max_rel_error
+
+
+@pytest.mark.xfail(reason="FOUND in CHANGES.md: 48 nodes are too coarse for "
+                   "row 1.1's image in high dimensions")
+def test_row_11_verifies_in_dimension_20():
+    # misses by 1.85e-6; at 96 nodes the worst error is 1.5e-15
+    (rep,) = verify_all([20], pair_ids=["1.1"], originals=[EXP1])
+    assert rep.passed, rep.max_rel_error
 
 
 def test_an_unconverged_space_time_hop_raises():
