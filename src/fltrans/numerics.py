@@ -17,10 +17,11 @@ Scalar, pure-Python kernels used by every other module:
 * Semi-infinite quadrature by one cell loop: geometric cells (G10/K21) for
   decaying integrands, half-period cells (G7/K15) between the zeros of the
   oscillating factor for oscillatory ones, with Wynn epsilon acceleration
-  while cells alternate.  The epsilon table covers the newest 24 partial
-  sums and grows by one diagonal per cell, from the first alternation on,
-  so a loop whose cells never alternate does no epsilon work.  The zeros
-  of J_nu (bessel_j_zero) are cached.
+  while cells alternate.  The epsilon table is one anti-diagonal over the
+  newest 24 partial sums, extended once per cell from the first
+  alternation on and ended at its first degenerate difference, on the
+  scale of the largest |sum| so far; a loop whose cells never alternate
+  does no epsilon work.  The zeros of J_nu (bessel_j_zero) are cached.
 
 All functions are pure and reentrant; the dataclasses are frozen, so
 values may be shared freely across threads.
@@ -28,7 +29,6 @@ values may be shared freely across threads.
 
 from __future__ import annotations
 
-import collections
 import functools
 import heapq
 import math
@@ -592,88 +592,49 @@ def _integrate_k15(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResul
 # Semi-infinite integrals: one cell loop, Wynn epsilon on alternating sums
 # ---------------------------------------------------------------------------
 
-# the epsilon table reads the newest 24 partial sums at most: columns 0..23
+# the epsilon table's anti-diagonal spans columns 0..23: the newest 24 sums
 _EPSILON_SUMS = 24
 
 
 class _EpsilonTable:
-    """Wynn's epsilon table (Wynn 1956) of the newest 24 partial sums.
+    """Wynn's epsilon table (Wynn 1956) kept as one anti-diagonal.
 
-    Only the newest anti-diagonal is kept, as in QUADPACK's dqelg: entry c
-    is the newest entry of column c, and add(s) extends it by the rhombus
-    rule new[0] = s, new[c + 1] = old[c - 1] + 1 / (new[c] - old[c]) with
-    old[-1] = 0, up to column 23, so each entry is computed once.
-
-    estimate() is what a scan of the whole table gives, column by column,
-    oldest entry first.  A difference that is zero, or in an even column
-    at most 1e-16 times the window's largest |sum|, means the sums (or an
-    even column) have converged at machine level: the scan returns the
-    newer entry of the pair, or in an odd column the best estimate so far,
-    the newest entry of the last even column scanned.  A column with a
-    non-finite entry returns the best estimate so far too; a full scan
-    returns the newest entry of the last even column.  Such events are
-    recorded as their diagonal is added and count while their sums stay
-    in the window; entries past a zero difference hold NaN, which no
-    estimate reads.  A new largest |sum| can make an old difference small
-    enough, so then the table is built again from the window.
+    As in QUADPACK's dqelg, entry c is the newest entry of column c, and
+    add(s) extends the diagonal by the rhombus rule new[0] = s,
+    new[c + 1] = old[c - 1] + 1 / (new[c] - old[c]) with old[-1] = 0, up to
+    column 23, so each entry is computed once and depends only on the
+    newest 24 sums.  The new diagonal ends at its first degenerate
+    difference: one that is zero, or in an even column at most 1e-16 times
+    the largest |sum| added so far (that column has converged at machine
+    level), or one whose entry is not finite.  The next diagonal can reach
+    one column further, so the table regrows past a stale degeneracy.
+    estimate() is the newest entry of the highest even column.
     """
 
     def __init__(self, sums):
-        self._window = collections.deque(sums[-_EPSILON_SUMS:], _EPSILON_SUMS)
-        self._fold()
-
-    def _fold(self) -> None:
-        # the table of the window's sums, one diagonal per sum
-        self._scale = max(abs(s) for s in self._window) + 1e-300
         self._diagonal = []
-        # (oldest sum, rank, value, |difference|): the scan meets column c's
-        # differences at rank 2c and column c + 1's entries at rank 2c + 1;
-        # value None is the best estimate; a nonzero difference counts while
-        # the window's scale admits it
-        self._events = []
-        self._count = 0
-        for s in self._window:
-            self._extend(s)
+        self._scale = 0.0  # the largest |sum| so far; a NaN sum leaves it
+        for s in sums:
+            self.add(s)
 
     def add(self, s) -> None:
-        self._window.append(s)
-        scale = max(abs(x) for x in self._window) + 1e-300
-        if not scale <= self._scale:  # grown, or NaN at the window's start
-            self._fold()
-        else:
-            self._scale = scale
-            self._extend(s)
-
-    def _extend(self, s) -> None:
-        oldest = self._count - 1  # of the sums under column 0's difference
+        self._scale = max(self._scale, abs(s))
         limit = 1e-16 * self._scale
         new = [s]
         above = 0.0  # old[c - 1]
         for c, old in enumerate(self._diagonal[:_EPSILON_SUMS - 1]):
             diff = new[c] - old
             if diff == 0.0 or (c % 2 == 0 and abs(diff) <= limit):
-                self._events.append((oldest - c, 2 * c, None if c % 2 else new[c],
-                                     abs(diff) if diff else None))
-            entry = above + 1.0 / diff if diff != 0.0 else math.nan
+                break
+            entry = above + 1.0 / diff
             if not math.isfinite(abs(entry)):  # the sums may be complex
-                self._events.append((oldest - c, 2 * c + 1, None, None))
+                break
             new.append(entry)
             above = old
         self._diagonal = new
-        self._count += 1
 
     def estimate(self):
-        start = self._count - len(self._window)
-        limit = 1e-16 * self._scale
-        self._events = [e for e in self._events if e[0] >= start]
-        live = [e for e in self._events if e[3] is None or e[3] <= limit]
-        if not live:
-            c = len(self._diagonal) - 1
-        else:
-            _, rank, value, _ = min(live, key=lambda e: e[1])
-            if value is not None:
-                return value
-            c = rank // 2
+        c = len(self._diagonal) - 1
         return self._diagonal[c - c % 2]
 
 
@@ -693,9 +654,11 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
     sums agree.  Extrapolation is tried only while the two newest cells
     alternate in sign, the sequences it is made for; on a same-sign tail
     that has not yet peaked, two equal extrapolations prove nothing.  The
-    epsilon table of the newest 24 sums is built when the cells first
-    alternate, from the sixth sum on, and then grows by one diagonal per
-    cell; a loop whose cells never alternate does no epsilon work.
+    epsilon table, one anti-diagonal over the newest 24 sums that ends at
+    its first degenerate difference on the scale of the largest |sum| so
+    far, is built when the cells first alternate, from the sixth sum on,
+    and then extended once per cell; a loop whose cells never alternate
+    does no epsilon work.
     """
     hi = edge(1)  # a cell's upper edge is the next cell's lower one
     first = integrate(f, a, hi, spec)

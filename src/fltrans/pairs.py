@@ -506,10 +506,11 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
 
     Zero at a finite t <= 0, the light cone's apex included, and outside
     radial_range(t).  Refuses, with DomainError, a t that is not finite
-    and an r that is not finite and >= 0; at t > 0 refuses points on the
-    light-cone edge (|t - r| below a small margin) of rows singular
-    there; quadrature callers integrate across such edges under the
-    weight of the substitution instead.
+    and an r that is not finite and >= 0.  At t > 0 refuses, with
+    EdgeError, the light-cone edge (|t - r| <= 1e-3 t) of rows singular
+    there and the origin r = 0 of rows singular at it; quadrature callers
+    integrate across such edges under the weight of the substitution
+    instead.
     """
     _check_dim(pair, d)
     if not (-math.inf < t < math.inf and 0.0 <= r < math.inf):  # and NaN
@@ -517,13 +518,17 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
     if not t > 0.0:
         return 0.0
     if (pair.substitution == "light_cone"
-            and abs(t - r) <= _EDGE_MARGIN * max(1.0, t)):
+            and abs(t - r) <= _EDGE_MARGIN * t):
         raise EdgeError(
             f"pair {pair.id} is singular on t = r; got (r, t) = ({r}, {t})")
     lo, hi = pair.radial_range(t)
     if not lo <= r < hi:
         return 0.0
-    value = pair.st_profile(t, d, f.f.eval)(r)
+    try:
+        value = pair.st_profile(t, d, f.f.eval)(r)
+    except ZeroDivisionError:  # a row singular at the origin, r = 0
+        raise EdgeError(f"pair {pair.id} is singular at the origin; got "
+                        f"(r, t) = ({r}, {t})") from None
     if pair.substitution == "light_cone":
         return value / edge_distance(r, hi)
     return value

@@ -1,5 +1,6 @@
 """Tests for the special-function and quadrature engines."""
 
+import itertools
 import math
 import random
 import threading
@@ -486,8 +487,7 @@ def test_oscillatory_slow_decay_needs_acceleration():
      lambda n: n * math.pi / 2.0, 0.21258416579283546, 270),
 ])
 def test_oscillatory_values_and_work_are_pinned(cell, zero, value, evaluations):
-    # the epsilon table grown one diagonal per cell reproduces the values and
-    # evaluation counts of the table rebuilt from the window after every cell
+    # values and work of the cell loop and its epsilon table, to the last bit
     res = integrate_oscillatory(cell, zero, SPEC)
     assert res.converged
     assert (res.value, res.evaluations) == (value, evaluations)
@@ -505,7 +505,9 @@ def test_semi_infinite_exponential_value_and_work_are_pinned(monkeypatch):
 
 def _epsilon_reference(sums):
     # Wynn's epsilon table of sums built from scratch and scanned column by
-    # column, oldest entry first: the rules the diagonal table must reproduce
+    # column, oldest entry first, and whether the scan met a degenerate
+    # difference (zero, or in an even column at most 1e-16 times the largest
+    # |sum|) or a non-finite entry, where it stops
     scale = max(abs(s) for s in sums) + 1e-300
     cur = list(sums)
     prev = [0.0] * (len(sums) + 1)
@@ -516,59 +518,98 @@ def _epsilon_reference(sums):
         for j in range(len(cur) - 1):
             diff = cur[j + 1] - cur[j]
             if diff == 0.0 or (col % 2 == 0 and abs(diff) <= 1e-16 * scale):
-                return cur[j + 1] if col % 2 == 0 else best
+                return (cur[j + 1] if col % 2 == 0 else best), True
             nxt.append(prev[j + 1] + 1.0 / diff)
         if any(not math.isfinite(abs(v)) for v in nxt):
-            return best
+            return best, True
         prev, cur = cur, nxt
         col += 1
         if col % 2 == 0 and cur and math.isfinite(abs(cur[-1])):
             best = cur[-1]
-    return best
+    return best, False
 
 
-def _same(a, b):
-    return a == b or (a != a and b != b)
+def _random_series(seed, count=100):
+    # partial sums of series with random signs and terms shrinking like 0.8^n
+    rng = random.Random(seed)
+    return [list(itertools.accumulate(rng.choice((-1.0, 1.0)) * rng.gauss(0.0, 1.0)
+                                      * 0.8 ** n for n in range(rng.randint(6, 40))))
+            for _ in range(count)]
 
 
-@pytest.mark.parametrize("terms", [
-    [(-1.0) ** n / (n + 1) for n in range(201)],  # log 2, slowly
-    [(-0.6 + 0.3j) ** n / (n + 1) for n in range(201)],  # complex
-    [(-1.0) ** n for n in range(201)],  # sums 1, 0, 1, ...: epsilon_2 = 1/2
-], ids=["alternating_harmonic", "complex", "two_valued"])
-def test_cell_loop_extrapolates_as_the_whole_table(monkeypatch, terms):
-    # every extrapolation of _integrate_cells equals the reference table of
-    # the newest 24 partial sums; the loop is handed a count in its place,
-    # which never repeats, so it runs on past 24 sums
-    seen, sums = [], []
+@pytest.mark.parametrize("series", [
+    [list(itertools.accumulate((-1.0) ** n / (n + 1) for n in range(201)))],
+    [list(itertools.accumulate((-0.6 + 0.3j) ** n / (n + 1) for n in range(201)))],
+    _random_series(7),
+], ids=["alternating_harmonic", "complex", "random"])
+def test_epsilon_table_is_the_whole_table_where_no_entry_degenerates(series):
+    # after every added sum, the estimate equals the scan of the whole table
+    # of the newest 24 sums, bit for bit, wherever that scan meets no
+    # degenerate or non-finite entry
+    clean = 0
+    for sums in series:
+        table = numerics._EpsilonTable(sums[:6])
+        for n in range(6, len(sums) + 1):
+            if n > 6:
+                table.add(sums[n - 1])
+            want, degenerate = _epsilon_reference(sums[max(0, n - 24):n])
+            if not degenerate:
+                assert table.estimate() == want, n
+                clean += 1
+    assert clean >= 10
 
-    class Recorded(numerics._EpsilonTable):
-        def estimate(self):
-            seen.append((sums[-24:], super().estimate()))
-            return len(seen)
+
+def test_epsilon_table_is_exact_on_a_geometric_series():
+    # Aitken's delta^2 (column 2) is exact on 2/3 + (-1/2)^n, after which
+    # column 2's difference is zero and the diagonal ends there
+    sums = [2.0 / 3.0 + (-0.5) ** n for n in range(40)]
+    table = numerics._EpsilonTable(sums[:6])
+    for s in sums[6:]:
+        table.add(s)
+        assert table.estimate() == 2.0 / 3.0
+
+
+def test_epsilon_table_regrows_past_equal_sums():
+    # five equal sums, then those of 1 + log 2 = 1 + 1 - 1/2 + 1/3 - ...
+    # (est - 1 is exact, so the bounds hold against the true limit): a table
+    # that kept the old degeneracy returned the stale 1.0 through the 27th sum
+    sums = list(itertools.accumulate(
+        [1.0] + [0.0] * 4 + [(-1.0) ** n / (n + 1) for n in range(22)]))
+    table = numerics._EpsilonTable(sums[:6])
+    for s in sums[6:23]:
+        table.add(s)
+    assert abs(table.estimate() - 1.0 - math.log(2.0)) <= 2e-14
+    for s in sums[23:]:
+        table.add(s)
+    assert abs(table.estimate() - 1.0 - math.log(2.0)) <= 4e-16
+
+
+def test_a_nan_sum_gives_an_estimate_the_cell_loop_ignores():
+    table = numerics._EpsilonTable([1.0, -1.0, 2.0, 1.5, 1.75, math.nan])
+    assert math.isnan(table.estimate())
+    table.add(1.625)  # the diagonal starts again from the new sum
+    assert table.estimate() == 1.625
+    # cells whose sums turn NaN: the loop neither stops on a NaN estimate
+    # nor reports convergence
+    terms = [(-1.0) ** n / (n + 1) for n in range(8)]
 
     def cell(f, lo, hi, spec):
-        sums.append(terms[len(sums)] + (sums[-1] if sums else 0.0))
-        return IntegralResult(terms[len(sums) - 1], 0.0, True, 1)
+        return IntegralResult(terms[hi - 1] if hi <= 8 else math.nan, 0.0, True, 1)
 
-    monkeypatch.setattr(numerics, "_EpsilonTable", Recorded)
-    numerics._integrate_cells(None, 0.0, lambda n: n, SPEC, cell)
-    assert len(seen) > 24
-    assert all(_same(got, _epsilon_reference(window)) for window, got in seen)
+    res = numerics._integrate_cells(None, 0.0, lambda n: n, SPEC, cell)
+    assert not res.converged
+    assert res.evaluations == numerics._OSCILLATION_CELLS + 1
 
 
-@pytest.mark.parametrize("sums", [
-    [2.0 / 3.0 + (-0.5) ** n for n in range(40)],  # Aitken-exact: old ties
-    [1.0 + (0.1 ** n if n < 12 else 0.0) for n in range(40)],  # then constant
-    [float(min(n, 8)) + (-0.5) ** n for n in range(40)],  # a new largest sum
-    [1.0, -1.0, 2.0, math.nan, 1.5, 1.25, 1.4, 1.3, 1.35, 1.33] * 4,
-], ids=["geometric", "constant", "rising", "nan"])
-def test_epsilon_table_matches_the_whole_table_after_every_sum(sums):
-    table = numerics._EpsilonTable(sums[:6])
-    for n in range(6, len(sums) + 1):
-        if n > 6:
-            table.add(sums[n - 1])
-        assert _same(table.estimate(), _epsilon_reference(sums[:n][-24:])), n
+@pytest.mark.xfail(reason="FOUND in CHANGES.md: the cell loop stops on two "
+                          "negligible cells before the support has started")
+def test_semi_infinite_integrand_that_starts_late():
+    # e^{-(x - 10)} on x > 10, zero before: the cells (0, 1), (1, 3) and
+    # (3, 7) are negligible, and the loop returned 0.0 as converged after
+    # their 63 evaluations
+    res = integrate_semi_infinite(
+        lambda x: math.exp(10.0 - x) if x > 10.0 else 0.0, 0.0, SPEC)
+    assert not res.converged or res.value == pytest.approx(1.0, rel=1e-9)
 
 
 def test_oscillatory_stall_reported(monkeypatch):

@@ -24,6 +24,7 @@ from fltrans.pairs import (
 )
 from fltrans.laplace import TimeOriginal, forward_laplace
 from fltrans.numerics import DomainError, QuadratureSpec, bessel_j
+from fltrans.radial_fourier import edge_distance
 
 SPEC = QuadratureSpec()
 EXP1 = catalog_lookup("exp_decay:1")
@@ -264,6 +265,31 @@ def test_eval_spacetime_edge_refused():
         eval_spacetime(lookup("2.1"), 2, EXP1, 2.0, 2.0)
     with pytest.raises(EdgeError):
         eval_spacetime(lookup("2.4"), 2, EXP1, 2.0, 2.0000001)
+
+
+@pytest.mark.parametrize("row_id, r, t", [("2.1", 0.0, 0.0005),
+                                          ("2.1", 0.0002, 0.0009),
+                                          ("2.4", 0.0002, 0.0009)])
+def test_light_cone_rows_evaluate_below_t_one_thousandth(row_id, r, t):
+    # the edge margin was 1e-3 absolute below t = 1, so the whole support
+    # [0, t) of rows 2.1 and 2.4 counted as the edge at t <= 1e-3
+    row = lookup(row_id)
+    want = row.st_profile(t, 3, EXP1.f.eval)(r) / edge_distance(r, t)
+    assert eval_spacetime(row, 3, EXP1, r, t) == want
+
+
+@pytest.mark.parametrize("row_id, value", [
+    ("1.1", None), ("1.2", None), ("1.3", None), ("1.4", 0.06607),
+    ("1.5", 0.01652), ("2.1", 0.01652), ("2.2", None), ("2.3", 0.0),
+    ("2.4", None)])
+def test_eval_spacetime_at_the_origin(row_id, value):
+    # the rows singular at r = 0 raised a bare ZeroDivisionError there
+    if value is None:
+        with pytest.raises(EdgeError, match="origin"):
+            eval_spacetime(lookup(row_id), 3, EXP1, 0.0, 1.0)
+    else:
+        got = eval_spacetime(lookup(row_id), 3, EXP1, 0.0, 1.0)
+        assert got == pytest.approx(value, abs=5e-6)
 
 
 @pytest.mark.parametrize("pid", ["1.2", "2.1", "2.2"])
