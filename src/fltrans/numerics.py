@@ -13,15 +13,19 @@ Scalar, pure-Python kernels used by every other module:
   order <= 8 costs more than a fixed number of operations, whatever x.
 * Adaptive Gauss-Kronrod (G10/K21, as in QUADPACK's QAGS) quadrature on
   finite intervals; one panel routine, one loop over its nodes, serves
-  this rule and G7/K15.
+  this rule and G7/K15.  Each panel also returns QUADPACK's resabs, its
+  estimate of the integral of |f|, and each result the sum of it over
+  the final partition (IntegralResult.magnitude).
 * Semi-infinite quadrature by one cell loop: geometric cells (G10/K21) for
   decaying integrands, half-period cells (G7/K15) between the zeros of the
-  oscillating factor for oscillatory ones, with Wynn epsilon acceleration
-  while cells alternate.  The epsilon table is one anti-diagonal over the
-  newest 24 partial sums, extended once per cell from the first
-  alternation on and ended at its first degenerate difference, on the
-  scale of the largest |sum| so far; a loop whose cells never alternate
-  does no epsilon work.  The zeros of J_nu (bessel_j_zero) are cached.
+  oscillating factor for oscillatory ones, ended by the first negligible
+  cell, the first whose magnitude is below the tolerance, or by Wynn
+  epsilon acceleration while cells alternate.  The epsilon table is one
+  anti-diagonal over the newest 24 partial sums, extended once per cell
+  from the first alternation on and ended at its first degenerate
+  difference, on the scale of the largest |sum| so far or of the
+  column's own entry; a loop whose cells never alternate does no epsilon
+  work.  The zeros of J_nu (bessel_j_zero) are cached.
 
 All functions are pure and reentrant; the dataclasses are frozen, so
 values may be shared freely across threads.
@@ -81,13 +85,17 @@ class IntegralResult:
 
     ``converged`` is set only when ``error_estimate`` meets the spec
     tolerance; a failed integration is reported here, never by silently
-    returning a wrong value.
+    returning a wrong value.  ``magnitude`` is the K21/K15 estimate of the
+    integral of |f| over the final partition (QUADPACK's resabs, summed
+    over the panels): an estimate, not a bound, and where it far exceeds
+    |value| the value is the residue of a cancellation.
     """
 
     value: complex | float
     error_estimate: float
     converged: bool
     evaluations: int
+    magnitude: float
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +480,15 @@ _EPS = 2.220446049250313e-16
 
 @dataclass(frozen=True)
 class _GaussKronrod:
-    """A Gauss-Kronrod panel rule; a call (f, a, b) returns (value, error).
+    """A Gauss-Kronrod panel rule; a call (f, a, b) returns (value, error, resabs).
 
     nodes holds (node, Kronrod weight, Gauss weight) of each node on one
     side of the center, shared nodes first, then the Kronrod-only ones
     with Gauss weight 0.0; center_gauss is 0.0 where the center is a
     Kronrod node only.  The value is the Kronrod sum and the error
-    estimate QUADPACK's, from |Kronrod - Gauss| scaled by the spread of f.
+    estimate QUADPACK's, from |Kronrod - Gauss| scaled by the spread of f;
+    resabs is the Kronrod sum of |f|, QUADPACK's estimate of the integral
+    of |f| over the panel.
     """
 
     center_kronrod: float
@@ -521,7 +531,7 @@ class _GaussKronrod:
             err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
         if resabs > 1e-290:
             err = max(err, 50.0 * _EPS * resabs)
-        return resk, err
+        return resk, err, resabs
 
 
 # QUADPACK's dqk21, the panel of QAGS, and dqk15, the panel of a half-period
@@ -541,35 +551,38 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
         raise DomainError(f"integrate_adaptive requires finite a <= b, "
                           f"got ({a}, {b})")
     if a == b:
-        return IntegralResult(0.0, 0.0, True, 0)
-    val, err = panel(f, a, b)
+        return IntegralResult(0.0, 0.0, True, 0, 0.0)
+    val, err, mag = panel(f, a, b)
     evals = points = panel.points
-    # heap entries: (-error, counter, a, b, value, error); counter breaks ties
+    # heap entries: (-error, counter, a, b, value, error, resabs); counter
+    # breaks ties
     count = 0
-    cells = [(-err, count, a, b, val, err)]
+    cells = [(-err, count, a, b, val, err, mag)]
     total = val
     total_err = err
+    total_mag = mag
     while True:
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if total_err <= tol:
-            return IntegralResult(total, total_err, True, evals)
+            return IntegralResult(total, total_err, True, evals, total_mag)
         if len(cells) >= spec.max_subdivisions or total_err < 1e3 * _EPS * abs(total):
-            return IntegralResult(total, total_err, False, evals)
-        _, _, ca, cb, cval, cerr = heapq.heappop(cells)
+            return IntegralResult(total, total_err, False, evals, total_mag)
+        _, _, ca, cb, cval, cerr, cmag = heapq.heappop(cells)
         mid = 0.5 * (ca + cb)
         if mid <= ca or mid >= cb:
             # the worst cell is exhausted at machine resolution (QUADPACK's
             # ier = 3); a NaN integrand ends here too
-            return IntegralResult(total, total_err, False, evals)
-        lval, lerr = panel(f, ca, mid)
-        rval, rerr = panel(f, mid, cb)
+            return IntegralResult(total, total_err, False, evals, total_mag)
+        lval, lerr, lmag = panel(f, ca, mid)
+        rval, rerr, rmag = panel(f, mid, cb)
         evals += 2 * points
         total += lval + rval - cval
         total_err += lerr + rerr - cerr
+        total_mag += lmag + rmag - cmag
         count += 1
-        heapq.heappush(cells, (-lerr, count, ca, mid, lval, lerr))
+        heapq.heappush(cells, (-lerr, count, ca, mid, lval, lerr, lmag))
         count += 1
-        heapq.heappush(cells, (-rerr, count, mid, cb, rval, rerr))
+        heapq.heappush(cells, (-rerr, count, mid, cb, rval, rerr, rmag))
 
 
 def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
@@ -604,10 +617,12 @@ class _EpsilonTable:
     new[c + 1] = old[c - 1] + 1 / (new[c] - old[c]) with old[-1] = 0, up to
     column 23, so each entry is computed once and depends only on the
     newest 24 sums.  The new diagonal ends at its first degenerate
-    difference: one that is zero, or in an even column at most 1e-16 times
-    the largest |sum| added so far (that column has converged at machine
-    level), or one whose entry is not finite.  The next diagonal can reach
-    one column further, so the table regrows past a stale degeneracy.
+    difference: one that is zero, or in an even column at most
+    max(1e-16 times the largest |sum| added so far, 4.4e-16 |old[c]|)
+    (that column has converged at machine level, on the scale of the sums
+    or of its own entries, as in dqelg), or one whose entry is not finite.
+    The next diagonal can reach one column further, so the table regrows
+    past a stale degeneracy.
     estimate() is the newest entry of the highest even column.
     """
 
@@ -624,7 +639,8 @@ class _EpsilonTable:
         above = 0.0  # old[c - 1]
         for c, old in enumerate(self._diagonal[:_EPSILON_SUMS - 1]):
             diff = new[c] - old
-            if diff == 0.0 or (c % 2 == 0 and abs(diff) <= limit):
+            if diff == 0.0 or (c % 2 == 0 and abs(diff) <= max(
+                    limit, 4.4e-16 * abs(old))):
                 break
             entry = above + 1.0 / diff
             if not math.isfinite(abs(entry)):  # the sums may be complex
@@ -648,23 +664,26 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
 
     integrate is integrate_adaptive (G10/K21 panels) or _integrate_k15
     (G7/K15 panels), whichever rule fits the cells.  The error estimate
-    sums the cell estimates (QUADPACK's convention).  The sum stops on two
-    consecutive negligible cells, on one cell below the roundoff of the
-    total, or when two successive Wynn epsilon extrapolations of the partial
-    sums agree.  Extrapolation is tried only while the two newest cells
-    alternate in sign, the sequences it is made for; on a same-sign tail
-    that has not yet peaked, two equal extrapolations prove nothing.  The
-    epsilon table, one anti-diagonal over the newest 24 sums that ends at
-    its first degenerate difference on the scale of the largest |sum| so
-    far, is built when the cells first alternate, from the sixth sum on,
-    and then extended once per cell; a loop whose cells never alternate
-    does no epsilon work.
+    sums the cell estimates (QUADPACK's convention), and the magnitude the
+    cell magnitudes.  The sum stops on the first cell past the second whose
+    magnitude, the integral of |f| over it, is at most
+    max(0.1 tol, 5e-16 |total|), tol = max(abs_tol, rel_tol |total|), with
+    that magnitude added to the error; a cell whose signed integral cancels
+    does not stop it.  It also stops when two successive Wynn epsilon
+    extrapolations of the partial sums agree.  Extrapolation is tried only
+    while the two newest cells alternate in sign, the sequences it is made
+    for; on a same-sign tail that has not yet peaked, two equal
+    extrapolations prove nothing.  The epsilon table (_EpsilonTable) is
+    built when the cells first alternate, from the sixth sum on, and then
+    extended once per cell; a loop whose cells never alternate does no
+    epsilon work.
     """
     hi = edge(1)  # a cell's upper edge is the next cell's lower one
     first = integrate(f, a, hi, spec)
     evals = first.evaluations
     total = part = first.value
     cell_err = first.error_estimate
+    magnitude = first.magnitude
     sums = [total]
     table = None  # the epsilon table, from the first alternation on
     prev_accel = None
@@ -676,11 +695,12 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
         evals += res.evaluations
         total += part
         cell_err += res.error_estimate
+        magnitude += res.magnitude
         sums.append(total)
         tol = 0.1 * max(spec.abs_tol, spec.rel_tol * abs(total))
-        if c >= 1 and (abs(part) <= 5e-16 * abs(total)
-                       or abs(part) <= tol and abs(prev) <= tol):
-            return IntegralResult(total, abs(part) + cell_err, True, evals)
+        if c >= 1 and res.magnitude <= max(tol, 5e-16 * abs(total)):
+            return IntegralResult(total, res.magnitude + cell_err, True, evals,
+                                  magnitude)
         if table is not None:
             table.add(total)
         if (part * prev.conjugate()).real >= 0.0:  # not alternating
@@ -693,10 +713,12 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
                 if prev_accel is not None:
                     delta = abs(accel - prev_accel)
                     if delta <= max(spec.abs_tol, spec.rel_tol * abs(accel)):
-                        return IntegralResult(accel, delta + cell_err, True, evals)
+                        return IntegralResult(accel, delta + cell_err, True,
+                                              evals, magnitude)
                 prev_accel = accel
     best = total if prev_accel is None else prev_accel
-    return IntegralResult(best, abs(best - total) + abs(part) + cell_err, False, evals)
+    return IntegralResult(best, abs(best - total) + abs(part) + cell_err, False,
+                          evals, magnitude)
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult:

@@ -235,12 +235,15 @@ def forward_result(dim: Dimension, profile: RadialProfile, k: float,
 
 def inverse_result(dim: Dimension, image: RadialProfile, r: float,
                    spec: QuadratureSpec) -> IntegralResult:
-    """Inverse transform with the full IntegralResult (no raise on failure)."""
+    """Inverse transform with the full IntegralResult (no raise on failure):
+    forward_result over k with its value, estimate and magnitude scaled by
+    (2 pi)^{-d}."""
     _nonnegative("radius", r)
     res = forward_result(dim, image, r, spec)
     scale = (2.0 * math.pi) ** (-dim.d)
     return IntegralResult(res.value * scale, res.error_estimate * scale,
-                          res.converged, res.evaluations)
+                          res.converged, res.evaluations,
+                          res.magnitude * scale)
 
 
 def _value(res: IntegralResult, hop: str, point: str) -> float:

@@ -264,10 +264,13 @@ def test_adaptive_exponential():
 
 
 def test_adaptive_endpoint_singularity():
-    # integral of 1/sqrt(x) on (0,1) = 2; endpoint is never evaluated
+    # integral of 1/sqrt(x) on (0,1) = 2; endpoint is never evaluated.  The
+    # bisected cells leave the magnitude, which sums the final partition
+    # only: for a positive integrand it is the value to the last bit
     res = integrate_adaptive(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, SPEC)
-    assert res.converged
+    assert res.converged and res.evaluations > 21
     assert res.value == pytest.approx(2.0, abs=5e-11)
+    assert res.magnitude == res.value
 
 
 def test_adaptive_polynomials_exact():
@@ -285,7 +288,7 @@ def test_panel_rule_degrees_on_a_shifted_interval():
     center, halflen = 0.5 * (a + b), 0.5 * (b - a)
     for j in range(32):
         exact = float((Fraction(b) ** (j + 1) - Fraction(a) ** (j + 1)) / (j + 1))
-        kronrod, _ = numerics._gk21(lambda x: x**j, a, b)
+        kronrod, _, _ = numerics._gk21(lambda x: x**j, a, b)
         assert abs(kronrod - exact) <= 1e-15 * abs(exact), j
         if j <= 19:
             gauss = halflen * sum(
@@ -339,7 +342,20 @@ def test_adaptive_empty_interval_evaluates_nothing():
         raise AssertionError("the integrand was evaluated")
 
     res = integrate_adaptive(never, 1.0, 1.0, SPEC)
-    assert res == IntegralResult(0.0, 0.0, True, 0)
+    assert res == IntegralResult(0.0, 0.0, True, 0, 0.0)
+
+
+def test_adaptive_magnitude_is_the_kronrod_integral_of_the_absolute_value():
+    # sin has no net area over a period but an absolute one of 4.  One K21
+    # panel meets the tolerance on (0, 2 pi), across the kink of |sin| at pi,
+    # so there the magnitude is an estimate (3.963), not a bound; on the half
+    # periods, where sin keeps its sign, the panels give 2 each
+    res = integrate_adaptive(math.sin, 0.0, 2.0 * math.pi, SPEC)
+    assert res.converged and abs(res.value) <= 1e-12
+    assert res.magnitude == pytest.approx(4.0, rel=1e-2)
+    halves = [integrate_adaptive(math.sin, a, a + math.pi, SPEC)
+              for a in (0.0, math.pi)]
+    assert sum(h.magnitude for h in halves) == pytest.approx(4.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
@@ -357,6 +373,7 @@ def test_semi_infinite_exponential():
     res = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC)
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-12)
+    assert res.magnitude == res.value
 
 
 def test_semi_infinite_gaussian():
@@ -408,7 +425,7 @@ def test_k15_panel_degrees_on_a_shifted_interval():
     assert panel.points == 15 and numerics._gk21.points == 21
     for j in range(23):
         exact = float((Fraction(b) ** (j + 1) - Fraction(a) ** (j + 1)) / (j + 1))
-        kronrod, _ = panel(lambda x: x**j, a, b)
+        kronrod, _, _ = panel(lambda x: x**j, a, b)
         assert abs(kronrod - exact) <= 4e-15 * abs(exact), j
         if j <= 13:
             gauss = halflen * (panel.center_gauss * center ** j + sum(
@@ -472,9 +489,9 @@ def test_oscillatory_slow_decay_needs_acceleration():
     (lambda x: math.exp(-0.5 * x) * math.cos(0.5 * x),
      lambda n: (n - 0.5) * math.pi / 0.5, 1.0, 105),
     (lambda x: math.exp(-x) * math.cos(0.5 * x),
-     lambda n: (n - 0.5) * math.pi / 0.5, 0.8000000000000002, 135),
+     lambda n: (n - 0.5) * math.pi / 0.5, 0.7999999999999997, 120),
     (lambda x: math.exp(-2.0 * x) * math.cos(x),
-     lambda n: (n - 0.5) * math.pi, 0.4000000000000001, 135),
+     lambda n: (n - 0.5) * math.pi, 0.39999999999999986, 120),
     (lambda x: math.exp(-2.0 * x) * math.cos(2.0 * x),
      lambda n: (n - 0.5) * math.pi / 2.0, 0.25, 105),
     (lambda x: math.exp(-x) * bessel_j(0, x),
@@ -500,14 +517,15 @@ def test_semi_infinite_exponential_value_and_work_are_pinned(monkeypatch):
     monkeypatch.setattr(numerics, "_EpsilonTable", refused)
     res = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC)
     assert res.converged
-    assert (res.value, res.evaluations) == (1.0000000000000002, 147)
+    assert (res.value, res.evaluations) == (1.0000000000000002, 126)
 
 
 def _epsilon_reference(sums):
     # Wynn's epsilon table of sums built from scratch and scanned column by
     # column, oldest entry first, and whether the scan met a degenerate
     # difference (zero, or in an even column at most 1e-16 times the largest
-    # |sum|) or a non-finite entry, where it stops
+    # |sum| or 4.4e-16 times the older entry) or a non-finite entry, where it
+    # stops
     scale = max(abs(s) for s in sums) + 1e-300
     cur = list(sums)
     prev = [0.0] * (len(sums) + 1)
@@ -517,7 +535,8 @@ def _epsilon_reference(sums):
         nxt = []
         for j in range(len(cur) - 1):
             diff = cur[j + 1] - cur[j]
-            if diff == 0.0 or (col % 2 == 0 and abs(diff) <= 1e-16 * scale):
+            if diff == 0.0 or (col % 2 == 0 and abs(diff) <= max(
+                    1e-16 * scale, 4.4e-16 * abs(cur[j]))):
                 return (cur[j + 1] if col % 2 == 0 else best), True
             nxt.append(prev[j + 1] + 1.0 / diff)
         if any(not math.isfinite(abs(v)) for v in nxt):
@@ -594,18 +613,34 @@ def test_a_nan_sum_gives_an_estimate_the_cell_loop_ignores():
     terms = [(-1.0) ** n / (n + 1) for n in range(8)]
 
     def cell(f, lo, hi, spec):
-        return IntegralResult(terms[hi - 1] if hi <= 8 else math.nan, 0.0, True, 1)
+        value = terms[hi - 1] if hi <= 8 else math.nan
+        return IntegralResult(value, 0.0, True, 1, magnitude=abs(value))
 
     res = numerics._integrate_cells(None, 0.0, lambda n: n, SPEC, cell)
     assert not res.converged
     assert res.evaluations == numerics._OSCILLATION_CELLS + 1
 
 
-@pytest.mark.xfail(reason="FOUND in CHANGES.md: the cell loop stops on two "
-                          "negligible cells before the support has started")
+def test_the_cell_loop_stops_on_a_negligible_magnitude_not_a_negligible_value():
+    # the third cell cancels to 0.0 over an absolute integral of 1.0; a loop
+    # that stopped on a negligible signed part (|part| <= 5e-16 |total|)
+    # returned 1.5 there.  The fifth cell is zero throughout and ends it.
+    cells = {1: (1.0, 1.0), 2: (0.5, 0.5), 3: (0.0, 1.0), 4: (0.25, 0.25)}
+
+    def cell(f, lo, hi, spec):
+        value, magnitude = cells.get(hi, (0.0, 0.0))
+        return IntegralResult(value, 0.0, True, 1, magnitude)
+
+    res = numerics._integrate_cells(None, 0.0, lambda n: n, SPEC, cell)
+    assert res.converged
+    assert (res.value, res.evaluations, res.magnitude) == (1.75, 5, 2.75)
+
+
+@pytest.mark.xfail(reason="FOUND in CHANGES.md: the cell loop stops on one "
+                          "negligible cell before the support has started")
 def test_semi_infinite_integrand_that_starts_late():
     # e^{-(x - 10)} on x > 10, zero before: the cells (0, 1), (1, 3) and
-    # (3, 7) are negligible, and the loop returned 0.0 as converged after
+    # (3, 7) are negligible, and the loop returns 0.0 as converged after
     # their 63 evaluations
     res = integrate_semi_infinite(
         lambda x: math.exp(10.0 - x) if x > 10.0 else 0.0, 0.0, SPEC)
@@ -642,6 +677,6 @@ def test_quadrature_spec_refuses_unbounded_budgets(kwargs):
 
 
 def test_integral_result_is_frozen():
-    res = IntegralResult(1.0, 0.0, True, 1)
+    res = IntegralResult(1.0, 0.0, True, 1, 1.0)
     with pytest.raises(Exception):
         res.value = 2.0

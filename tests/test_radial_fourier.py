@@ -150,6 +150,26 @@ def test_inverse_yukawa_image_d3():
         math.exp(-1.0), rel=1e-8)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_inverse_magnitude_carries_the_inverse_normalization(d):
+    img = RadialProfile(lambda k: 4 * math.pi / (1 + k * k),
+                        decay_class="algebraic")
+    fwd = forward_result(Dimension(d), img, 1.0, SPEC)
+    inv = inverse_result(Dimension(d), img, 1.0, SPEC)
+    assert fwd.magnitude > 0.0
+    assert inv.magnitude == fwd.magnitude * (2.0 * math.pi) ** -d
+
+
+def test_yukawa_tail_ends_at_a_converged_epsilon_column():
+    # an even column of the epsilon table that has converged to a few ulps
+    # of its own entries is degenerate even while they are far below the
+    # first sums; extending past it took 120 evaluations instead of 105
+    k = 10.699778106831648
+    res = forward_result(Dimension(3), YUKAWA, k, SPEC)
+    assert res.converged and res.evaluations == 105
+    assert abs(res.value - 4.0 * math.pi / (1.0 + k * k)) <= 1e-15
+
+
 @pytest.mark.parametrize("x", [math.inf, math.nan])
 def test_non_finite_wavenumber_or_radius_is_refused(x):
     # an infinite k used to spin on zero-width cells, a NaN one to spend
@@ -185,6 +205,24 @@ def test_round_trip_gaussian(d, r):
     # spec invariant: inverse(forward(f)) = f to 1e-6 relative
     want = GAUSSIAN.eval(r)
     assert round_trip(d, GAUSSIAN, r, "gaussian") == pytest.approx(want, rel=1e-6)
+
+
+def test_round_trip_gaussian_tail_ends_on_its_first_negligible_cell():
+    # the image sqrt(2 pi) e^{-k^2/2} is below 1e-49 on the outer cell
+    # (15, 31), whose nodes each cost a full forward hop; the cell (7, 15)
+    # already has a negligible absolute integral, so (15, 31) is never
+    # evaluated
+    dim = Dimension(1)
+    ks = []
+
+    def image(k):
+        ks.append(k)
+        return forward(dim, GAUSSIAN, k, SPEC)
+
+    res = inverse_result(dim, RadialProfile(image, decay_class="gaussian"),
+                         0.5, OUTER)
+    assert res.converged and max(ks) < 15.0
+    assert abs(res.value - GAUSSIAN.eval(0.5)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
