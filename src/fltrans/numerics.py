@@ -12,15 +12,17 @@ Scalar, pure-Python kernels used by every other module:
   recurrence normalized against the start pair (8 < x < nu).  No call of
   order <= 8 costs more than a fixed number of operations, whatever x.
 * Adaptive Gauss-Kronrod (G10/K21, as in QUADPACK's QAGS) quadrature on
-  finite intervals; one panel routine, one loop over its nodes, serves
-  this rule and G7/K15.  Each panel also returns QUADPACK's resabs, its
-  estimate of the integral of |f|, and each result the sum of it over
-  the final partition (IntegralResult.magnitude).
+  finite intervals, bisecting from one panel or, given breakpoints, from
+  one panel per span between them (QAGP); one panel routine, one loop
+  over its nodes, serves this rule and G7/K15.  Each panel also returns
+  QUADPACK's resabs, its estimate of the integral of |f|, and each result
+  the sum of it over the final partition (IntegralResult.magnitude).
 * Semi-infinite quadrature by one cell loop: geometric cells (G10/K21) for
   decaying integrands, half-period cells (G7/K15) between the zeros of the
   oscillating factor for oscillatory ones, ended by the first negligible
   cell, the first whose magnitude is below the tolerance, or by Wynn
-  epsilon acceleration while cells alternate.  The epsilon table is one
+  epsilon acceleration while cells alternate; a cell that stopped on its
+  subdivision budget leaves the sum unconverged.  The epsilon table is one
   anti-diagonal over the newest 24 partial sums, extended once per cell
   from the first alternation on and ended at its first degenerate
   difference, on the scale of the largest |sum| so far or of the
@@ -544,28 +546,50 @@ _gk15 = _GaussKronrod(
     + tuple((_XGK15[i], _WGK15[i], 0.0) for i in range(0, 7, 2)))
 
 
+def _at_roundoff(error: float, value) -> bool:
+    # an error estimate at the roundoff of the value it bounds, where
+    # bisection can gain nothing (QUADPACK's ier = 2)
+    return error < 1e3 * _EPS * abs(value)
+
+
 def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
-              panel: _GaussKronrod) -> IntegralResult:
+              panel: _GaussKronrod, breaks=()) -> IntegralResult:
     # integrate_adaptive with the panel rule as an argument
     if not -math.inf < a <= b < math.inf:  # also refuses NaN
         raise DomainError(f"integrate_adaptive requires finite a <= b, "
                           f"got ({a}, {b})")
+    if breaks:
+        edges = (a, *breaks, b)
+        if not all(x <= y for x, y in zip(edges, edges[1:])):  # and NaN
+            raise DomainError(f"breaks must be nondecreasing within "
+                              f"({a}, {b}), got {tuple(breaks)}")
+        # a repeated break adds no panel
+        spans = [(x, y) for x, y in zip(edges, edges[1:]) if x < y]
+    else:
+        spans = ((a, b),)
     if a == b:
         return IntegralResult(0.0, 0.0, True, 0, 0.0)
-    val, err, mag = panel(f, a, b)
-    evals = points = panel.points
     # heap entries: (-error, counter, a, b, value, error, resabs); counter
     # breaks ties
-    count = 0
-    cells = [(-err, count, a, b, val, err, mag)]
-    total = val
-    total_err = err
-    total_mag = mag
+    cells = []
+    for ca, cb in spans:
+        val, err, mag = panel(f, ca, cb)
+        if cells:
+            total += val
+            total_err += err
+            total_mag += mag
+        else:
+            total, total_err, total_mag = val, err, mag
+        cells.append((-err, len(cells), ca, cb, val, err, mag))
+    heapq.heapify(cells)
+    count = len(cells) - 1
+    points = panel.points
+    evals = points * len(cells)
     while True:
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
         if total_err <= tol:
             return IntegralResult(total, total_err, True, evals, total_mag)
-        if len(cells) >= spec.max_subdivisions or total_err < 1e3 * _EPS * abs(total):
+        if len(cells) >= spec.max_subdivisions or _at_roundoff(total_err, total):
             return IntegralResult(total, total_err, False, evals, total_mag)
         _, _, ca, cb, cval, cerr, cmag = heapq.heappop(cells)
         mid = 0.5 * (ca + cb)
@@ -585,15 +609,23 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
         heapq.heappush(cells, (-rerr, count, mid, cb, rval, rerr, rmag))
 
 
-def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
+def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
+                       breaks=()) -> IntegralResult:
     """Adaptive G10/K21 bisection of f over the open interval (a, b).
 
     Each panel costs 21 evaluations of f, so each bisection costs 42.
     f may return real or complex values; endpoints are never evaluated.
-    Non-convergence is reported through converged=False, never by a
-    silently wrong value.
+    breaks, nondecreasing points within [a, b] (QUADPACK QAGP's "points"),
+    split (a, b) into the initial panels, one per span between neighbouring
+    edges, from which bisection of the worst panel proceeds as from the
+    single panel (a, b) that no breaks give; the error estimate sums the
+    panels' and the stop rules are the same.  Breaks at the phase of an
+    oscillating f save the bisections that would find it: a panel that
+    spans more than about 3 pi of phase cannot resolve it (see
+    radial_fourier.radial_quadrature).  Non-convergence is reported
+    through converged=False, never by a silently wrong value.
     """
-    return _adaptive(f, a, b, spec, _gk21)
+    return _adaptive(f, a, b, spec, _gk21, breaks)
 
 
 def _integrate_k15(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
@@ -676,10 +708,17 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
     extrapolations prove nothing.  The epsilon table (_EpsilonTable) is
     built when the cells first alternate, from the sixth sum on, and then
     extended once per cell; a loop whose cells never alternate does no
-    epsilon work.
+    epsilon work.  Whichever way it stops, the sum is reported unconverged
+    if any cell stopped on its subdivision budget or at machine resolution;
+    a cell whose error estimate is at the roundoff of its value counts as
+    converged.
     """
     hi = edge(1)  # a cell's upper edge is the next cell's lower one
     first = integrate(f, a, hi, spec)
+    # every cell stopped on its tolerance or at roundoff, not on its budget
+    # or at machine resolution
+    resolved = first.converged or _at_roundoff(first.error_estimate,
+                                               first.value)
     evals = first.evaluations
     total = part = first.value
     cell_err = first.error_estimate
@@ -692,6 +731,8 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
         lo, hi = hi, edge(c + 2)
         res = integrate(f, lo, hi, spec)
         part = res.value
+        resolved = resolved and (res.converged or _at_roundoff(
+            res.error_estimate, part))
         evals += res.evaluations
         total += part
         cell_err += res.error_estimate
@@ -699,8 +740,8 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
         sums.append(total)
         tol = 0.1 * max(spec.abs_tol, spec.rel_tol * abs(total))
         if c >= 1 and res.magnitude <= max(tol, 5e-16 * abs(total)):
-            return IntegralResult(total, res.magnitude + cell_err, True, evals,
-                                  magnitude)
+            return IntegralResult(total, res.magnitude + cell_err, resolved,
+                                  evals, magnitude)
         if table is not None:
             table.add(total)
         if (part * prev.conjugate()).real >= 0.0:  # not alternating
@@ -713,8 +754,8 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
                 if prev_accel is not None:
                     delta = abs(accel - prev_accel)
                     if delta <= max(spec.abs_tol, spec.rel_tol * abs(accel)):
-                        return IntegralResult(accel, delta + cell_err, True,
-                                              evals, magnitude)
+                        return IntegralResult(accel, delta + cell_err,
+                                              resolved, evals, magnitude)
                 prev_accel = accel
     best = total if prev_accel is None else prev_accel
     return IntegralResult(best, abs(best - total) + abs(part) + cell_err, False,

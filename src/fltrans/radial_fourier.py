@@ -18,11 +18,16 @@ only the regular part (QUADPACK's QAWS convention), or, for tails that
 oscillate many times, the oscillatory engine with cells between the
 zeros of ghat_d.  Each integral resolves its kernel once, to a function
 of kx alone, so the quadrature nodes pay no dispatch on d; kernel_ghat is
-the checked pointwise form of the same kernel.  forward_result is the
-one transform body over (0, inf); inverse_result scales it.  Every radial
-hop that returns a bare value (forward, inverse, the verifier's
-space-time side, the radiative transfer transform) takes it through
-_value, which raises QuadratureError on an unconverged integral.
+the checked pointwise form of the same kernel.  A finite range starts
+from one Gauss-Kronrod panel per 3 pi of the phase k r, equal spans of r
+passed to integrate_adaptive as breaks (QUADPACK QAGP's points): about
+the most phase one G10/K21 panel resolves, since G10 is exact only to
+degree 19, so the wave regime k t >> 1 is spared the bisections that
+would find the phase.  forward_result is the one transform body over
+(0, inf); inverse_result scales it.  Every radial hop that returns a bare
+value (forward, inverse, the verifier's space-time side, the radiative
+transfer transform) takes it through _value, which raises
+QuadratureError on an unconverged integral.
 """
 
 from __future__ import annotations
@@ -65,6 +70,17 @@ class QuadratureError(RuntimeError):
 # tails stay on geometric cells, because Wynn's epsilon stalls on their
 # super-geometric partial sums
 _OSC_WAVENUMBER = 1.0
+
+# the phase k r one initial panel of a finite radial_quadrature spans:
+# about the most a G10/K21 panel resolves, since G10 is exact only to
+# degree 19.  On cos(x + phi) over a span L of x the panel's error
+# estimate (from |K21 - G10|) is at most 5.6e-14 at L = 2.5 pi, 1.7e-12
+# at 3 pi, 1.8e-10 at 3.5 pi and 9.2e-9 at 4 pi, against the default
+# tolerances of 1e-12 absolute and 1e-10 relative.  Measured as
+# integrate_adaptive evaluations of one traced pass of the wave benchmark
+# (91686 with a single panel): 78204, 72765, 68964, 69972 and 79233 at 2,
+# 2.5, 3, 3.5 and 4 pi per panel
+_PANEL_PHASE = 3.0 * math.pi
 
 # changes of variable radial_quadrature applies at an edge singularity
 SUBSTITUTIONS = ("none", "origin", "light_cone")
@@ -178,6 +194,18 @@ def edge_distance(r: float, hi: float) -> float:
     return math.sqrt((hi - r) * (hi + r))
 
 
+def _phase_breaks(k: float, width: float, spec: QuadratureSpec, at) -> list:
+    # the breaks at(i, m), i = 1 .. m - 1, of m equal spans of r, each
+    # carrying at most 3 pi of the phase k r (at most max_subdivisions
+    # spans); none where one span does
+    spans = k * width / _PANEL_PHASE
+    if spans <= 1.0:
+        return []
+    m = int(spec.max_subdivisions) if spans >= spec.max_subdivisions else \
+        math.ceil(spans)
+    return [at(i, m) for i in range(1, m)]
+
+
 def radial_quadrature(d: int, g: Callable[[float], float], k: float,
                       lo: float, hi: float, substitution: str,
                       spec: QuadratureSpec) -> IntegralResult:
@@ -189,9 +217,16 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
     W = 1/sqrt((hi - r)(hi + r - 2 lo)), 1/sqrt(hi^2 - r^2) at lo = 0, so
     g is the regular part alone: r = lo + (hi - lo) sin(theta) turns
     W(r) dr into exactly d theta.  An infinite hi (substitution "none"
-    only) goes to integrate_semi_infinite.  k must be finite and >= 0 and
-    the range must satisfy 0 <= lo <= hi; both are checked once, before
-    any node, and the kernel is resolved once (_kernel).
+    only) goes to integrate_semi_infinite.  A finite range starts the
+    adaptive bisection from m = min(max_subdivisions,
+    max(1, ceil(k (hi - lo) / (3 pi)))) panels of equal spans of r, with
+    breaks r_i = lo + i (hi - lo) / m mapped into the integration
+    variable: sqrt(r_i) under "origin", asin(i / m) under "light_cone",
+    r_i under "none".  3 pi of phase is about the most one G10/K21 panel
+    resolves (_PANEL_PHASE); k (hi - lo) <= 3 pi, k = 0 included, takes
+    one panel as without breaks.  k must be finite and >= 0 and the range
+    must satisfy 0 <= lo <= hi; both are checked once, before any node,
+    and the kernel is resolved once (_kernel).
     """
     if substitution not in SUBSTITUTIONS:
         raise DomainError(f"unknown substitution {substitution!r}")
@@ -202,18 +237,23 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
     if substitution != "none" and math.isinf(hi):
         raise DomainError(f"substitution {substitution!r} needs a finite hi")
     plain = _integrand(_dimension(d), g, k)
-    if substitution == "origin":
-        # r = w^2 turns fractional powers of r at the origin polynomial
-        return integrate_adaptive(lambda w: plain(w * w) * 2.0 * w,
-                                  math.sqrt(lo), math.sqrt(hi), spec)
-    if substitution == "light_cone":
-        width = hi - lo
-        return integrate_adaptive(
-            lambda theta: plain(lo + width * math.sin(theta)),
-            0.0, 0.5 * math.pi, spec)
     if math.isinf(hi):
         return integrate_semi_infinite(plain, lo, spec)
-    return integrate_adaptive(plain, lo, hi, spec)
+    width = hi - lo
+    if substitution == "origin":
+        # r = w^2 turns fractional powers of r at the origin polynomial
+        return integrate_adaptive(
+            lambda w: plain(w * w) * 2.0 * w, math.sqrt(lo), math.sqrt(hi),
+            spec, _phase_breaks(k, width, spec,
+                                lambda i, m: math.sqrt(lo + i * width / m)))
+    if substitution == "light_cone":
+        return integrate_adaptive(
+            lambda theta: plain(lo + width * math.sin(theta)),
+            0.0, 0.5 * math.pi, spec,
+            _phase_breaks(k, width, spec, lambda i, m: math.asin(i / m)))
+    return integrate_adaptive(
+        plain, lo, hi, spec,
+        _phase_breaks(k, width, spec, lambda i, m: lo + i * width / m))
 
 
 def forward_result(dim: Dimension, profile: RadialProfile, k: float,

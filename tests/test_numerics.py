@@ -367,6 +367,37 @@ def test_adaptive_rejects_an_endpoint_not_finite(a, b):
         integrate_adaptive(lambda x: math.exp(-x * x), a, b, SPEC)
 
 
+def test_adaptive_breaks_start_the_bisection_from_their_panels():
+    # |x - 0.3| is linear on each side of its kink: a break there leaves two
+    # exact panels and no bisection, where one panel bisects toward the kink
+    f = lambda x: abs(x - 0.3)
+    split = integrate_adaptive(f, 0.0, 1.0, SPEC, breaks=[0.3])
+    assert split.converged and split.evaluations == 42
+    assert split.value == pytest.approx(0.29, abs=1e-15)
+    assert integrate_adaptive(f, 0.0, 1.0, SPEC).evaluations > 42
+    # a repeated break, or one on an edge, adds no panel
+    assert integrate_adaptive(f, 0.0, 1.0, SPEC,
+                              breaks=[0.0, 0.3, 0.3, 1.0]) == split
+
+
+def test_adaptive_initial_panels_count_against_the_budget():
+    # three panels of about 8 periods each on a budget of three: no bisection
+    res = integrate_adaptive(lambda x: math.cos(50.0 * x), 0.0, 3.0,
+                             QuadratureSpec(max_subdivisions=3),
+                             breaks=[1.0, 2.0])
+    assert not res.converged
+    assert res.evaluations == 63
+
+
+@pytest.mark.parametrize("breaks", [[0.5, 0.2], [-0.1], [1.5], [math.nan]])
+def test_adaptive_refuses_breaks_out_of_order_or_outside_the_range(breaks):
+    def never(x):
+        raise AssertionError("the integrand was evaluated")
+
+    with pytest.raises(DomainError, match="breaks"):
+        integrate_adaptive(never, 0.0, 1.0, SPEC, breaks=breaks)
+
+
 # --- integrate_semi_infinite ------------------------------------------------
 
 def test_semi_infinite_exponential():
@@ -619,6 +650,37 @@ def test_a_nan_sum_gives_an_estimate_the_cell_loop_ignores():
     res = numerics._integrate_cells(None, 0.0, lambda n: n, SPEC, cell)
     assert not res.converged
     assert res.evaluations == numerics._OSCILLATION_CELLS + 1
+
+
+@pytest.mark.parametrize("budget, value", [(1, 0.030032113197741482),
+                                           (2, -0.0076967965795811675)])
+def test_a_cell_out_of_budget_leaves_the_tail_unconverged(budget, value):
+    # the cells of e^{-x} cos(40 x) stop on their subdivision budget far
+    # from the truth 1/1601 = 6.246e-4, and the loop used to report
+    # converged=True
+    res = integrate_semi_infinite(lambda x: math.exp(-x) * math.cos(40.0 * x),
+                                  0.0, QuadratureSpec(max_subdivisions=budget))
+    assert res.value == value
+    assert not res.converged
+    res = integrate_semi_infinite(lambda x: math.exp(-x) * math.cos(40.0 * x),
+                                  0.0, SPEC)
+    assert res.converged
+    assert abs(res.value - 1.0 / 1601.0) <= 1e-12
+
+
+@pytest.mark.parametrize("error, converged", [(1e-14, True), (1e-12, False)])
+def test_a_cell_stopped_at_roundoff_keeps_the_loop_converged(error, converged):
+    # an unconverged first cell of value 0.1: an estimate of 1e-14 is at its
+    # roundoff (below 1e3 eps |value| = 2.2e-14), where bisection gains
+    # nothing; one of 1e-12 is not.  The later cells converge and vanish.
+    def cell(f, lo, hi, spec):
+        if hi == 1:
+            return IntegralResult(0.1, error, False, 1, 0.1)
+        return IntegralResult(0.0, 0.0, True, 1, 0.0)
+
+    res = numerics._integrate_cells(None, 0.0, lambda n: n, SPEC, cell)
+    assert (res.value, res.evaluations) == (0.1, 3)
+    assert res.converged is converged
 
 
 def test_the_cell_loop_stops_on_a_negligible_magnitude_not_a_negligible_value():

@@ -1,5 +1,6 @@
 """Tests for the d-dimensional radial Fourier transforms."""
 
+import cmath
 import math
 import random
 
@@ -457,22 +458,29 @@ def test_radial_quadrature_refuses_an_infinite_range_under_a_substitution(
                           substitution, SPEC)
 
 
-def _composed_quadrature(d, g, k, lo, hi, substitution):
-    # radial_quadrature's integral with kernel_ghat called at every node and
-    # the substitution wrapped around the plain integrand
+def _composed_quadrature(d, g, k, lo, hi, substitution, split=True):
+    # radial_quadrature's integral with kernel_ghat called at every node, the
+    # substitution wrapped around the plain integrand and, when split, a
+    # finite range cut into m = ceil(k (hi - lo) / (3 pi)) equal spans of r
+    # (at least 1, at most max_subdivisions)
     from fltrans.numerics import integrate_adaptive, integrate_semi_infinite
     sd = sphere_measure(d)
     plain = lambda r: sd * g(r) * r ** (d - 1) * kernel_ghat(d, k, r)
+    if math.isinf(hi):
+        return integrate_semi_infinite(plain, lo, SPEC)
+    m = min(SPEC.max_subdivisions,
+            max(1, math.ceil(k * (hi - lo) / (3.0 * math.pi)))) if split else 1
+    spans = range(1, m)
     if substitution == "origin":
-        return integrate_adaptive(lambda w: plain(w * w) * 2.0 * w,
-                                  math.sqrt(lo), math.sqrt(hi), SPEC)
+        return integrate_adaptive(
+            lambda w: plain(w * w) * 2.0 * w, math.sqrt(lo), math.sqrt(hi),
+            SPEC, [math.sqrt(lo + i * (hi - lo) / m) for i in spans])
     if substitution == "light_cone":
         return integrate_adaptive(
             lambda theta: plain(lo + (hi - lo) * math.sin(theta)),
-            0.0, 0.5 * math.pi, SPEC)
-    if math.isinf(hi):
-        return integrate_semi_infinite(plain, lo, SPEC)
-    return integrate_adaptive(plain, lo, hi, SPEC)
+            0.0, 0.5 * math.pi, SPEC, [math.asin(i / m) for i in spans])
+    return integrate_adaptive(plain, lo, hi, SPEC,
+                              [lo + i * (hi - lo) / m for i in spans])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 24])
@@ -489,3 +497,71 @@ def test_radial_quadrature_matches_the_kernel_ghat_composition(
     # the same value, error estimate and evaluation count, bit for bit
     got = radial_quadrature(d, g, k, lo, hi, substitution, SPEC)
     assert got == _composed_quadrature(d, g, k, lo, hi, substitution)
+
+
+# --- the initial partition of a finite radial_quadrature --------------------
+
+@pytest.mark.parametrize("k", [5.0, 20.0, 60.0])
+def test_a_finite_range_split_at_the_phase_meets_the_closed_form(k):
+    # 32, 128 and 382 half-periods of cos(k r) on (0, 20): one initial panel
+    # per 3 pi of k r, 11, 43 and 128 of them, costs fewer evaluations than
+    # bisecting one panel down to them
+    g = lambda r: math.exp(-r)
+    got = radial_quadrature(1, g, k, 0.0, 20.0, "none", SPEC)
+    whole = _composed_quadrature(1, g, k, 0.0, 20.0, "none", split=False)
+    z = complex(1.0, -k)
+    want = 2.0 * ((1.0 - cmath.exp(-20.0 * z)) / z).real
+    assert got.converged
+    assert abs(got.value - want) <= 1e-12
+    assert got.evaluations < whole.evaluations
+
+
+@pytest.mark.parametrize("k", [5.0, 20.0, 60.0])
+@pytest.mark.parametrize("substitution, lo, hi", [
+    ("origin", 0.0, 20.0), ("light_cone", 0.5, 20.0),
+])
+def test_a_split_substituted_range_matches_mpmath(substitution, lo, hi, k):
+    # r^{-1/2} e^{-r} under "origin" and e^{-r} under the light-cone weight
+    # 1/sqrt((hi - r)(hi + r - 2 lo)), each singular at an edge, against
+    # S_1 times mpmath.quad of the weighted integrand split at the zeros of
+    # cos(k r)
+    mpmath = pytest.importorskip("mpmath")
+    if substitution == "origin":
+        g = lambda r: r ** -0.5 * math.exp(-r)
+        exact = lambda r: r ** -0.5 * mpmath.exp(-r)
+    else:
+        g = lambda r: math.exp(-r)
+        exact = lambda r: mpmath.exp(-r) / mpmath.sqrt((hi - r) * (hi + r - 2 * lo))
+    with mpmath.workdps(30):
+        zeros = [(n + 0.5) * mpmath.pi / k for n in range(int(k * hi / math.pi) + 1)]
+        points = [lo] + [x for x in zeros if lo < x < hi] + [hi]
+        want = float(2 * mpmath.quad(lambda r: exact(r) * mpmath.cos(k * r),
+                                     points))
+    got = radial_quadrature(1, g, k, lo, hi, substitution, SPEC)
+    whole = _composed_quadrature(1, g, k, lo, hi, substitution, split=False)
+    assert got.converged
+    assert abs(got.value - want) <= 1e-12
+    assert got.evaluations < whole.evaluations
+
+
+@pytest.mark.parametrize("substitution", ["none", "origin", "light_cone"])
+def test_more_phase_than_the_budget_stops_on_its_initial_panels(substitution):
+    # k L / (3 pi) = 127.3 spans on a budget of 10 panels: ten panels of
+    # about 38 pi each, reported unconverged with no bisection
+    spec = QuadratureSpec(max_subdivisions=10)
+    res = radial_quadrature(1, lambda r: math.exp(-r), 60.0, 0.0, 20.0,
+                            substitution, spec)
+    assert not res.converged
+    assert res.evaluations <= 10 * 21
+
+
+@pytest.mark.parametrize("substitution", ["none", "origin", "light_cone"])
+@pytest.mark.parametrize("k, hi", [(0.0, 20.0), (1.0, 2.0), (2.0, 1.5 * math.pi),
+                                   (3.0 * math.pi / 1.75, 1.75)])
+def test_a_range_within_3_pi_of_phase_is_one_initial_panel(substitution, k, hi):
+    # k (hi - lo) <= 3 pi takes no break: the result of one panel bisected,
+    # bit for bit
+    g = lambda r: math.exp(-r) * (1.0 + r)
+    got = radial_quadrature(3, g, k, 0.0, hi, substitution, SPEC)
+    assert got == _composed_quadrature(3, g, k, 0.0, hi, substitution,
+                                       split=False)
