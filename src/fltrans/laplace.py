@@ -5,10 +5,11 @@ quadrature along one ray t = tau e^{i alpha}, the real axis being the
 alpha = 0 ray.  Originals that are analytic in a sector advertise it
 through TimeOriginal.eval_complex; for them the ray is rotated into the
 complex t-plane whenever a rotated ray decays faster than both the real
-axis and rate 1.  That computes the analytic continuation of the
-integral, which reaches points left of the growth abscissa (the deep part
-of an inversion contour) and replaces the slowly decaying real-axis
-integrand just right of it.
+axis and rate 1; the steepest ray within 82 degrees has a closed form.
+That computes the analytic continuation of the integral, which reaches
+points left of the growth abscissa (the deep part of an inversion
+contour) and replaces the slowly decaying real-axis integrand just right
+of it.  A point s that is not finite is refused.
 
 Inversion uses the fixed Talbot contour of Abate & Valko (2004),
 
@@ -99,8 +100,7 @@ def sqrt_s2k2(s: complex, k: float) -> complex:
 
 
 _MARGIN = 0.1
-_RAY_ANGLES = tuple(math.radians(a) for a in
-                    (0.0, 20.0, 35.0, 50.0, 65.0, 75.0, 82.0))
+_MAX_RAY_ANGLE = math.radians(82.0)
 
 
 def _damped_product(value, exponent: complex) -> complex:
@@ -122,22 +122,14 @@ def _damped_product(value, exponent: complex) -> complex:
     return cmath.exp(combined)
 
 
-def _ray_decay(f: TimeOriginal, s: complex, alpha: float) -> float:
-    # decay rate of |e^{-s t} f(t)| along the ray t = tau e^{i alpha}
-    return ((s * cmath.exp(1j * alpha)).real
-            - f.sigma0 * math.cos(alpha)
-            - f.imag_growth * abs(math.sin(alpha)))
-
-
 def _best_ray(f: TimeOriginal, s: complex) -> tuple[float, float]:
-    # the angle in _RAY_ANGLES (either sign) of fastest decay, and that decay
-    best_alpha, best_decay = 0.0, -math.inf
-    for alpha in _RAY_ANGLES:
-        for signed in (alpha, -alpha) if alpha else (0.0,):
-            dec = _ray_decay(f, s, signed)
-            if dec > best_decay:
-                best_alpha, best_decay = signed, dec
-    return best_alpha, best_decay
+    # along t = tau e^{i alpha}, alpha = -beta sign(Im s), |e^{-s t} f(t)|
+    # decays at x cos(beta) + c sin(beta), a sinusoid whose maximum over
+    # 0 <= beta <= _MAX_RAY_ANGLE is at beta = atan2(c, x) clamped to it
+    x = s.real - f.sigma0
+    c = abs(s.imag) - f.imag_growth
+    beta = min(max(math.atan2(c, x), 0.0), _MAX_RAY_ANGLE)
+    return -math.copysign(beta, s.imag), x * math.cos(beta) + c * math.sin(beta)
 
 
 def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> complex:
@@ -145,14 +137,17 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
 
     Requires Re s > sigma0 + margin unless f supplies eval_complex.  With
     eval_complex the integration ray is rotated into the sector of
-    analyticity, returning the analytic continuation, whenever some ray
-    decays faster than both the real axis and rate 1, and left of
-    sigma0 + margin whenever some ray decays faster than 0.25.  Otherwise
-    the real axis is integrated as it stands, also at large |Im s|, where
-    the geometric cells resolve the oscillation at the cost of many
-    more evaluations.
+    analyticity, returning the analytic continuation, whenever the
+    steepest ray with |alpha| <= 82 degrees (in closed form) decays faster
+    than both the real axis and rate 1, and left of sigma0 + margin
+    whenever it decays faster than 0.25.  Otherwise the real axis is
+    integrated as it stands, also at large |Im s|, where the geometric
+    cells resolve the oscillation at the cost of many more evaluations.
+    Refuses an s that is not finite with DomainError.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     decay = (s - f.sigma0).real
     alpha, ray_decay = (_best_ray(f, s) if f.eval_complex is not None
                         else (0.0, -math.inf))

@@ -537,9 +537,12 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
 def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,
             s: complex) -> complex:
     """pair.fl_profile(k, d, f.fhat)(s) where fhat(phi) is f's Laplace
-    integral: refuses Re phi(k, s) <= sigma0 with ValidityError."""
+    integral: refuses an s that is not finite with DomainError, and
+    Re phi(k, s) <= sigma0 with ValidityError."""
     image = pair.fl_profile(k, d, f.fhat)
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     phi = pair.fl_phi(k, s)
     if not phi.real > f.f.sigma0:
         raise ValidityError(

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 import re
 import sys
 import threading
@@ -11,6 +12,7 @@ import pytest
 
 from fltrans.laplace import (
     TimeOriginal,
+    _best_ray,
     _talbot_contour,
     forward_laplace,
     inverse_laplace,
@@ -201,10 +203,51 @@ def test_forward_domain_error_without_continuation():
 
 @pytest.mark.parametrize("s", [-3.0, complex(-3.0, 0.5)])
 def test_forward_refuses_a_point_no_ray_reaches(s):
-    # e^{-u}: every ray of the fan decays at a rate below 0.25 here
+    # e^{-u}: every ray with |alpha| <= 82 degrees decays at a rate below
+    # 0.25 here
     f = catalog_lookup("exp_decay:1").f
     with pytest.raises(DomainError, match="no convergent integration ray"):
         forward_laplace(f, s, SPEC)
+
+
+@pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan,
+                               complex(1.0, math.inf), complex(1.0, math.nan)])
+def test_forward_refuses_a_point_not_finite(s):
+    # with e^{-u}, s = inf and 1 + inf i returned 0j, 1 + nan i raised a
+    # bare OverflowError, and nan and -inf claimed no convergent ray
+    calls = []
+    f = TimeOriginal(lambda t: calls.append(t) or math.exp(-t), sigma0=-1.0,
+                     eval_complex=lambda z: calls.append(z) or cmath.exp(-z))
+    with pytest.raises(DomainError, match="s must be finite"):
+        forward_laplace(f, s, SPEC)
+    assert calls == []
+
+
+def _ray_decay(f, s, alpha):
+    # decay rate of |e^{-s t} f(t)| along the ray t = tau e^{i alpha}
+    return ((s * cmath.exp(1j * alpha)).real
+            - f.sigma0 * math.cos(alpha)
+            - f.imag_growth * abs(math.sin(alpha)))
+
+
+def test_the_closed_form_ray_is_the_steepest_in_its_sector():
+    # against every ray of a 0.01 degree grid on |alpha| <= 82 degrees,
+    # at draws where some ray decays
+    grid = [math.radians(0.01 * j) for j in range(-8200, 8201)]
+    rng = random.Random(36)
+    checked = 0
+    while checked < 20:
+        s = complex(rng.uniform(-6.0, 6.0), rng.uniform(-12.0, 12.0))
+        f = TimeOriginal(math.exp, sigma0=rng.uniform(-3.0, 3.0),
+                         imag_growth=rng.choice((0.0, rng.uniform(0.0, 4.0))))
+        best_on_grid = max(_ray_decay(f, s, alpha) for alpha in grid)
+        if best_on_grid <= 0.0:
+            continue
+        alpha, decay = _best_ray(f, s)
+        assert abs(alpha) <= math.radians(82.0)
+        assert decay == pytest.approx(_ray_decay(f, s, alpha), rel=1e-12)
+        assert decay >= best_on_grid * (1.0 - 1e-12), (s, f)
+        checked += 1
 
 
 @pytest.mark.parametrize("sigma0", [-math.inf, math.inf, math.nan])

@@ -260,6 +260,17 @@ def test_eval_fl_refuses_a_wavenumber_not_finite_and_nonnegative(k):
             row.fl_profile(k, 3, EXP1.fhat)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf,
+                               complex(1.0, math.inf), complex(1.0, math.nan)])
+def test_eval_fl_refuses_a_point_not_finite(s):
+    # at k = 1 in d = 2, row 1.2 returned nan+nanj at 1 + nan i and raised
+    # a bare OverflowError at inf, 2.1 returned nan+nanj at inf and 2.2 at
+    # 1 + inf i; d = 3 admits every row
+    for row in registry_rows():
+        with pytest.raises(DomainError, match="s must be finite"):
+            eval_fl(row, 3, EXP1, 1.0, s)
+
+
 def test_eval_spacetime_edge_refused():
     with pytest.raises(EdgeError):
         eval_spacetime(lookup("2.1"), 2, EXP1, 2.0, 2.0)

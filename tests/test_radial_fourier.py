@@ -523,20 +523,22 @@ def test_a_finite_range_split_at_the_phase_meets_the_closed_form(k):
 def test_a_split_substituted_range_matches_mpmath(substitution, lo, hi, k):
     # r^{-1/2} e^{-r} under "origin" and e^{-r} under the light-cone weight
     # 1/sqrt((hi - r)(hi + r - 2 lo)), each singular at an edge, against
-    # S_1 times mpmath.quad of the weighted integrand split at the zeros of
-    # cos(k r)
+    # S_1 times their closed forms in mpmath, with z = 1 - i k and
+    # L = hi - lo: 2 Re[z^{-1/2} gamma(1/2, z hi)] for the first and
+    # pi Re[e^{-z lo} (I0(z L) - L0(z L))], L0 the modified Struve
+    # function, for the second
     mpmath = pytest.importorskip("mpmath")
-    if substitution == "origin":
-        g = lambda r: r ** -0.5 * math.exp(-r)
-        exact = lambda r: r ** -0.5 * mpmath.exp(-r)
-    else:
-        g = lambda r: math.exp(-r)
-        exact = lambda r: mpmath.exp(-r) / mpmath.sqrt((hi - r) * (hi + r - 2 * lo))
     with mpmath.workdps(30):
-        zeros = [(n + 0.5) * mpmath.pi / k for n in range(int(k * hi / math.pi) + 1)]
-        points = [lo] + [x for x in zeros if lo < x < hi] + [hi]
-        want = float(2 * mpmath.quad(lambda r: exact(r) * mpmath.cos(k * r),
-                                     points))
+        z = mpmath.mpc(1, -k)
+        if substitution == "origin":
+            g = lambda r: r ** -0.5 * math.exp(-r)
+            want = 2 * z ** -0.5 * mpmath.gammainc(0.5, 0, z * hi)
+        else:
+            g = lambda r: math.exp(-r)
+            zl = z * (hi - lo)
+            want = mpmath.pi * mpmath.exp(-z * lo) * (mpmath.besseli(0, zl)
+                                                      - mpmath.struvel(0, zl))
+        want = float(want.real)
     got = radial_quadrature(1, g, k, lo, hi, substitution, SPEC)
     whole = _composed_quadrature(1, g, k, lo, hi, substitution, split=False)
     assert got.converged
