@@ -31,8 +31,7 @@ from .pairs import (
     lookup,
     registry_text,
 )
-from .radial_fourier import Dimension, RadialProfile, forward_result, \
-    inverse_result
+from .radial_fourier import RadialProfile, forward_result, inverse_result
 from .rte2d import TransportParams, check_energy, intensity
 from .verify import reports_to_text, verify_all
 
@@ -182,12 +181,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
         raise ConfigError("transform requires --grid")
     spec = QuadratureSpec(abs_tol=max(1e-14, 0.01 * args.tol),
                           rel_tol=args.tol)
-    dim = Dimension(d)
     profile = entry["make"](d)
     hop = forward_result if args.direction == "forward" else inverse_result
     rows = []
     for x in grid:
-        res = hop(dim, profile, x, spec)
+        res = hop(d, profile, x, spec)
         rows.append((x, float(res.value), res.error_estimate, res.converged))
     _emit(_csv_text(("x", "value", "error_estimate", "converged"), rows),
           args.output_path)

@@ -40,6 +40,7 @@ import cmath
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -184,6 +185,7 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
 # relative to the contour scale (valid for images bounded on the contour).
 _NODE_EXPONENT_FLOOR = -60.0
 _RADIUS_FACTOR = 0.30
+_EXPONENT_CEILING = math.log(sys.float_info.max)  # e^x is finite up to it
 
 
 @functools.lru_cache(maxsize=16, typed=True)
@@ -237,10 +239,9 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
                     nodes: int = 48, *, branch_height: float = 0.0) -> float:
     """Fixed-Talbot inversion of the Laplace image s -> F(s) at time t > 0.
 
-    The contour
-    radius is 0.30 * 2 * nodes / (5 t) and grows with nodes, so
-    accuracy improves geometrically in `nodes` for images analytic off the
-    negative real axis.  branch_height raises the contour so that
+    The contour radius is 0.30 * 2 * nodes / (5 t) and grows with nodes,
+    so accuracy improves geometrically in `nodes` for images analytic off
+    the negative real axis.  branch_height raises the contour so that
     singularities with |Im s| up to that height stay enclosed (the sqrt
     branch segment of transform-pair images).  The nodes s, their factors
     e^{s t} and weights come from a table built once per (nodes, radius,
@@ -248,10 +249,11 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     change from call to call.
 
     Refuses with DomainError a time t that is not finite and positive, a
-    branch_height that is not finite and >= 0, and a node count that is
-    not an integer >= 4.  Non-finite image values on the contour abort
-    with LaplaceError naming the first such node, as does a contour sum
-    that overflows.  The sum is checked once, after the last node; only a
+    branch_height that is not finite and >= 0, a node count that is not an
+    integer >= 4, and a contour radius r whose e^{r t} overflows a float
+    (r t > 709.78).  Non-finite image values on the contour abort with
+    LaplaceError naming the first such node, as does a contour sum that
+    overflows.  The sum is checked once, after the last node; only a
     non-finite sum evaluates the image again, node by node, to find the
     culprit.
     """
@@ -259,9 +261,9 @@ def inverse_laplace(image: Callable[[complex], complex], t: float,
     _nonnegative("branch height", branch_height)
     _check_nodes(nodes)
     r = max(_RADIUS_FACTOR * 2.0 * nodes / (5.0 * t), 1.15 * branch_height)
-    if r == math.inf:
-        raise DomainError(f"contour radius overflows at t = {t}, "
-                          f"branch_height = {branch_height}")
+    if r * t > _EXPONENT_CEILING:  # the base node's factor e^{r t} overflows
+        raise DomainError(f"contour radius overflows e^(r t) at r = {r}, "
+                          f"t = {t}, branch_height = {branch_height}")
     contour = _talbot_contour(nodes, r, t)
     total = 0.0
     for s, e, weight in contour:

@@ -356,6 +356,10 @@ def bessel_j(order: float, x: float) -> float:
     nu = 0.5 * round(2.0 * order)
     if abs(order - nu) > 1e-12 or nu < -1.0:
         raise DomainError(f"unsupported Bessel order {order}")
+    return _bessel_j(nu, x)
+
+
+def _bessel_j(nu: float, x: float) -> float:  # bessel_j's branches, unchecked
     if nu == 0.0:
         return _bessel_j0(x)
     if nu == 1.0 or nu == -1.0:  # J_{-1} = -J_1

@@ -13,26 +13,23 @@ normalization, so the two directions share one integration routine.
 Every radial integral (the transforms, the verifier's space-time hop,
 the radiative transfer chain) integrates one integrand,
 S_d g(r) r^{d-1} ghat_d(k, r): radial_quadrature, which owns the
-edge-singularity substitutions and the light-cone weight, so that g is
-only the regular part (QUADPACK's QAWS convention), or, for tails that
-oscillate many times, the oscillatory engine with cells between the
-zeros of ghat_d.  Each integral resolves its kernel once, to a function
-of kx alone, so the quadrature nodes pay no dispatch on d; kernel_ghat is
-the checked pointwise form of the same kernel.  A finite range starts
-from one Gauss-Kronrod panel per 3 pi of the phase k r, equal spans of r
-passed to integrate_adaptive as breaks (QUADPACK QAGP's points): about
-the most phase one G10/K21 panel resolves, since G10 is exact only to
-degree 19, so the wave regime k t >> 1 is spared the bisections that
-would find the phase.  forward_result is the one transform body over
-(0, inf); inverse_result scales it.  Every radial hop that returns a bare
-value (forward, inverse, the verifier's space-time side, the radiative
-transfer transform) takes it through _value, which raises
-QuadratureError on an unconverged integral.
+edge-singularity substitutions, the light-cone weight and the phase
+breaks of a finite range, or, for tails that oscillate many times, the
+oscillatory engine with cells between the zeros of ghat_d.  Each
+integral resolves its kernel once (_kernel), to a function of kx alone,
+so the quadrature nodes pay no dispatch on d; in d >= 4 it calls
+numerics' one J_nu branch table wherever bessel_j would not sum the
+series.  kernel_ghat is the checked pointwise form of the same kernel.
+Every entry point takes d as an int or a Dimension and refuses anything
+but an integer >= 1 (_dimension).  forward_result is the one transform
+body over (0, inf); inverse_result scales it.  Every radial hop here and
+in the verifier and the radiative transfer chain that returns a bare
+value takes it through _value, which raises QuadratureError on an
+unconverged integral.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,11 +38,9 @@ from .numerics import (
     DomainError,
     IntegralResult,
     QuadratureSpec,
+    _bessel_j,
     _bessel_j0,
-    _bessel_j1,
-    _bessel_upward,
     _nonnegative,
-    bessel_j,
     bessel_j_zero,
     bessel_series,
     integrate_adaptive,
@@ -93,7 +88,7 @@ class Dimension:
     d: int
 
     def __post_init__(self) -> None:
-        _dimension(self.d)
+        _dimension(self)
 
 
 @dataclass(frozen=True)
@@ -142,12 +137,10 @@ def _kernel(d: int) -> Callable[[float], float]:
     The dispatch on d happens here, once per integral, not at every
     quadrature node: cos, the table J0 and sinc in one, two and three
     dimensions, otherwise Gamma(d/2) (z/2)^{1-d/2} J_{d/2-1}(z) with nu and
-    Gamma(d/2) computed once.  For d >= 4, nu = d/2 - 1 >= 1, and each node
-    takes bessel_j's path without its checks and dispatch: the normalized
-    series S_nu(z) itself for z < nu, z <= 8; the table J1 (d = 4) or the
-    upward recurrence from the start pair for z >= nu; bessel_j, which runs
-    Miller's recurrence, for 8 < z < nu.  The values equal those through
-    bessel_j bit for bit.  The argument is not checked.
+    Gamma(d/2) computed once.  For d >= 4, nu = d/2 - 1 >= 1: the normalized
+    series S_nu(z) itself wherever bessel_j would sum the series (z < nu,
+    z <= 8), elsewhere bessel_j's own branch table, _bessel_j, without its
+    checks; the values equal bessel_j's bit for bit.  z is not checked.
     """
     if d == 1:
         return math.cos
@@ -157,14 +150,11 @@ def _kernel(d: int) -> Callable[[float], float]:
         return _sinc
     nu = 0.5 * d - 1.0
     scale = math.gamma(0.5 * d)
-    upward = _bessel_j1 if nu == 1.0 else functools.partial(_bessel_upward, nu)
 
     def general(z: float) -> float:
-        if z >= nu:
-            return scale * (0.5 * z) ** -nu * upward(z)
-        if z <= 8.0:
+        if z < nu and z <= 8.0:
             return bessel_series(nu, z)
-        return scale * (0.5 * z) ** -nu * bessel_j(nu, z)
+        return scale * (0.5 * z) ** -nu * _bessel_j(nu, z)
 
     return general
 
@@ -174,7 +164,6 @@ def kernel_ghat(dim: Dimension | int, k: float, x: float) -> float:
 
     Depends on the product kx only, which must be finite and >= 0; the
     kx -> 0 limit is 1 (removable singularity handled analytically).
-    Dimensions 1-3 dispatch to the closed forms cos, J0 and sinc.
     """
     d = _dimension(dim)
     z = k * x
@@ -256,12 +245,12 @@ def radial_quadrature(d: int, g: Callable[[float], float], k: float,
         _phase_breaks(k, width, spec, lambda i, m: lo + i * width / m))
 
 
-def forward_result(dim: Dimension, profile: RadialProfile, k: float,
+def forward_result(dim: Dimension | int, profile: RadialProfile, k: float,
                    spec: QuadratureSpec) -> IntegralResult:
     """S_d * integral of profile(r) r^{d-1} ghat_d(k, r) over (0, inf), with
     the full IntegralResult (no raise on failure)."""
     _nonnegative("wavenumber", k)
-    d = dim.d
+    d = _dimension(dim)
     if k > 0.0 and (profile.decay_class == "algebraic" or (
             profile.decay_class == "exponential" and k >= _OSC_WAVENUMBER)):
         # slowly decaying or rapidly oscillating tail: cell by cell between
@@ -273,14 +262,14 @@ def forward_result(dim: Dimension, profile: RadialProfile, k: float,
     return radial_quadrature(d, profile.eval, k, 0.0, math.inf, "none", spec)
 
 
-def inverse_result(dim: Dimension, image: RadialProfile, r: float,
+def inverse_result(dim: Dimension | int, image: RadialProfile, r: float,
                    spec: QuadratureSpec) -> IntegralResult:
     """Inverse transform with the full IntegralResult (no raise on failure):
     forward_result over k with its value, estimate and magnitude scaled by
     (2 pi)^{-d}."""
     _nonnegative("radius", r)
     res = forward_result(dim, image, r, spec)
-    scale = (2.0 * math.pi) ** (-dim.d)
+    scale = (2.0 * math.pi) ** -_dimension(dim)
     return IntegralResult(res.value * scale, res.error_estimate * scale,
                           res.converged, res.evaluations,
                           res.magnitude * scale)
@@ -295,7 +284,7 @@ def _value(res: IntegralResult, hop: str, point: str) -> float:
     return float(res.value.real if isinstance(res.value, complex) else res.value)
 
 
-def forward(dim: Dimension, profile: RadialProfile, k: float,
+def forward(dim: Dimension | int, profile: RadialProfile, k: float,
             spec: QuadratureSpec) -> float:
     """Radial Fourier transform S_d int_0^inf f(r) r^{d-1} ghat_d(k, r) dr.
 
@@ -305,7 +294,7 @@ def forward(dim: Dimension, profile: RadialProfile, k: float,
                   "forward radial transform", f"k={k}")
 
 
-def inverse(dim: Dimension, image: RadialProfile, r: float,
+def inverse(dim: Dimension | int, image: RadialProfile, r: float,
             spec: QuadratureSpec) -> float:
     """Inverse transform: the same integral over k with a (2 pi)^{-d} factor."""
     return _value(inverse_result(dim, image, r, spec),

@@ -36,6 +36,7 @@ restored explicitly so TransportParams carries honest physical units.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -134,9 +135,14 @@ def intensity(p: TransportParams, r: float, t: float) -> IntensityValue:
 
 
 def fl_greens_avg(p: TransportParams, k: float, s: complex) -> complex:
-    """Directionally averaged free propagator 1/sqrt(s^2 + c^2 k^2)."""
+    """Directionally averaged free propagator 1/sqrt(s^2 + c^2 k^2).
+
+    Refuses a non-finite s with DomainError, so fl_intensity does too.
+    """
     _nonnegative("wavenumber", k)
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
     value = sqrt_s2k2(s, p.c * k)
     if value == 0.0:
         raise PoleError(f"propagator singular at (k, s) = ({k}, {s})")

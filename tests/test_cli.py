@@ -241,6 +241,21 @@ def test_transform_inverse_yukawa_image(capsys):
     assert value == pytest.approx(math.exp(-1.0), rel=1e-7)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_transform_inverse_gaussian_image(capsys, d):
+    # (2 pi)^{d/2} e^{-k^2/2} is the d-dimensional image of e^{-r^2/2}
+    code, out, _ = run(capsys, "transform", "--direction", "inverse",
+                       "--dim", str(d), "--profile", "gaussian-image",
+                       "--grid", "0,0.5,1,3")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [0.0, 0.5, 1.0, 3.0]
+    for x, value, _, converged in rows:
+        assert converged == "True"
+        assert float(value) == pytest.approx(math.exp(-0.5 * float(x) ** 2),
+                                             rel=1e-12, abs=0.0)
+
+
 def test_transform_rejects_bad_dimension(capsys):
     code, _, err = run(capsys, "transform", "--dim", "0",
                        "--profile", "gaussian", "--grid", "1")

@@ -368,6 +368,20 @@ def test_inverse_refuses_a_time_too_small_for_a_finite_radius():
         inverse_laplace(lambda s: 1.0 / (s + 1.0), 1e-310, 48)
 
 
+@pytest.mark.parametrize("t, height, nodes", [(1.0, 700.0, 48),
+                                              (10.0, 1000.0, 48),
+                                              (1.0, 0.0, 6000)])
+def test_inverse_refuses_a_radius_whose_exponential_overflows(t, height,
+                                                              nodes):
+    # r t > 709.78 raised a bare OverflowError, "math range error", from
+    # e^{r t} at the contour's first node
+    with pytest.raises(DomainError,
+                       match=rf"contour radius overflows e\^\(r t\) at r = \S+, "
+                             rf"t = {t}, branch_height = {height}"):
+        inverse_laplace(lambda s: 1.0 / (s + 1.0), t, nodes,
+                        branch_height=height)
+
+
 def test_inverse_refuses_a_nan_branch_height():
     # max() used to drop the nan and invert as if the height were 0
     with pytest.raises(DomainError, match="branch height"):

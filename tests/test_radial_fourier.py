@@ -52,6 +52,32 @@ def test_non_integral_dimensions_are_refused(d):
         Dimension(d)
 
 
+def _gaussian_image(d):
+    return RadialProfile(
+        lambda k: (2 * math.pi) ** (0.5 * d) * math.exp(-0.5 * k * k),
+        decay_class="gaussian")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 21])
+def test_transforms_take_an_int_dimension(d):
+    # forward_result and inverse_result read dim.d, so an int d raised
+    # AttributeError there while every other radial entry took it
+    image = _gaussian_image(d)
+    for hop, profile, x in ((forward, GAUSSIAN, 1.0),
+                            (forward_result, GAUSSIAN, 1.0),
+                            (inverse, image, 0.5),
+                            (inverse_result, image, 0.5)):
+        assert hop(d, profile, x, SPEC) == hop(Dimension(d), profile, x, SPEC)
+
+
+@pytest.mark.parametrize("d", [2.5, 0])
+@pytest.mark.parametrize("hop", [forward, forward_result, inverse,
+                                 inverse_result])
+def test_transforms_refuse_a_dimension_that_is_not_an_integer_ge_1(hop, d):
+    with pytest.raises(DomainError, match="dimension"):
+        hop(d, GAUSSIAN, 1.0, SPEC)
+
+
 def test_kernel_closed_form_values():
     assert kernel_ghat(2, 1.0, 0.0) == 1.0
     assert kernel_ghat(1, math.pi, 1.0) == pytest.approx(-1.0, rel=1e-14)
@@ -401,16 +427,19 @@ def test_yukawa_image_seeded_sweep_on_the_oscillatory_path():
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7, 8, 9, 21, 24, 25])
 def test_general_kernel_equals_the_bessel_j_path_bit_for_bit(d):
-    # the d >= 4 kernel skips bessel_j's checks and dispatch but must give
-    # the same bits as the normalized series below nu (z <= 8) and
-    # Gamma(d/2) (z/2)^{-nu} bessel_j(nu, z) elsewhere
+    # the d >= 4 kernel skips bessel_j's checks but must give the same
+    # bits as the normalized series below nu (z <= 8) and
+    # Gamma(d/2) (z/2)^{-nu} bessel_j(nu, z) elsewhere: z >= nu, and
+    # Miller's range 8 < z < nu where nu > 8 (d = 21, 24, 25)
     nu = 0.5 * d - 1.0
     scale = math.gamma(0.5 * d)
     kern = radial_fourier._kernel(d)
     rng = random.Random(d)
     zs = [rng.uniform(0.0, 300.0) for _ in range(2000)]
     zs += [nu, math.nextafter(nu, 0.0), 8.0, math.nextafter(8.0, 9.0),
-           20.0 + nu * nu, 1.0, 1e-9, 300.0]
+           0.5 * (8.0 + nu), 20.0 + nu * nu, 1.0, 1e-9, 300.0]
+    if nu > 8.0:
+        assert any(8.0 < z < nu for z in zs)
     for z in zs:
         if z < nu and z <= 8.0:
             want = bessel_series(nu, z)

@@ -97,6 +97,15 @@ def test_fl_intensity_refuses_a_wavenumber_not_finite_and_nonnegative(k):
         fl_intensity(UNIT, k, 1.0)
 
 
+@pytest.mark.parametrize("s", [math.inf, complex(1.0, math.inf), math.nan,
+                               complex(1.0, math.nan), -math.inf])
+@pytest.mark.parametrize("entry", [fl_greens_avg, fl_intensity])
+def test_fl_images_refuse_an_s_that_is_not_finite(entry, s):
+    # both returned nan+nanj
+    with pytest.raises(DomainError, match="s must be finite"):
+        entry(UNIT, 1.0, s)
+
+
 def test_fl_intensity_pole_error():
     with pytest.raises(PoleError):
         fl_intensity(UNIT, 0.0, 0.0)

@@ -315,6 +315,17 @@ def test_too_few_nodes_raises():
         verify_all([2], pair_ids=["2.1"], nodes=2)
 
 
+def test_a_contour_exponential_out_of_range_is_reported_by_name():
+    # at (k, t) = (40, 20) the radius 46 makes e^{r t} overflow; the report
+    # used to record only "math range error"
+    rep = verify_pair_mixed("1.2", 2, EXP1, [(40.0, 20.0)], SPEC)
+    assert not rep.passed
+    [(point, message)] = rep.failures
+    assert point == (40.0, 20.0)
+    assert message.startswith("contour radius overflows")
+    assert "at r = 46.0, t = 20.0" in message
+
+
 def test_verify_pair_mixed_refuses_too_few_nodes_before_any_hop(monkeypatch):
     def no_hop(*args, **kwargs):
         raise AssertionError("a hop ran")
