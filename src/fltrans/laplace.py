@@ -2,10 +2,12 @@
 
 The forward transform integrates e^{-s t} f(t) by damped semi-infinite
 quadrature along one ray t = tau e^{i alpha}, the real axis being the
-alpha = 0 ray.  Originals that are analytic in a sector advertise it
+alpha = 0 ray, in geometric cells of u = sqrt(rho) tau sized to the ray's
+decay rate rho.  Originals that are analytic in a sector advertise it
 through TimeOriginal.eval_complex; for them the ray is rotated into the
 complex t-plane whenever a rotated ray decays faster than both the real
-axis and rate 1; the steepest ray within 82 degrees has a closed form.
+axis and rate 1; the steepest ray within 120 degrees has a closed form,
+held at 90 degrees where f's own bound would grow too fast along it.
 That computes the analytic continuation of the integral, which reaches
 points left of the growth abscissa (the deep part of an inversion
 contour) and replaces the slowly decaying real-axis integrand just right
@@ -58,9 +60,12 @@ class TimeOriginal:
 
     sigma0 is the growth abscissa (|f(t)| <= C exp(sigma0 t)); f is
     integrated over the whole half-line t >= 0.  For evaluation left of
-    sigma0 (deep inversion-contour nodes) an entire original may supply
-    eval_complex, valid on the sector swept by ray rotation, with
-    |f(z)| <= C(|z|) exp(sigma0 Re z + imag_growth |Im z|).  Refuses a
+    sigma0 (deep inversion-contour nodes) an original analytic on the
+    sector |arg z| <= 120 degrees, the one ray rotation sweeps, may
+    supply eval_complex, with
+    |f(z)| <= C(|z|) exp(sigma0 Re z + imag_growth |Im z|) there, C(|z|)
+    growing slower than any exponential.  Entire originals qualify, and so
+    does sqrt(z) e^{-z}, analytic off the negative real axis.  Refuses a
     non-finite sigma0, and an imag_growth not finite and >= 0, when built.
     """
 
@@ -101,18 +106,16 @@ def sqrt_s2k2(s: complex, k: float) -> complex:
 
 
 _MARGIN = 0.1
-_MAX_RAY_ANGLE = math.radians(82.0)
+_MAX_RAY_ANGLE = math.radians(120.0)
 
 
-def _damped_product(value, exponent: complex) -> complex:
-    """value * exp(exponent) without spurious intermediate overflow.
+def _fused_product(value, exponent: complex) -> complex:
+    """value * exp(exponent) for an exponent whose exp alone overflows.
 
-    Fuses the factors through log space when exp(exponent) alone would
-    overflow but the damped product is representable (a decaying original
-    against a contour node with Re s < 0).
+    Fuses the factors through log space, so the damped product is
+    returned whenever it is representable (a decaying original against a
+    contour node with Re s < 0).
     """
-    if exponent.real <= 600.0:
-        return cmath.exp(exponent) * value
     if value == 0.0:
         return 0.0 + 0.0j
     combined = cmath.log(complex(value)) + exponent
@@ -129,8 +132,22 @@ def _best_ray(f: TimeOriginal, s: complex) -> tuple[float, float]:
     # 0 <= beta <= _MAX_RAY_ANGLE is at beta = atan2(c, x) clamped to it
     x = s.real - f.sigma0
     c = abs(s.imag) - f.imag_growth
+    if x < 0.0 and c <= 0.0:
+        # left of sigma0 within |Im s| <= g, where the image's singularities
+        # lie, the sign of Im s picks no side of a cut, and no ray within
+        # 90 degrees decays: the real axis, which diverges, refuses s
+        return 0.0, x
     beta = min(max(math.atan2(c, x), 0.0), _MAX_RAY_ANGLE)
-    return -math.copysign(beta, s.imag), x * math.cos(beta) + c * math.sin(beta)
+    cos, sin = math.cos(beta), math.sin(beta)
+    decay = x * cos + c * sin
+    # past 90 degrees f's own bound may grow along the ray, at
+    # sigma0 cos(beta) + g sin(beta); faster than 4 times the decay, f
+    # overflows inside the cells the quadrature reaches.  The sinusoid
+    # rises up to its peak, so 90 degrees, decay c, is the next best ray
+    if (beta > 0.5 * math.pi
+            and f.sigma0 * cos + f.imag_growth * sin > 4.0 * decay):
+        beta, decay = 0.5 * math.pi, c
+    return -math.copysign(beta, s.imag), decay
 
 
 def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> complex:
@@ -139,12 +156,22 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
     Requires Re s > sigma0 + margin unless f supplies eval_complex.  With
     eval_complex the integration ray is rotated into the sector of
     analyticity, returning the analytic continuation, whenever the
-    steepest ray with |alpha| <= 82 degrees (in closed form) decays faster
+    steepest ray with |alpha| <= 120 degrees (in closed form) decays faster
     than both the real axis and rate 1, and left of sigma0 + margin
-    whenever it decays faster than 0.25.  Otherwise the real axis is
-    integrated as it stands, also at large |Im s|, where the geometric
-    cells resolve the oscillation at the cost of many more evaluations.
-    Refuses an s that is not finite with DomainError.
+    whenever it decays faster than 0.25.  Past 90 degrees f itself may
+    grow along the ray; the ray is held at 90 degrees where f's bound
+    would grow faster than 4 times the ray's decay rate.  Left of sigma0
+    within |Im s| <= imag_growth, a real s among them, no ray is taken:
+    the image's singularities lie there, and the sign of Im s, which picks
+    the side the ray leans to, picks no side of a cut.  Otherwise the real
+    axis is integrated as it stands, also at large |Im s|, where the
+    geometric cells resolve the oscillation at the cost of many more
+    evaluations.  The cells are sized to the ray's decay rate rho: they
+    are the geometric cells of u = sqrt(rho) tau.
+    Refuses an s that is not finite, or that no ray reaches, with
+    DomainError.  Raises LaplaceError where f overflows inside the range
+    the quadrature reaches, or underflows under an overflowing damping
+    factor before its damped integrand is negligible.
     """
     s = complex(s)
     if not cmath.isfinite(s):
@@ -163,17 +190,28 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
         raise DomainError(f"no convergent integration ray for s={s}")
     else:
         evaluate, ray = f.eval_complex, cmath.exp(1j * alpha)
+    # t = step u: the cell edges u = 1, 3, 7, ... scale as 1 / sqrt(rho)
+    step = ray / math.sqrt(ray_decay)
+    minus_s = -s
 
-    def integrand(tau: float) -> complex:
-        z = ray * tau
-        value = evaluate(z) * ray
+    def integrand(u: float) -> complex:
+        z = step * u
+        try:
+            value = evaluate(z) * step
+        except OverflowError:
+            raise LaplaceError(
+                f"original overflows at t={z}, inside the range the "
+                "quadrature reaches") from None
+        exponent = minus_s * z
+        if exponent.real <= 600.0:
+            return cmath.exp(exponent) * value
         # an original that underflowed to 0 under an overflowing damping
         # factor hides a product that may still exceed e^{-32} ~ 1e-14
-        if value == 0.0 and (s * z).real < -600.0 and ray_decay * tau < 32.0:
+        if value == 0.0 and ray_decay * abs(z) < 32.0:
             raise LaplaceError(
                 f"original underflows at t={z} where the damped integrand "
                 "is not negligible")
-        return _damped_product(value, -s * z)
+        return _fused_product(value, exponent)
 
     res = integrate_semi_infinite(integrand, 0.0, spec)
     if not res.converged:

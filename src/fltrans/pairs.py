@@ -425,12 +425,14 @@ def lookup(pair_id: str) -> PairDescriptor:
 def _exp_poly(original_id: str, n: int, a: float) -> TestOriginal:
     # sigma0 is 0.0 - a, not -a, so that unit's stays +0.0
     fact = math.factorial(n)
-    return TestOriginal(
-        id=original_id,
-        f=TimeOriginal(lambda u: u ** n * math.exp(-a * u), sigma0=0.0 - a,
-                       eval_complex=lambda z: z ** n * cmath.exp(-a * z)),
-        fhat=lambda s: fact / (s + a) ** (n + 1),
-    )
+    if n == 0:  # u^0 = 1: skip the power
+        f = TimeOriginal(lambda u: math.exp(-a * u), sigma0=0.0 - a,
+                         eval_complex=lambda z: cmath.exp(-a * z))
+    else:
+        f = TimeOriginal(lambda u: u ** n * math.exp(-a * u), sigma0=0.0 - a,
+                         eval_complex=lambda z: z ** n * cmath.exp(-a * z))
+    return TestOriginal(id=original_id, f=f,
+                        fhat=lambda s: fact / (s + a) ** (n + 1))
 
 
 def _sine(a: float) -> TestOriginal:
