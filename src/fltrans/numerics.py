@@ -17,8 +17,9 @@ Scalar, pure-Python kernels used by every other module:
   over its nodes, serves this rule and G7/K15.  Each panel also returns
   QUADPACK's resabs, its estimate of the integral of |f|, and each result
   the sum of it over the final partition (IntegralResult.magnitude).
-* Semi-infinite quadrature by one cell loop: geometric cells (G10/K21) for
-  decaying integrands, half-period cells (G7/K15) between the zeros of the
+* Semi-infinite quadrature by one cell loop, first cell included: geometric
+  cells (G10/K21), their edges summed once in order, for decaying
+  integrands, half-period cells (G7/K15) between the zeros of the
   oscillating factor for oscillatory ones, ended by the first negligible
   cell, the first whose magnitude is below the tolerance, or by Wynn
   epsilon acceleration while cells alternate; a cell that stopped on its
@@ -562,29 +563,21 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
     if not -math.inf < a <= b < math.inf:  # also refuses NaN
         raise DomainError(f"integrate_adaptive requires finite a <= b, "
                           f"got ({a}, {b})")
-    if breaks:
-        edges = (a, *breaks, b)
-        if not all(x <= y for x, y in zip(edges, edges[1:])):  # and NaN
-            raise DomainError(f"breaks must be nondecreasing within "
-                              f"({a}, {b}), got {tuple(breaks)}")
-        # a repeated break adds no panel
-        spans = [(x, y) for x, y in zip(edges, edges[1:]) if x < y]
-    else:
-        spans = ((a, b),)
-    if a == b:
-        return IntegralResult(0.0, 0.0, True, 0, 0.0)
+    edges = (a, *breaks, b)
+    if not all(x <= y for x, y in zip(edges, edges[1:])):  # and NaN
+        raise DomainError(f"breaks must be nondecreasing within "
+                          f"({a}, {b}), got {tuple(breaks)}")
     # heap entries: (-error, counter, a, b, value, error, resabs); counter
-    # breaks ties
+    # breaks ties.  An empty span (a repeated break, or a == b) adds no panel.
     cells = []
-    for ca, cb in spans:
-        val, err, mag = panel(f, ca, cb)
-        if cells:
+    total = total_err = total_mag = 0.0
+    for ca, cb in zip(edges, edges[1:]):
+        if ca < cb:
+            val, err, mag = panel(f, ca, cb)
             total += val
             total_err += err
             total_mag += mag
-        else:
-            total, total_err, total_mag = val, err, mag
-        cells.append((-err, len(cells), ca, cb, val, err, mag))
+            cells.append((-err, len(cells), ca, cb, val, err, mag))
     heapq.heapify(cells)
     count = len(cells) - 1
     points = panel.points
@@ -630,11 +623,6 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     through converged=False, never by a silently wrong value.
     """
     return _adaptive(f, a, b, spec, _gk21, breaks)
-
-
-def _integrate_k15(f, a: float, b: float, spec: QuadratureSpec) -> IntegralResult:
-    # integrate_adaptive on G7/K15 panels: 15 evaluations per panel
-    return _adaptive(f, a, b, spec, _gk15)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +686,10 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
                      integrate) -> IntegralResult:
     """Sum of integrate(f, lo, hi, spec) over the cells (a, edge(1)), (edge(1), edge(2)), ...
 
-    integrate is integrate_adaptive (G10/K21 panels) or _integrate_k15
-    (G7/K15 panels), whichever rule fits the cells.  The error estimate
+    One loop walks cells 1 to 201, the first cell its first iteration, and
+    asks edge(n) once per cell, in order.  integrate is integrate_adaptive
+    (G10/K21 panels) or _adaptive on G7/K15 panels, whichever rule fits
+    the cells.  The error estimate
     sums the cell estimates (QUADPACK's convention), and the magnitude the
     cell magnitudes.  The sum stops on the first cell past the second whose
     magnitude, the integral of |f| over it, is at most
@@ -717,24 +707,17 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
     a cell whose error estimate is at the roundoff of its value counts as
     converged.
     """
-    hi = edge(1)  # a cell's upper edge is the next cell's lower one
-    first = integrate(f, a, hi, spec)
-    # every cell stopped on its tolerance or at roundoff, not on its budget
-    # or at machine resolution
-    resolved = first.converged or _at_roundoff(first.error_estimate,
-                                               first.value)
-    evals = first.evaluations
-    total = part = first.value
-    cell_err = first.error_estimate
-    magnitude = first.magnitude
-    sums = [total]
+    resolved = True  # no cell stopped on its budget or at machine resolution
+    evals = 0
+    total = part = cell_err = magnitude = 0.0
+    sums = []
     table = None  # the epsilon table, from the first alternation on
     prev_accel = None
-    for c in range(_OSCILLATION_CELLS):
-        prev = part
-        lo, hi = hi, edge(c + 2)
+    hi = a  # a cell's upper edge is the next cell's lower one
+    for n in range(1, _OSCILLATION_CELLS + 2):
+        lo, hi = hi, edge(n)
         res = integrate(f, lo, hi, spec)
-        part = res.value
+        prev, part = part, res.value
         resolved = resolved and (res.converged or _at_roundoff(
             res.error_estimate, part))
         evals += res.evaluations
@@ -743,12 +726,12 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
         magnitude += res.magnitude
         sums.append(total)
         tol = 0.1 * max(spec.abs_tol, spec.rel_tol * abs(total))
-        if c >= 1 and res.magnitude <= max(tol, 5e-16 * abs(total)):
+        if n > 2 and res.magnitude <= max(tol, 5e-16 * abs(total)):
             return IntegralResult(total, res.magnitude + cell_err, resolved,
                                   evals, magnitude)
         if table is not None:
             table.add(total)
-        if (part * prev.conjugate()).real >= 0.0:  # not alternating
+        if n == 1 or (part * prev.conjugate()).real >= 0.0:  # not alternating
             prev_accel = None
         elif len(sums) >= 6:
             if table is None:
@@ -769,18 +752,19 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult:
     """Integral of a decaying f over (a, inf) by geometric cells.
 
-    The cells end at a + 1, 3, 7, ..., 63 and then every 64; a tail that
-    does not decay is reported through converged=False.  a must be finite.
+    The cells end at a + 1, 3, 7, ..., 63 and then every 64, each edge the
+    previous one plus its width, computed once; a tail that does not decay
+    is reported through converged=False.  a must be finite.
     """
     if not -math.inf < a < math.inf:  # also refuses NaN
         raise DomainError(f"integrate_semi_infinite requires a finite a, "
                           f"got {a}")
 
+    edges = [a]  # widths 1, 2, 4, ..., 64, 64, ... added in order, once
     def edge(n: int) -> float:
-        x = a  # widths 1, 2, 4, ..., 64, 64, ... added in order
-        for m in range(n):
-            x += min(2.0 ** m, 64.0)
-        return x
+        while len(edges) <= n:
+            edges.append(edges[-1] + min(2.0 ** (len(edges) - 1), 64.0))
+        return edges[n]
 
     return _integrate_cells(f, a, edge, spec, integrate_adaptive)
 
@@ -797,4 +781,5 @@ def integrate_oscillatory(f, zero, spec: QuadratureSpec) -> IntegralResult:
     cells of integrate_semi_infinite keep G10/K21, on which K15 needs more
     bisections than it saves.
     """
-    return _integrate_cells(f, 0.0, zero, spec, _integrate_k15)
+    return _integrate_cells(f, 0.0, zero, spec,
+                            functools.partial(_adaptive, panel=_gk15))

@@ -70,7 +70,8 @@ class EdgeError(ValueError):
 
 
 class ValidityError(ValueError):
-    """Re phi(k, s) does not exceed the original's growth abscissa."""
+    """Re phi(k, s) does not exceed the original's growth abscissa, or the
+    image is singular at s (every row at s = 0)."""
 
 
 _EDGE_MARGIN = 1e-3
@@ -539,18 +540,23 @@ def eval_spacetime(pair: PairDescriptor, d: int, f: TestOriginal,
 def eval_fl(pair: PairDescriptor, d: int, f: TestOriginal, k: float,
             s: complex) -> complex:
     """pair.fl_profile(k, d, f.fhat)(s) where fhat(phi) is f's Laplace
-    integral: refuses an s that is not finite with DomainError, and
-    Re phi(k, s) <= sigma0 with ValidityError."""
+    integral: refuses an s that is not finite with DomainError, and, with
+    ValidityError, Re phi(k, s) <= sigma0 and an s where the image is
+    singular (s = 0 on every row, at any k)."""
     image = pair.fl_profile(k, d, f.fhat)
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
-    phi = pair.fl_phi(k, s)
-    if not phi.real > f.f.sigma0:
-        raise ValidityError(
-            f"Re phi = {phi.real:.6g} does not exceed sigma0 = "
-            f"{f.f.sigma0:.6g} for pair {pair.id}")
-    return image(s)
+    try:
+        phi = pair.fl_phi(k, s)
+        if not phi.real > f.f.sigma0:
+            raise ValidityError(
+                f"Re phi = {phi.real:.6g} does not exceed sigma0 = "
+                f"{f.f.sigma0:.6g} for pair {pair.id}")
+        return image(s)
+    except ZeroDivisionError:  # phi or the image divides by zero
+        raise ValidityError(f"pair {pair.id} is singular at s = {s}, "
+                            f"k = {k}") from None
 
 
 def registry_rows() -> Sequence[PairDescriptor]:

@@ -343,6 +343,7 @@ def test_adaptive_empty_interval_evaluates_nothing():
 
     res = integrate_adaptive(never, 1.0, 1.0, SPEC)
     assert res == IntegralResult(0.0, 0.0, True, 0, 0.0)
+    assert integrate_adaptive(never, 2.0, 2.0, SPEC, breaks=(2.0, 2.0)) == res
 
 
 def test_adaptive_magnitude_is_the_kronrod_integral_of_the_absolute_value():
@@ -549,6 +550,30 @@ def test_semi_infinite_exponential_value_and_work_are_pinned(monkeypatch):
     res = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC)
     assert res.converged
     assert (res.value, res.evaluations) == (1.0000000000000002, 126)
+
+
+def test_geometric_edges_are_sequential_sums_through_the_cell_cap(monkeypatch):
+    # every edge is a plus the widths 1, 2, 4, ..., 64, 64, ... added in
+    # order, through the last of the 201 cells.  At a start that is not
+    # dyadic a closed form a + 2^n - 1 rounds differently (3.0999999999999996
+    # for 3.1).  The geometric cells reach integrate_adaptive by its module
+    # name, where a traced run counts them.
+    cells = []
+
+    def cell(f, lo, hi, spec):
+        cells.append((lo, hi))
+        return IntegralResult(1.0, 0.0, True, 21, 1.0)
+
+    monkeypatch.setattr(numerics, "integrate_adaptive", cell)
+    res = integrate_semi_infinite(None, 0.1, SPEC)
+    want, x = [], 0.1
+    for m in range(201):
+        lo, x = x, x + min(2.0 ** m, 64.0)
+        want.append((lo, x))
+    assert cells == want
+    assert cells[1:3] == [(1.1, 3.1), (3.1, 7.1)]
+    assert cells[6:8] == [(63.1, 127.1), (127.1, 191.1)]
+    assert (res.converged, res.evaluations) == (False, 21 * 201)
 
 
 def _epsilon_reference(sums):

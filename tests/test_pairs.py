@@ -303,6 +303,17 @@ def test_eval_spacetime_at_the_origin(row_id, value):
         assert got == pytest.approx(value, abs=5e-6)
 
 
+@pytest.mark.parametrize("row_id", PAIR_IDS)
+def test_eval_fl_at_s_zero_is_refused(row_id):
+    # every image is singular at s = 0, at k = 0 and k = 1 alike, where
+    # eval_fl raised a bare ZeroDivisionError: on the cut of sqrt(s^2 + k^2),
+    # from a power of zero, or in phi (rows 2.2 and 2.4)
+    for k in (0.0, 1.0):
+        with pytest.raises(ValidityError, match=f"pair {row_id} is singular "
+                                                r"at s = 0j"):
+            eval_fl(lookup(row_id), 3, EXP1, k, 0.0)
+
+
 @pytest.mark.parametrize("pid", ["1.2", "2.1", "2.2"])
 @pytest.mark.parametrize("r, t", [(math.nan, 1.0), (0.5, math.nan),
                                   (-0.5, 1.0), (0.5, math.inf),
