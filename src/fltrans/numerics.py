@@ -17,18 +17,19 @@ Scalar, pure-Python kernels used by every other module:
   over its nodes, serves this rule and G7/K15.  Each panel also returns
   QUADPACK's resabs, its estimate of the integral of |f|, and each result
   the sum of it over the final partition (IntegralResult.magnitude).
-* Semi-infinite quadrature by one cell loop, first cell included: geometric
-  cells (G10/K21), their edges summed once in order, for decaying
-  integrands, half-period cells (G7/K15) between the zeros of the
-  oscillating factor for oscillatory ones, ended by the first negligible
-  cell, the first whose magnitude is below the tolerance, or by Wynn
-  epsilon acceleration while cells alternate; a cell that stopped on its
-  subdivision budget leaves the sum unconverged.  The epsilon table is one
-  anti-diagonal over the newest 24 partial sums, extended once per cell
-  from the first alternation on and ended at its first degenerate
-  difference, on the scale of the largest |sum| so far or of the
-  column's own entry; a loop whose cells never alternate does no epsilon
-  work.  The zeros of J_nu (bessel_j_zero) are cached.
+* Semi-infinite quadrature by one cell loop, first cell included, over an
+  iterator of cell edges, each cell bisected on the loop's panel rule:
+  geometric cells (G10/K21), their edges one running sum of the widths,
+  for decaying integrands, half-period cells (G7/K15) between the zeros
+  of the oscillating factor for oscillatory ones.  It ends on the first
+  negligible cell, the first whose magnitude is below the tolerance, or
+  by Wynn epsilon acceleration while cells alternate; a cell that stopped
+  on its subdivision budget leaves the sum unconverged.  The epsilon
+  table is one anti-diagonal over the newest 24 partial sums, extended
+  once per cell from the first alternation on and ended at its first
+  degenerate difference, on the scale of the largest |sum| so far or of
+  the column's own entry; a loop whose cells never alternate does no
+  epsilon work.  The zeros of J_nu (bessel_j_zero) are cached.
 
 All functions are pure and reentrant; the dataclasses are frozen, so
 values may be shared freely across threads.
@@ -40,6 +41,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, count, pairwise, repeat
 
 
 class DomainError(ValueError):
@@ -563,23 +565,23 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
     if not -math.inf < a <= b < math.inf:  # also refuses NaN
         raise DomainError(f"integrate_adaptive requires finite a <= b, "
                           f"got ({a}, {b})")
-    edges = (a, *breaks, b)
-    if not all(x <= y for x, y in zip(edges, edges[1:])):  # and NaN
+    spans = list(pairwise((a, *breaks, b)))
+    if not all(x <= y for x, y in spans):  # and NaN
         raise DomainError(f"breaks must be nondecreasing within "
                           f"({a}, {b}), got {tuple(breaks)}")
-    # heap entries: (-error, counter, a, b, value, error, resabs); counter
-    # breaks ties.  An empty span (a repeated break, or a == b) adds no panel.
+    # heap entries (-error, tie, a, b, value, error, resabs), ties broken in
+    # push order.  An empty span (a repeated break, or a == b) adds no panel.
+    tie = count()
     cells = []
     total = total_err = total_mag = 0.0
-    for ca, cb in zip(edges, edges[1:]):
+    for ca, cb in spans:
         if ca < cb:
             val, err, mag = panel(f, ca, cb)
             total += val
             total_err += err
             total_mag += mag
-            cells.append((-err, len(cells), ca, cb, val, err, mag))
+            cells.append((-err, next(tie), ca, cb, val, err, mag))
     heapq.heapify(cells)
-    count = len(cells) - 1
     points = panel.points
     evals = points * len(cells)
     while True:
@@ -600,10 +602,8 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
         total += lval + rval - cval
         total_err += lerr + rerr - cerr
         total_mag += lmag + rmag - cmag
-        count += 1
-        heapq.heappush(cells, (-lerr, count, ca, mid, lval, lerr, lmag))
-        count += 1
-        heapq.heappush(cells, (-rerr, count, mid, cb, rval, rerr, rmag))
+        heapq.heappush(cells, (-lerr, next(tie), ca, mid, lval, lerr, lmag))
+        heapq.heappush(cells, (-rerr, next(tie), mid, cb, rval, rerr, rmag))
 
 
 def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
@@ -682,16 +682,16 @@ class _EpsilonTable:
 _OSCILLATION_CELLS = 200
 
 
-def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
-                     integrate) -> IntegralResult:
-    """Sum of integrate(f, lo, hi, spec) over the cells (a, edge(1)), (edge(1), edge(2)), ...
+def _integrate_cells(f, edges, spec: QuadratureSpec,
+                     panel: _GaussKronrod) -> IntegralResult:
+    """Sum of the adaptive integrals of f over the cells between the edges.
 
-    One loop walks cells 1 to 201, the first cell its first iteration, and
-    asks edge(n) once per cell, in order.  integrate is integrate_adaptive
-    (G10/K21 panels) or _adaptive on G7/K15 panels, whichever rule fits
-    the cells.  The error estimate
-    sums the cell estimates (QUADPACK's convention), and the magnitude the
-    cell magnitudes.  The sum stops on the first cell past the second whose
+    edges is an iterator of increasing cell edges, the start first; one
+    loop walks cells 1 to 201, the first cell its first iteration, and
+    bisects each on the loop's panel rule (G10/K21 for geometric cells,
+    G7/K15 for half-period ones).  The error estimate sums the cell
+    estimates (QUADPACK's convention), and the magnitude the cell
+    magnitudes.  The sum stops on the first cell past the second whose
     magnitude, the integral of |f| over it, is at most
     max(0.1 tol, 5e-16 |total|), tol = max(abs_tol, rel_tol |total|), with
     that magnitude added to the error; a cell whose signed integral cancels
@@ -713,10 +713,9 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
     sums = []
     table = None  # the epsilon table, from the first alternation on
     prev_accel = None
-    hi = a  # a cell's upper edge is the next cell's lower one
-    for n in range(1, _OSCILLATION_CELLS + 2):
-        lo, hi = hi, edge(n)
-        res = integrate(f, lo, hi, spec)
+    # range goes first, so that zip asks no edge past the last cell
+    for n, (lo, hi) in zip(range(1, _OSCILLATION_CELLS + 2), pairwise(edges)):
+        res = _adaptive(f, lo, hi, spec, panel)
         prev, part = part, res.value
         resolved = resolved and (res.converged or _at_roundoff(
             res.error_estimate, part))
@@ -733,7 +732,7 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
             table.add(total)
         if n == 1 or (part * prev.conjugate()).real >= 0.0:  # not alternating
             prev_accel = None
-        elif len(sums) >= 6:
+        elif n >= 6:
             if table is None:
                 table = _EpsilonTable(sums)
             accel = table.estimate()
@@ -752,34 +751,29 @@ def _integrate_cells(f, a: float, edge, spec: QuadratureSpec,
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec) -> IntegralResult:
     """Integral of a decaying f over (a, inf) by geometric cells.
 
-    The cells end at a + 1, 3, 7, ..., 63 and then every 64, each edge the
-    previous one plus its width, computed once; a tail that does not decay
-    is reported through converged=False.  a must be finite.
+    The cells end at a + 1, 3, 7, ..., 63 and then every 64, the edges one
+    running sum of the widths 1, 2, 4, ..., 64, 64, ... from a, and take
+    G10/K21 panels; a tail that does not decay is reported through
+    converged=False.  a must be finite.
     """
     if not -math.inf < a < math.inf:  # also refuses NaN
         raise DomainError(f"integrate_semi_infinite requires a finite a, "
                           f"got {a}")
-
-    edges = [a]  # widths 1, 2, 4, ..., 64, 64, ... added in order, once
-    def edge(n: int) -> float:
-        while len(edges) <= n:
-            edges.append(edges[-1] + min(2.0 ** (len(edges) - 1), 64.0))
-        return edges[n]
-
-    return _integrate_cells(f, a, edge, spec, integrate_adaptive)
+    widths = chain((1.0, 2.0, 4.0, 8.0, 16.0, 32.0), repeat(64.0))
+    return _integrate_cells(f, accumulate(widths, initial=a), spec, _gk21)
 
 
 def integrate_oscillatory(f, zero, spec: QuadratureSpec) -> IntegralResult:
     """Integral of f(x) over (0, inf), cell by cell between oscillation zeros.
 
     zero(n) is the n-th positive zero (n >= 1, increasing in n) of the
-    oscillating factor of f; the cells alternate, so Wynn's epsilon applies.
-    A cell spans half a period, on which f is smooth and close to one arch,
-    so each cell is integrated adaptively on QUADPACK's G7/K15 panel (dqk15,
-    15 evaluations per panel and 30 per bisection): there 15 nodes meet the
-    tolerance that a G10/K21 panel would spend 21 on.  The wide geometric
-    cells of integrate_semi_infinite keep G10/K21, on which K15 needs more
+    oscillating factor of f, asked once per cell in order; the cells
+    alternate, so Wynn's epsilon applies.  A cell spans half a period, on
+    which f is smooth and close to one arch, so each cell is integrated
+    adaptively on QUADPACK's G7/K15 panel (dqk15, 15 evaluations per panel
+    and 30 per bisection): there 15 nodes meet the tolerance that a
+    G10/K21 panel would spend 21 on.  The wide geometric cells of
+    integrate_semi_infinite keep G10/K21, on which K15 needs more
     bisections than it saves.
     """
-    return _integrate_cells(f, 0.0, zero, spec,
-                            functools.partial(_adaptive, panel=_gk15))
+    return _integrate_cells(f, chain((0.0,), map(zero, count(1))), spec, _gk15)

@@ -72,9 +72,9 @@ _OSC_WAVENUMBER = 1.0
 # estimate (from |K21 - G10|) is at most 5.6e-14 at L = 2.5 pi, 1.7e-12
 # at 3 pi, 1.8e-10 at 3.5 pi and 9.2e-9 at 4 pi, against the default
 # tolerances of 1e-12 absolute and 1e-10 relative.  Measured as
-# integrate_adaptive evaluations of one traced pass of the wave benchmark
-# (91686 with a single panel): 78204, 72765, 68964, 69972 and 79233 at 2,
-# 2.5, 3, 3.5 and 4 pi per panel
+# integrate_adaptive evaluations (finite ranges only) of one traced pass of
+# the wave benchmark (59493 with a single panel): 46011, 40572, 36771,
+# 37779 and 47040 at 2, 2.5, 3, 3.5 and 4 pi per panel
 _PANEL_PHASE = 3.0 * math.pi
 
 # changes of variable radial_quadrature applies at an edge singularity
