@@ -351,6 +351,56 @@ def test_forward_is_accurate_at_every_contour_node_of_the_catalog():
     assert worst <= 1e-14
 
 
+def test_forward_sums_the_laguerre_pair_at_the_contour_nodes():
+    # t^2 e^{-t} is a quadratic against the ray's decay: at each node of
+    # the t = 1 contour the 20- and 40-node rules agree, 60 evaluations in
+    # all, whichever ray the node takes
+    entry = catalog_lookup("poly_exp:2,1")
+    calls = []
+
+    def counted(evaluate):
+        return lambda z: calls.append(z) or evaluate(z)
+
+    f = replace(entry.f, eval=counted(entry.f.eval),
+                eval_complex=counted(entry.f.eval_complex))
+    for s in _contour_nodes(0.0, times=(1.0,)):
+        calls.clear()
+        got = forward_laplace(f, s, TIGHT)
+        assert len(calls) == 60, s
+        assert abs(got - entry.fhat(s)) <= 1e-14 * abs(entry.fhat(s)), s
+
+
+@pytest.mark.parametrize("oid", ["exp_decay:-6", "exp_decay:-8"])
+def test_a_growing_original_whose_bound_overflows_at_the_pair_takes_the_cells(
+        oid):
+    # e^{a t}, a = 6 or 8, checked at Re s = a + 1.1: the pair's farthest
+    # node tau = 142.3 / 1.1 lies where e^{a tau} overflows, so the image
+    # check, which builds the original, runs on the cells
+    entry = catalog_lookup(oid)
+    for shift in (1.1, 2.6):
+        s = entry.f.sigma0 + shift
+        assert forward_laplace(entry.f, s, SPEC) == pytest.approx(
+            1.0 / shift, rel=1e-12)
+
+
+def test_a_growing_original_past_the_pair_reach_returns_its_transform():
+    # e^{5 t} at s = 6: 5 x 142.3 > 600, so the cells, which stop long
+    # before e^{5 t} overflows, give 1 / (s - 5)
+    f = TimeOriginal(lambda t: math.exp(5.0 * t), sigma0=5.0)
+    assert abs(forward_laplace(f, 6.0, SPEC) - 1.0) <= 1e-12
+
+
+def test_an_unconverged_forward_transform_names_its_estimate():
+    # cos(50 t) e^{-0.2 t} at s = 0.5: the rules cannot resolve cos(50 t),
+    # and one panel per cell cannot either
+    from fltrans.laplace import LaplaceError
+    f = TimeOriginal(lambda t: math.cos(50.0 * t) * math.exp(-0.2 * t),
+                     sigma0=-0.2)
+    with pytest.raises(LaplaceError,
+                       match=r"did not converge at s=.*\(error estimate "):
+        forward_laplace(f, 0.5, QuadratureSpec(max_subdivisions=1))
+
+
 def test_a_branch_point_original_stays_on_the_principal_sheet():
     # u^(1/2) e^(-u) <-> Gamma(3/2) / (s + 1)^(3/2), cut along s < -1: a
     # ray past 90 degrees must still continue the image from above the cut

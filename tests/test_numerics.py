@@ -466,6 +466,63 @@ def test_semi_infinite_flags_non_decay():
     assert not res.converged
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 20, 39])
+def test_a_rate_integrates_the_laguerre_moments_in_60_evaluations(n):
+    # both rules are exact for x^n e^{-x}, n < 40: they agree, and the
+    # 40-node sum is returned without a cell
+    res = integrate_semi_infinite(lambda x: x ** n * math.exp(-x), 0.0, SPEC,
+                                  rate=1.0)
+    assert res.converged and res.evaluations == 60
+    assert isinstance(res.value, float)
+    assert abs(res.value - math.factorial(n)) <= 1e-15 * math.factorial(n)
+
+
+def test_a_rate_scales_and_shifts_the_rules():
+    # e^{-3 (x - 2)} (x - 2)^4 over (2, inf) is 4! / 3^5; complex values
+    # keep their imaginary part
+    res = integrate_semi_infinite(
+        lambda x: (1 + 2j) * (x - 2.0) ** 4 * math.exp(-3.0 * (x - 2.0)), 2.0,
+        SPEC, rate=3.0)
+    assert res.converged and res.evaluations == 60
+    assert res.value == pytest.approx((1 + 2j) * 24.0 / 3.0 ** 5, rel=1e-15)
+    assert res.magnitude == pytest.approx(abs(1 + 2j) * 24.0 / 3.0 ** 5,
+                                          rel=1e-15)
+
+
+@pytest.mark.parametrize("f", [lambda x: math.exp(-x) * math.cos(20.0 * x),
+                               lambda x: math.sqrt(x) * math.exp(-x)])
+def test_a_rate_the_rules_cannot_meet_falls_back_to_the_same_cells(f):
+    # cos(20 x) is too fast for 40 nodes and sqrt(x) is singular at 0, so
+    # the rules disagree: the cells give their own result, 60 evaluations
+    # dearer
+    cells = integrate_semi_infinite(f, 0.0, SPEC)
+    res = integrate_semi_infinite(f, 0.0, SPEC, rate=1.0)
+    assert (res.value, res.error_estimate, res.magnitude, res.converged) == (
+        cells.value, cells.error_estimate, cells.magnitude, cells.converged)
+    assert res.evaluations == cells.evaluations + 60
+
+
+@pytest.mark.parametrize("f", [lambda x: 1.7e308 * math.exp(-0.5 * x),
+                               lambda x: math.inf if x < 1.0 else -math.inf])
+def test_a_rate_whose_sums_leave_the_float_range_falls_back_to_the_cells(f):
+    # the rules' sums overflow, or meet inf - inf, which fsum refuses: the
+    # cells give their own result (one panel a cell keeps the second
+    # quick), 60 evaluations dearer
+    spec = QuadratureSpec(max_subdivisions=1)
+    cells = integrate_semi_infinite(f, 0.0, spec)
+    res = integrate_semi_infinite(f, 0.0, spec, rate=1.0)
+    assert repr((res.value, res.error_estimate, res.magnitude,
+                 res.converged)) == repr((cells.value, cells.error_estimate,
+                                          cells.magnitude, cells.converged))
+    assert res.evaluations == cells.evaluations + 60
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.inf, math.nan])
+def test_a_rate_not_finite_and_positive_is_refused(rate):
+    with pytest.raises(DomainError, match="rate"):
+        integrate_semi_infinite(lambda x: math.exp(-x), 0.0, SPEC, rate=rate)
+
+
 # --- integrate_oscillatory ----------------------------------------------------
 
 def test_k15_panel_degrees_on_a_shifted_interval():
