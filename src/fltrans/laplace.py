@@ -111,23 +111,6 @@ _MARGIN = 0.1
 _MAX_RAY_ANGLE = math.radians(120.0)
 
 
-def _fused_product(value, exponent: complex) -> complex:
-    """value * exp(exponent) for an exponent whose exp alone overflows.
-
-    Fuses the factors through log space, so the damped product is
-    returned whenever it is representable (a decaying original against a
-    contour node with Re s < 0).
-    """
-    if value == 0.0:
-        return 0.0 + 0.0j
-    combined = cmath.log(complex(value)) + exponent
-    if combined.real > 700.0:
-        raise LaplaceError(
-            "damped Laplace integrand overflows; growth abscissa contract "
-            "violated")
-    return cmath.exp(combined)
-
-
 def _best_ray(f: TimeOriginal, s: complex) -> tuple[float, float]:
     # along t = tau e^{i alpha}, alpha = -beta sign(Im s), |e^{-s t} f(t)|
     # decays at x cos(beta) + c sin(beta), a sinusoid whose maximum over
@@ -213,13 +196,23 @@ def forward_laplace(f: TimeOriginal, s: complex, spec: QuadratureSpec) -> comple
         exponent = minus_s * z
         if exponent.real <= 600.0:
             return cmath.exp(exponent) * value
-        # an original that underflowed to 0 under an overflowing damping
-        # factor hides a product that may still exceed e^{-32} ~ 1e-14
-        if value == 0.0 and ray_decay * abs(z) < 32.0:
+        # the damping factor alone overflows.  An original that underflowed
+        # to 0 under it hides a product that may still exceed e^{-32} ~ 1e-14
+        if value == 0.0:
+            if ray_decay * abs(z) < 32.0:
+                raise LaplaceError(
+                    f"original underflows at t={z} where the damped "
+                    "integrand is not negligible")
+            return 0j
+        # otherwise the factors fuse through log space, so the damped
+        # product is returned whenever it is representable (a decaying
+        # original against a contour node with Re s < 0)
+        combined = cmath.log(value) + exponent
+        if combined.real > 700.0:
             raise LaplaceError(
-                f"original underflows at t={z} where the damped integrand "
-                "is not negligible")
-        return _fused_product(value, exponent)
+                "damped Laplace integrand overflows; growth abscissa "
+                "contract violated")
+        return cmath.exp(combined)
 
     # |integrand| decays like e^{-sqrt(rho) u}: the Gauss-Laguerre pair at
     # that rate, unless f's bound, growing at sigma0 cos alpha +

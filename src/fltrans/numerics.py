@@ -129,7 +129,7 @@ def bessel_series(nu: float, x: float) -> float:
 
 
 # Coefficient tables of J0 and J1, fitted at 50 digits and checked against
-# the committed values by tools/bessel_tables.py; highest degree first.
+# the committed values by tools/tables.py; highest degree first.
 # On x <= 8: Chebyshev series in u = x^2/32 - 1 of J0(x) and of J1(x)/x,
 # each cut where the sum of the dropped coefficients falls below 2^-56.
 _J0_CHEB = (
@@ -588,16 +588,19 @@ def _adaptive(f, a: float, b: float, spec: QuadratureSpec,
     points = panel.points
     evals = points * len(cells)
     while True:
+        # an infinite tol proves nothing, and no bisection mends an estimate
+        # made NaN or infinite by a non-finite f or a sum past the float range
         tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
+        if total_err <= tol < math.inf:
             return IntegralResult(total, total_err, True, evals, total_mag)
-        if len(cells) >= spec.max_subdivisions or _at_roundoff(total_err, total):
+        if (len(cells) >= spec.max_subdivisions or not total_err < math.inf
+                or _at_roundoff(total_err, total)):
             return IntegralResult(total, total_err, False, evals, total_mag)
         _, _, ca, cb, cval, cerr, cmag = heapq.heappop(cells)
         mid = 0.5 * (ca + cb)
         if mid <= ca or mid >= cb:
             # the worst cell is exhausted at machine resolution (QUADPACK's
-            # ier = 3); a NaN integrand ends here too
+            # ier = 3)
             return IntegralResult(total, total_err, False, evals, total_mag)
         lval, lerr, lmag = panel(f, ca, mid)
         rval, rerr, rmag = panel(f, mid, cb)
@@ -623,7 +626,8 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec,
     oscillating f save the bisections that would find it: a panel that
     spans more than about 3 pi of phase cannot resolve it (see
     radial_fourier.radial_quadrature).  Non-convergence is reported
-    through converged=False, never by a silently wrong value.
+    through converged=False, never by a silently wrong value; a non-finite
+    value of f, or a sum past the float range, ends it at once, unconverged.
     """
     return _adaptive(f, a, b, spec, _gk21, breaks)
 
@@ -688,8 +692,8 @@ _OSCILLATION_CELLS = 200
 # Gauss-Laguerre rules of 20 and 40 nodes (Golub & Welsch 1969) as rows
 # (x_i, w_i e^{x_i}), smallest node first: the weight times e^x, so that a
 # rule needs no exponential.  Fitted at 60 digits and checked against the
-# committed values by tools/laguerre_tables.py; scipy's w e^x are off by up
-# to 1.1e-13 relative at 40 nodes, which moves round-trip digits.
+# committed values by tools/tables.py; scipy's w e^x are off by up to
+# 1.1e-13 relative at 40 nodes, which moves round-trip digits.
 _LAGUERRE_20 = (
     (0.07053988969198875, 0.18108006241898925),
     (0.37212681800161146, 0.422556767878564),
@@ -801,7 +805,7 @@ def _integrate_cells(f, edges, spec: QuadratureSpec,
     epsilon work.  Whichever way it stops, the sum is reported unconverged
     if any cell stopped on its subdivision budget or at machine resolution;
     a cell whose error estimate is at the roundoff of its value counts as
-    converged.
+    converged.  A partial sum that is not finite ends the loop at once.
     """
     resolved = True  # no cell stopped on its budget or at machine resolution
     evals = 0
@@ -819,6 +823,8 @@ def _integrate_cells(f, edges, spec: QuadratureSpec,
         total += part
         cell_err += res.error_estimate
         magnitude += res.magnitude
+        if not math.isfinite(abs(total)):  # no later cell can mend the sum
+            return IntegralResult(total, math.inf, False, evals, magnitude)
         sums.append(total)
         tol = 0.1 * max(spec.abs_tol, spec.rel_tol * abs(total))
         if n > 2 and res.magnitude <= max(tol, 5e-16 * abs(total)):

@@ -163,6 +163,16 @@ def test_forward_refuses_an_original_that_underflows_too_early(a):
         forward_laplace(f, f.sigma0 + 1.1, SPEC)
 
 
+def test_forward_refuses_a_product_that_overflows_the_contract():
+    # sigma0 = -1000 claims far more decay than e^{-10 t} has: at
+    # s = -998.9 the damping factor overflows and the fused product
+    # e^{-(s + 10) t} passes e^700 inside the cells
+    from fltrans.laplace import LaplaceError
+    f = TimeOriginal(lambda t: math.exp(-10.0 * t), sigma0=-1000.0)
+    with pytest.raises(LaplaceError, match="growth abscissa contract violated"):
+        forward_laplace(f, -998.9, SPEC)
+
+
 @pytest.mark.parametrize("a, s, continued", [(10.0, 10.3, False),
                                              (10.0, 10.3, True),
                                              (100.0, complex(100.3, 1.5), True)])

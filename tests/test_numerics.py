@@ -337,9 +337,8 @@ def test_adaptive_honest_failure():
 
 
 def test_adaptive_nan_integrand_returns_unconverged():
-    # every heap comparison with a NaN key is false, so bisection ends on a
-    # cell exhausted at machine resolution; that cell must stop the loop
-    # (QUADPACK's ier = 3) rather than be pushed back forever
+    # a NaN estimate meets no tolerance and no bisection can mend it, so
+    # the first panel ends the loop
     results = []
     worker = threading.Thread(target=lambda: results.append(
         integrate_adaptive(lambda x: math.nan, 0.0, 1.0, SPEC)), daemon=True)
@@ -347,6 +346,19 @@ def test_adaptive_nan_integrand_returns_unconverged():
     worker.join(timeout=30.0)
     assert results, "integrate_adaptive did not return within 30 s"
     assert not results[0].converged
+    assert results[0].evaluations == 21
+
+
+def test_an_integral_past_the_float_range_is_unconverged():
+    # the total overflows, so tol = rel_tol |total| is infinite and any
+    # estimate would meet it; the first panel must end the loop unconverged
+    def f(x):
+        return 1.7e308 * math.exp(-0.5 * x)
+
+    for res in (integrate_adaptive(f, 0.0, 1.0, SPEC),
+                integrate_semi_infinite(f, 0.0, SPEC)):
+        assert not res.converged
+        assert res.evaluations == 21
 
 
 def test_adaptive_invariant_on_convergence():
@@ -506,8 +518,7 @@ def test_a_rate_the_rules_cannot_meet_falls_back_to_the_same_cells(f):
                                lambda x: math.inf if x < 1.0 else -math.inf])
 def test_a_rate_whose_sums_leave_the_float_range_falls_back_to_the_cells(f):
     # the rules' sums overflow, or meet inf - inf, which fsum refuses: the
-    # cells give their own result (one panel a cell keeps the second
-    # quick), 60 evaluations dearer
+    # cells give their own result, 60 evaluations dearer
     spec = QuadratureSpec(max_subdivisions=1)
     cells = integrate_semi_infinite(f, 0.0, spec)
     res = integrate_semi_infinite(f, 0.0, spec, rate=1.0)
@@ -743,8 +754,8 @@ def test_a_nan_sum_gives_an_estimate_the_cell_loop_ignores(monkeypatch):
     assert math.isnan(table.estimate())
     table.add(1.625)  # the diagonal starts again from the new sum
     assert table.estimate() == 1.625
-    # cells whose sums turn NaN: the loop neither stops on a NaN estimate
-    # nor reports convergence
+    # cells whose sums turn NaN: the loop stops at the first NaN sum, before
+    # any epsilon estimate, and does not report convergence
     terms = [(-1.0) ** n / (n + 1) for n in range(8)]
 
     def cell(f, lo, hi, spec, panel):
@@ -754,7 +765,21 @@ def test_a_nan_sum_gives_an_estimate_the_cell_loop_ignores(monkeypatch):
     monkeypatch.setattr(numerics, "_adaptive", cell)
     res = numerics._integrate_cells(None, itertools.count(0), SPEC, None)
     assert not res.converged
-    assert res.evaluations == numerics._OSCILLATION_CELLS + 1
+    assert res.evaluations == 9  # the ninth cell's NaN ends the loop
+
+
+@pytest.mark.parametrize("integrate, evaluations", [
+    (lambda f: integrate_semi_infinite(f, 0.0, SPEC), 21),
+    (lambda f: integrate_oscillatory(f, lambda n: n * math.pi, SPEC), 15)])
+def test_a_non_finite_integrand_ends_the_cell_loop_at_once(integrate,
+                                                           evaluations):
+    # a NaN or infinite sum cannot be mended by bisection or by a later
+    # cell, so the first panel ends the integral
+    for f in (lambda x: math.inf if x < 1.0 else -math.inf,
+              lambda x: math.nan):
+        res = integrate(f)
+        assert not res.converged
+        assert res.evaluations == evaluations
 
 
 @pytest.mark.parametrize("budget, value", [(1, 0.030032113197741482),
